@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class GameSpecError(ValueError):
     """Invalid input: malformed tree, payoff field, strategy, or game file."""
@@ -17,4 +19,6 @@ class EnumerationCapError(RuntimeError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"enumeration needs {count} profiles, cap is {cap}")
+        # Counts on deep trees can exceed the interpreter's int-to-str digit limit.
+        shown = str(count) if count < 10**100 else f"about 10^{int(math.log10(count))}"
+        super().__init__(f"enumeration needs {shown} profiles, cap is {cap}")

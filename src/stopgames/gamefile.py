@@ -188,11 +188,6 @@ def load(path: str) -> GameDocument:
         return parse(fh.read())
 
 
-def bundled_path(name: str) -> str:
-    """Filesystem path of a game file shipped with the package."""
-    return str(resources.files("stopgames").joinpath("data", f"{name}.json"))
-
-
 def load_bundled(name: str) -> GameDocument:
     """Load a game file shipped with the package, e.g. ``matching_times``."""
     return parse(

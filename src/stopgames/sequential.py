@@ -30,8 +30,8 @@ from .strategies import (
     PayoffField,
     StrategyA,
     StrategyB,
-    expected_at_stop,
     payoff_pure,
+    stop_alone_values,
 )
 from .tree import (
     EventTree,
@@ -109,30 +109,17 @@ def seq_processes(tree: EventTree, field: PayoffField) -> SeqProcessBundle:
     v1 = dynkin_value(tree, f1, g1)
     v2 = dynkin_value(tree, f2, g2)
 
-    h1: dict[int, float] = {}
-    h2: dict[int, float] = {}
-    for t in range(T + 1):
-        h1_vals = expected_at_stop(
-            tree,
-            f2_side.family.rules[t],
-            lambda m: field.value(1, t, tree.nodes[m].time, m),
-        )
-        h2_vals = expected_at_stop(
-            tree,
-            g1_side.family.rules[t],
-            lambda m: field.value(2, tree.nodes[m].time, t, m),
-        )
-        for idx in tree.levels[t]:
-            h1[idx] = h1_vals[idx]
-            h2[idx] = h2_vals[idx]
+    h1 = stop_alone_values(tree, field, 1, 1, f2_side.family)
+    h2 = stop_alone_values(tree, field, 2, 2, g1_side.family)
+    nodes = tree.nodes
 
     return SeqProcessBundle(
         f1=f1,
         g1=g1,
         f2=f2,
         g2=g2,
-        h1=LeveledValue(all_levels, h1),
-        h2=LeveledValue(all_levels, h2),
+        h1=LeveledValue.from_function(tree, all_levels, lambda i: h1[nodes[i].time][i]),
+        h2=LeveledValue.from_function(tree, all_levels, lambda i: h2[nodes[i].time][i]),
         v1=v1,
         v2=v2,
         g1_uncapped=g1_side.process,

@@ -21,8 +21,8 @@ from .strategies import (
     MixedStrategyA,
     PayoffField,
     RandomizedStoppingTime,
-    expected_at_stop,
     payoff_mixed_sim,
+    stop_alone_values,
 )
 from .tree import EventTree, LeveledValue
 from .verify import EquilibriumReport, check_equilibrium
@@ -66,32 +66,20 @@ def sim_processes(tree: EventTree, field: PayoffField) -> SimProcessBundle:
     rho1_star = y1_side.family
     tau1_star = x2_side.family
 
-    x1: dict[int, float] = {}
-    y2: dict[int, float] = {}
-    z1: dict[int, float] = {}
-    z2: dict[int, float] = {}
-    for t in range(T + 1):
-        tau_rule = tau1_star.rules[t]
-        rho_rule = rho1_star.rules[t]
-        x1_vals = expected_at_stop(
-            tree, tau_rule, lambda m: field.value(1, t, tree.nodes[m].time, m)
-        )
-        y2_vals = expected_at_stop(
-            tree, rho_rule, lambda m: field.value(2, tree.nodes[m].time, t, m)
-        )
-        for idx in tree.levels[t]:
-            x1[idx] = x1_vals[idx]
-            y2[idx] = y2_vals[idx]
-            z1[idx] = field.value(1, t, t, idx)
-            z2[idx] = field.value(2, t, t, idx)
+    x1 = stop_alone_values(tree, field, 1, 1, tau1_star)
+    y2 = stop_alone_values(tree, field, 2, 2, rho1_star)
+    nodes = tree.nodes
+
+    def own_level(fn) -> LeveledValue:
+        return LeveledValue.from_function(tree, all_levels, lambda i: fn(nodes[i].time, i))
 
     return SimProcessBundle(
-        x1=LeveledValue(all_levels, x1),
+        x1=own_level(lambda t, i: x1[t][i]),
         x2=x2_side.process,
         y1=y1_side.process,
-        y2=LeveledValue(all_levels, y2),
-        z1=LeveledValue(all_levels, z1),
-        z2=LeveledValue(all_levels, z2),
+        y2=own_level(lambda t, i: y2[t][i]),
+        z1=own_level(lambda t, i: field.value(1, t, t, i)),
+        z2=own_level(lambda t, i: field.value(2, t, t, i)),
         rho1_star=rho1_star,
         tau1_star=tau1_star,
     )

@@ -46,14 +46,6 @@ class RandomizedStoppingTime:
                     f"node {tree.nodes[leaf].id} at the horizon must stop surely"
                 )
 
-    def is_degenerate(self) -> bool:
-        return all(p in (0.0, 1.0) for p in self.probs)
-
-    def as_stopping_time(self) -> StoppingTime:
-        if not self.is_degenerate():
-            raise GameSpecError("randomized rule with interior probabilities")
-        return StoppingTime(tuple(p == 1.0 for p in self.probs))
-
 
 @dataclass(frozen=True)
 class AdjustmentFamilyA:
@@ -336,30 +328,28 @@ def expected_at_stop(
     return out
 
 
-def _adjusted_payoffs(
+def stop_alone_values(
     tree: EventTree,
     field: PayoffField,
+    player: int,
     stopper: int,
-    adjust_of_other: AdjustmentFamilyA | AdjustmentFamilyB,
+    family: AdjustmentFamilyA | AdjustmentFamilyB,
 ) -> list[list[float]]:
-    """Both players' expected payoffs when `stopper` stops alone at time t
-    and the other player follows her adjustment rule for t.
+    """Player `player`'s expected payoff when `stopper` stops alone at time t
+    and the other player follows her adjustment rule ``family.rules[t]``.
 
-    ``result[t][0]`` / ``result[t][1]`` are player 1 / player 2 values per
-    node, meaningful at every node of level t.
+    Row t is meaningful at every node of level t; the stopper's time goes in
+    her own payoff argument, the follower's realized time in the other.
     """
     nodes = tree.nodes
-    result = []
-    for t in range(tree.horizon + 1):
-        rule = adjust_of_other.rules[t]
+    rows = []
+    for t, rule in enumerate(family.rules):
         if stopper == 1:
-            p1 = expected_at_stop(tree, rule, lambda m: field.value(1, t, nodes[m].time, m))
-            p2 = expected_at_stop(tree, rule, lambda m: field.value(2, t, nodes[m].time, m))
+            reward = lambda m: field.value(player, t, nodes[m].time, m)
         else:
-            p1 = expected_at_stop(tree, rule, lambda m: field.value(1, nodes[m].time, t, m))
-            p2 = expected_at_stop(tree, rule, lambda m: field.value(2, nodes[m].time, t, m))
-        result.append([p1, p2])
-    return result
+            reward = lambda m: field.value(player, nodes[m].time, t, m)
+        rows.append(expected_at_stop(tree, rule, reward))
+    return rows
 
 
 def payoff_mixed_sim(
@@ -377,8 +367,10 @@ def payoff_mixed_sim(
     """
     rho.validate(tree)
     tau.validate(tree)
-    first_stops = _adjusted_payoffs(tree, field, 1, tau.adjust)
-    second_stops = _adjusted_payoffs(tree, field, 2, rho.adjust)
+    x1 = stop_alone_values(tree, field, 1, 1, tau.adjust)
+    x2 = stop_alone_values(tree, field, 2, 1, tau.adjust)
+    y1 = stop_alone_values(tree, field, 1, 2, rho.adjust)
+    y2 = stop_alone_values(tree, field, 2, 2, rho.adjust)
 
     w1 = [0.0] * tree.n_nodes
     w2 = [0.0] * tree.n_nodes
@@ -396,14 +388,14 @@ def payoff_mixed_sim(
             d2 = sum(pc * w2[c] for c, pc in zip(node.children, node.child_probs))
             w1[idx] = (
                 p * q * field.value(1, t, t, idx)
-                + p * (1.0 - q) * first_stops[t][0][idx]
-                + (1.0 - p) * q * second_stops[t][0][idx]
+                + p * (1.0 - q) * x1[t][idx]
+                + (1.0 - p) * q * y1[t][idx]
                 + (1.0 - p) * (1.0 - q) * d1
             )
             w2[idx] = (
                 p * q * field.value(2, t, t, idx)
-                + p * (1.0 - q) * first_stops[t][1][idx]
-                + (1.0 - p) * q * second_stops[t][1][idx]
+                + p * (1.0 - q) * x2[t][idx]
+                + (1.0 - p) * q * y2[t][idx]
                 + (1.0 - p) * (1.0 - q) * d2
             )
     return w1[0], w2[0]

@@ -29,10 +29,6 @@ class Node:
     children: tuple[int, ...]
     child_probs: tuple[float, ...]
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class EventTree:
     """Immutable rooted tree with per-edge transition probabilities.
@@ -83,10 +79,6 @@ class EventTree:
         self.leaves_under = tuple(tuple(ps) for ps in leaves_under)
 
         self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
-
-    def level_pos(self, index: int) -> int:
-        """Position of a node within its level's canonical ordering."""
-        return index - self.level_start[self.nodes[index].time]
 
     def realized_times(self, marks: tuple[bool, ...]) -> tuple[int, ...]:
         """Per path, the time of the first node marked stop (cached)."""
@@ -321,9 +313,6 @@ class LeveledValue:
         for idx, val in self.values.items():
             if val != val or val in (float("inf"), float("-inf")):
                 raise GameSpecError(f"non-finite value at node {tree.nodes[idx].id}")
-
-    def at(self, index: int) -> float:
-        return self.values[index]
 
 
 def _single_level(x: LeveledValue) -> int:

@@ -1,19 +1,38 @@
-"""Exact best-response oracles, equilibrium certification, and exhaustive
+"""Exact best-response oracle, equilibrium certification, and exhaustive
 enumeration on small instances.
 
-Best responses are computed by dynamic programming over the full strategy
-class of one player, holding the opponent fixed: after the opponent's
-observed stop the optimal adjustment is a one-sided stopping problem, and
-the initial rule solves an optimal stopping problem whose stop reward
-accounts for the opponent's (possibly randomized) stop status.  Against a
-fixed behavioral opponent the payoff is multilinear in the player's own
-per-node stop probabilities, so a pure best response always exists and the
-DP over pure strategies is exact for mixed deviations as well.
+A best response is one dynamic program over the full strategy class of one
+player, holding the opponent fixed.  After the opponent's observed stop the
+optimal adjustment is a one-sided stopping problem (its value is ``adj``).
+The initial rule solves an optimal stopping problem in which the opponent,
+at each node, stops with probability ``q``:
+
+    stop value      q * tie + (1 - q) * alone
+    continue value  q * adj + (1 - q) * E[next value]
+
+``alone`` is the payoff of stopping alone while the opponent adjusts.  The
+tie rule and ``q`` select the three cases:
+
+- simultaneous game: ``q`` is the mixed opponent's stop probability, and a
+  tie pays U_i(t, t);
+- sequential game, player 1 responding: ``q`` is 1 or 0 by the type-B
+  opponent's initial rule; player 1's stop stands on a tie, so the tie
+  value is her lone-stop value ``alone``;
+- sequential game, player 2 responding: ``q`` is 1 or 0 by the type-A
+  opponent's initial rule; player 2 yields on a tie and answers through her
+  own rule, which may stop at once (type B), so the tie value is ``adj``.
+
+A pure opponent's ``q`` selects one term exactly, with no ``0.0 * x`` term
+that could turn a -0.0 value into +0.0.  Against a fixed behavioral opponent
+the payoff is multilinear in the player's own per-node stop probabilities,
+so a pure best response always exists and the DP over pure strategies is
+exact for mixed deviations as well.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import EnumerationCapError, GameSpecError, SolverDefectError
@@ -26,147 +45,14 @@ from .strategies import (
     StrategyA,
     StrategyB,
     _payoff_pure_core,
-    expected_at_stop,
     payoff_mixed_sim,
     payoff_pure,
+    stop_alone_values,
 )
 from .tree import EventTree, StoppingTime
 
 #: A best response may fall short of the candidate's own value only by noise.
 ORACLE_SLACK = 1e-9
-
-
-def _stop_allowed(tree: EventTree, not_before: StoppingTime | None) -> tuple[bool, ...]:
-    if not_before is None:
-        return tuple([True] * tree.n_nodes)
-    return tree.prefix_stopped(not_before.marks)
-
-
-def _best_response_sim(
-    tree: EventTree,
-    field: PayoffField,
-    player: int,
-    opponent: MixedStrategyA,
-    not_before: StoppingTime | None,
-) -> tuple[float, StrategyA]:
-    opponent.validate(tree)
-    T = tree.horizon
-    side = "first" if player == 1 else "second"
-    own = reaction_value(tree, field, player, side, "strict", "max")
-
-    # Payoff when this player stops alone at t and the opponent adjusts.
-    alone: list[list[float]] = []
-    for t in range(T + 1):
-        rule = opponent.adjust.rules[t]
-        if player == 1:
-            reward = lambda m: field.value(1, t, tree.nodes[m].time, m)
-        else:
-            reward = lambda m: field.value(2, tree.nodes[m].time, t, m)
-        alone.append(expected_at_stop(tree, rule, reward))
-
-    allowed = _stop_allowed(tree, not_before)
-    values = [0.0] * tree.n_nodes
-    marks = [False] * tree.n_nodes
-    for t in range(T, -1, -1):
-        adj = own.results[t].value.values
-        for idx in tree.levels[t]:
-            if t == T:
-                values[idx] = field.value(player, T, T, idx)
-                marks[idx] = True
-                continue
-            node = tree.nodes[idx]
-            q = opponent.initial.probs[idx]
-            tie = field.value(player, t, t, idx)
-            stop_v = q * tie + (1.0 - q) * alone[t][idx]
-            cont = sum(p * values[c] for c, p in zip(node.children, node.child_probs))
-            cont_v = q * adj[idx] + (1.0 - q) * cont
-            if allowed[idx] and stop_v >= cont_v:
-                values[idx] = stop_v
-                marks[idx] = True
-            else:
-                values[idx] = cont_v
-    return values[0], StrategyA(StoppingTime(tuple(marks)), own.family)
-
-
-def _best_response_seq_p1(
-    tree: EventTree,
-    field: PayoffField,
-    opponent: StrategyB,
-    not_before: StoppingTime | None,
-) -> tuple[float, StrategyA]:
-    opponent.validate(tree)
-    T = tree.horizon
-    own = reaction_value(tree, field, 1, "first", "strict", "max")
-
-    stop_reward: list[list[float]] = []
-    for t in range(T + 1):
-        rule = opponent.adjust.rules[t]
-        stop_reward.append(
-            expected_at_stop(tree, rule, lambda m: field.value(1, t, tree.nodes[m].time, m))
-        )
-
-    allowed = _stop_allowed(tree, not_before)
-    opp_marks = opponent.initial.marks
-    values = [0.0] * tree.n_nodes
-    marks = [False] * tree.n_nodes
-    for t in range(T, -1, -1):
-        adj = own.results[t].value.values
-        for idx in tree.levels[t]:
-            if t == T:
-                values[idx] = stop_reward[T][idx]
-                marks[idx] = True
-                continue
-            node = tree.nodes[idx]
-            if opp_marks[idx]:
-                alt = adj[idx]
-            else:
-                alt = sum(p * values[c] for c, p in zip(node.children, node.child_probs))
-            if allowed[idx] and stop_reward[t][idx] >= alt:
-                values[idx] = stop_reward[t][idx]
-                marks[idx] = True
-            else:
-                values[idx] = alt
-    return values[0], StrategyA(StoppingTime(tuple(marks)), own.family)
-
-
-def _best_response_seq_p2(
-    tree: EventTree,
-    field: PayoffField,
-    opponent: StrategyA,
-    not_before: StoppingTime | None,
-) -> tuple[float, StrategyB]:
-    opponent.validate(tree)
-    T = tree.horizon
-    own = reaction_value(tree, field, 2, "second", "inclusive", "max")
-
-    stop_reward: list[list[float]] = []
-    for t in range(T + 1):
-        rule = opponent.adjust.rules[t]
-        stop_reward.append(
-            expected_at_stop(tree, rule, lambda m: field.value(2, tree.nodes[m].time, t, m))
-        )
-
-    allowed = _stop_allowed(tree, not_before)
-    opp_marks = opponent.initial.marks
-    values = [0.0] * tree.n_nodes
-    marks = [False] * tree.n_nodes
-    for t in range(T, -1, -1):
-        resp = own.results[t].value.values
-        for idx in tree.levels[t]:
-            if opp_marks[idx]:
-                # The opponent stops here first; whatever the initial rule
-                # does, this player answers through her adjustment rule.
-                values[idx] = resp[idx]
-                marks[idx] = tree.nodes[idx].time == T
-                continue
-            node = tree.nodes[idx]
-            cont = sum(p * values[c] for c, p in zip(node.children, node.child_probs))
-            if allowed[idx] and stop_reward[t][idx] >= cont:
-                values[idx] = stop_reward[t][idx]
-                marks[idx] = True
-            else:
-                values[idx] = cont
-    return values[0], StrategyB(StoppingTime(tuple(marks)), own.family)
 
 
 def best_response(
@@ -191,16 +77,63 @@ def best_response(
     if mode == "sim":
         if not isinstance(opponent, MixedStrategyA):
             raise GameSpecError("simultaneous best response needs a mixed type-A opponent")
-        return _best_response_sim(tree, field, player, opponent, not_before)
-    if mode == "seq":
-        if player == 1:
-            if not isinstance(opponent, StrategyB):
-                raise GameSpecError("player 1's sequential opponent must be type B")
-            return _best_response_seq_p1(tree, field, opponent, not_before)
-        if not isinstance(opponent, StrategyA):
+    elif mode == "seq":
+        if player == 1 and not isinstance(opponent, StrategyB):
+            raise GameSpecError("player 1's sequential opponent must be type B")
+        if player == 2 and not isinstance(opponent, StrategyA):
             raise GameSpecError("player 2's sequential opponent must be type A")
-        return _best_response_seq_p2(tree, field, opponent, not_before)
-    raise GameSpecError(f"unknown mode {mode!r}")
+    else:
+        raise GameSpecError(f"unknown mode {mode!r}")
+    opponent.validate(tree)
+
+    T = tree.horizon
+    side = "first" if player == 1 else "second"
+    window = "inclusive" if mode == "seq" and player == 2 else "strict"
+    own = reaction_value(tree, field, player, side, window, "max")
+    alone = stop_alone_values(tree, field, player, player, opponent.adjust)
+    allowed = (
+        tree.prefix_stopped(not_before.marks)
+        if not_before is not None
+        else (True,) * tree.n_nodes
+    )
+    if mode == "sim":
+        q = opponent.initial.probs
+
+        def mix(idx: int, if_stop: float, if_not: float) -> float:
+            return q[idx] * if_stop + (1.0 - q[idx]) * if_not
+
+    else:
+        opp_stops = opponent.initial.marks
+
+        def mix(idx: int, if_stop: float, if_not: float) -> float:
+            return if_stop if opp_stops[idx] else if_not
+
+    values = [0.0] * tree.n_nodes
+    marks = [False] * tree.n_nodes
+    for t in range(T, -1, -1):
+        adj = own.results[t].value.values
+        for idx in tree.levels[t]:
+            if t == T:
+                values[idx] = field.value(player, T, T, idx)
+                marks[idx] = True
+                continue
+            if mode == "sim":
+                tie = field.value(player, t, t, idx)
+            elif player == 1:
+                tie = alone[t][idx]
+            else:
+                tie = adj[idx]
+            node = tree.nodes[idx]
+            cont = sum(p * values[c] for c, p in zip(node.children, node.child_probs))
+            stop_v = mix(idx, tie, alone[t][idx])
+            cont_v = mix(idx, adj[idx], cont)
+            if allowed[idx] and stop_v >= cont_v:
+                values[idx] = stop_v
+                marks[idx] = True
+            else:
+                values[idx] = cont_v
+    cls = StrategyB if window == "inclusive" else StrategyA
+    return values[0], cls(StoppingTime(tuple(marks)), own.family)
 
 
 @dataclass(frozen=True)
@@ -259,53 +192,38 @@ def check_equilibrium(
 
 def count_stopping_times(tree: EventTree, min_level: int = 0) -> int:
     """Number of distinct stopping times realizing times >= min_level."""
-    memo: dict[int, int] = {}
-
-    def count(idx: int) -> int:
-        if idx in memo:
-            return memo[idx]
-        node = tree.nodes[idx]
-        if not node.children:
-            result = 1
-        else:
-            prod = 1
-            for c in node.children:
-                prod *= count(c)
-            result = 1 + prod
-        memo[idx] = result
-        return result
-
-    total = 1
-    for idx in tree.levels[min(min_level, tree.horizon)]:
-        total *= count(idx)
-    return total
+    min_level = min(max(min_level, 0), tree.horizon)
+    count = [1] * tree.n_nodes
+    for t in range(tree.horizon - 1, min_level - 1, -1):
+        for idx in tree.levels[t]:
+            count[idx] = 1 + math.prod(count[c] for c in tree.nodes[idx].children)
+    return math.prod(count[idx] for idx in tree.levels[min_level])
 
 
 def enumerate_stopping_times(
     tree: EventTree, min_level: int = 0, cap: int | None = None
 ) -> list[StoppingTime]:
     """All stopping times with realized times >= min_level, canonical form."""
-    min_level = min(min_level, tree.horizon)
+    min_level = min(max(min_level, 0), tree.horizon)
     if cap is not None:
         n = count_stopping_times(tree, min_level)
         if n > cap:
             raise EnumerationCapError(n, cap)
 
-    memo: dict[int, list[tuple[int, ...]]] = {}
-
-    def antichains(idx: int) -> list[tuple[int, ...]]:
-        if idx in memo:
-            return memo[idx]
-        node = tree.nodes[idx]
-        out: list[tuple[int, ...]] = [(idx,)]
-        if node.children:
-            for combo in itertools.product(*[antichains(c) for c in node.children]):
+    # Per node of the current level, the first-stop sets of its subtree:
+    # stop at the node itself, then every combination of the children's sets.
+    antichains: dict[int, list[tuple[int, ...]]] = {idx: [(idx,)] for idx in tree.leaves}
+    for t in range(tree.horizon - 1, min_level - 1, -1):
+        below = antichains
+        antichains = {}
+        for idx in tree.levels[t]:
+            out: list[tuple[int, ...]] = [(idx,)]
+            for combo in itertools.product(*[below[c] for c in tree.nodes[idx].children]):
                 out.append(tuple(itertools.chain.from_iterable(combo)))
-        memo[idx] = out
-        return out
+            antichains[idx] = out
 
     result = []
-    for combo in itertools.product(*[antichains(m) for m in tree.levels[min_level]]):
+    for combo in itertools.product(*[antichains[m] for m in tree.levels[min_level]]):
         stops = set(itertools.chain.from_iterable(combo))
         stops.update(tree.leaves)
         result.append(

@@ -237,11 +237,15 @@ def test_criterion_7_determinism(tmp_path):
         ["solve-zs", str(zs_game)],
         ["enumerate", str(game), "--mode", "seq"],
     ]
+    # The children run from "/", so they get the package's absolute source
+    # directory on their import path.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(sg.__file__)))
+    python_path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     # Subprocess runs under different hash seeds: byte-identical reports.
     for argv in commands:
         outputs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=python_path)
             proc = subprocess.run(
                 [sys.executable, "-m", "stopgames", *argv],
                 capture_output=True,

@@ -99,6 +99,31 @@ class TestBestResponse:
             achieved = sg.payoff_mixed_sim(tree, field, sg.as_mixed(strategy), opponent)[0]
             assert achieved == approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("horizon", [0, 1, 2])
+    @pytest.mark.parametrize("branching", [1, 2])
+    def test_dp_matches_pure_enumeration_seq_not_before(self, horizon, branching):
+        for seed in range(2):
+            doc = gamefile.generate_random_game(horizon, branching, seed=70 + seed)
+            tree, field = doc.tree, doc.payoff_field()
+            sol = sg.seq_equilibrium(tree, field)
+            for s in range(horizon + 1):
+                sigma = sg.constant_stopping_time(tree, s)
+                for player, kind, opponent in ((1, "a", sol.tau_star), (2, "b", sol.rho_star)):
+                    def payoff(own):
+                        profile = (own, opponent) if player == 1 else (opponent, own)
+                        return sg.payoff_pure(tree, field, "seq", *profile)[player - 1]
+
+                    value, strategy = sg.best_response(
+                        tree, field, "seq", player, opponent, not_before=sigma
+                    )
+                    best = max(
+                        payoff(own)
+                        for own in sg.enumerate_strategies(tree, kind, min_initial_time=s)
+                    )
+                    assert value == approx(best, abs=1e-12)
+                    assert min(strategy.initial.realized(tree)) >= s
+                    assert payoff(strategy) == approx(value, abs=1e-12)
+
     def test_oracle_coherence_on_random_candidates(self):
         for seed in range(8):
             doc = gamefile.generate_random_game(3, 2, seed=900 + seed)
@@ -156,6 +181,17 @@ class TestEnumeration:
         tree = gamefile.generate_random_game(2, 2, seed=0).tree
         assert sg.count_stopping_times(tree) == 5
         assert len(sg.enumerate_stopping_times(tree)) == 5
+
+    def test_deep_chain_counts_without_recursion(self):
+        tree = chain_tree(1500)
+        assert sg.count_stopping_times(tree) == 1501
+        assert len(sg.enumerate_stopping_times(tree)) == 1501
+
+    def test_cap_error_reports_huge_counts(self):
+        count = sg.count_strategies(chain_tree(1200), "b")
+        error = sg.EnumerationCapError(count, 10)
+        assert error.count == count
+        assert str(error).startswith("enumeration needs about 10^")
 
     def test_enumerated_stopping_times_are_canonical_and_distinct(self):
         tree = gamefile.generate_random_game(2, 2, seed=1).tree
