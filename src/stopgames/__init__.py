@@ -30,13 +30,10 @@ from .simultaneous import (
 )
 from .snell import ReactionValue, SnellResult, reaction_value, snell
 from .strategies import (
-    AdjustmentFamilyA,
-    AdjustmentFamilyB,
-    MixedStrategyA,
+    AdjustmentFamily,
     PayoffField,
     RandomizedStoppingTime,
-    StrategyA,
-    StrategyB,
+    Strategy,
     as_mixed,
     effective_times_seq,
     effective_times_sim,
@@ -72,8 +69,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustmentFamilyA",
-    "AdjustmentFamilyB",
+    "AdjustmentFamily",
     "DynkinSolution",
     "EnumerationCapError",
     "EnumerationResult",
@@ -83,7 +79,6 @@ __all__ = [
     "GameSpecError",
     "HittingResult",
     "LeveledValue",
-    "MixedStrategyA",
     "Node",
     "PayoffField",
     "RandomizedDynkinEquilibrium",
@@ -96,8 +91,7 @@ __all__ = [
     "SnellResult",
     "SolverDefectError",
     "StoppingTime",
-    "StrategyA",
-    "StrategyB",
+    "Strategy",
     "ZeroSumSaddle",
     "as_mixed",
     "best_response",

@@ -18,7 +18,7 @@ from .dynkin import zero_sum_saddle
 from .errors import EnumerationCapError, GameSpecError, SolverDefectError
 from .sequential import seq_equilibrium
 from .simultaneous import sim_equilibrium
-from .strategies import MixedStrategyA
+from .strategies import Strategy
 from .tree import EventTree, StoppingTime, canonical_stopping_time, constant_stopping_time
 from .verify import EquilibriumReport, check_equilibrium, enumerate_oracle
 
@@ -39,26 +39,19 @@ def _stop_set(tree: EventTree, st: StoppingTime) -> str:
     return "{" + ", ".join(ids) + "}"
 
 
-def _print_pure_strategy(out: IO[str], tree: EventTree, label: str, strategy) -> None:
-    print(f"{label} initial:", file=out)
-    realized = strategy.initial.realized(tree)
-    first_stops = {tree.paths[pos][realized[pos]] for pos in range(len(tree.leaves))}
-    for idx in range(tree.n_nodes):
-        node = tree.nodes[idx]
-        decision = "stop" if idx in first_stops else "continue"
-        print(f"  {node.id} t={node.time} {decision}", file=out)
-    print(f"{label} adjustments:", file=out)
-    for t, rule in enumerate(strategy.adjust.rules):
-        print(f"  after stop at t={t}: stop at {_stop_set(tree, rule)}", file=out)
-
-
-def _print_mixed_strategy(
-    out: IO[str], tree: EventTree, label: str, strategy: MixedStrategyA
-) -> None:
-    print(f"{label} initial stop probabilities:", file=out)
-    for idx in range(tree.n_nodes):
-        node = tree.nodes[idx]
-        print(f"  {node.id} t={node.time} p={fmt(strategy.initial.probs[idx])}", file=out)
+def _print_strategy(out: IO[str], tree: EventTree, label: str, strategy: Strategy) -> None:
+    if strategy.mixed:
+        print(f"{label} initial stop probabilities:", file=out)
+        for node in tree.nodes:
+            p = strategy.initial.probs[node.index]
+            print(f"  {node.id} t={node.time} p={fmt(p)}", file=out)
+    else:
+        print(f"{label} initial:", file=out)
+        realized = strategy.initial.realized(tree)
+        first_stops = {tree.paths[pos][realized[pos]] for pos in range(len(tree.leaves))}
+        for node in tree.nodes:
+            decision = "stop" if node.index in first_stops else "continue"
+            print(f"  {node.id} t={node.time} {decision}", file=out)
     print(f"{label} adjustments:", file=out)
     for t, rule in enumerate(strategy.adjust.rules):
         print(f"  after stop at t={t}: stop at {_stop_set(tree, rule)}", file=out)
@@ -94,8 +87,8 @@ def _cmd_solve_sim(args, out: IO[str]) -> int:
     solution = sim_equilibrium(doc.tree, field, eps=args.eps)
     _print_header(out, doc, "sim")
     _print_certification(out, solution.report)
-    _print_mixed_strategy(out, doc.tree, "player 1", solution.rho)
-    _print_mixed_strategy(out, doc.tree, "player 2", solution.tau)
+    _print_strategy(out, doc.tree, "player 1", solution.rho)
+    _print_strategy(out, doc.tree, "player 2", solution.tau)
     _write_profile(doc.tree, "sim", (solution.rho, solution.tau), args.profile_out)
     return 0 if solution.report.passed else 2
 
@@ -111,8 +104,8 @@ def _cmd_solve_seq(args, out: IO[str]) -> int:
     _print_certification(out, report)
     defects = solution.diagnostics.defects
     print(f"diagnostics: {'clean' if not defects else '; '.join(defects)}", file=out)
-    _print_pure_strategy(out, doc.tree, "player 1", solution.rho_star)
-    _print_pure_strategy(out, doc.tree, "player 2", solution.tau_star)
+    _print_strategy(out, doc.tree, "player 1", solution.rho_star)
+    _print_strategy(out, doc.tree, "player 2", solution.tau_star)
     _write_profile(
         doc.tree, "seq", (solution.rho_star, solution.tau_star), args.profile_out
     )
@@ -136,8 +129,8 @@ def _cmd_solve_zs(args, out: IO[str]) -> int:
     print(f"sigma: {args.sigma}", file=out)
     print(f"saddle value: {fmt(saddle.value)}", file=out)
     _print_certification(out, report)
-    _print_pure_strategy(out, doc.tree, "player 1", saddle.rho_star)
-    _print_pure_strategy(out, doc.tree, "player 2", saddle.tau_star)
+    _print_strategy(out, doc.tree, "player 1", saddle.rho_star)
+    _print_strategy(out, doc.tree, "player 2", saddle.tau_star)
     _write_profile(
         doc.tree, "zs", (saddle.rho_star, saddle.tau_star), args.profile_out
     )

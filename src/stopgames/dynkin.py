@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GameSpecError
 from .snell import reaction_value
-from .strategies import PayoffField, StrategyA, StrategyB
+from .strategies import PayoffField, Strategy
 from .tree import (
     EventTree,
     HittingResult,
@@ -119,8 +119,8 @@ class ZeroSumSaddle:
     processes are kept for diagnostics.
     """
 
-    rho_star: StrategyA
-    tau_star: StrategyB
+    rho_star: Strategy
+    tau_star: Strategy
     value: float
     f: LeveledValue
     g: LeveledValue
@@ -154,8 +154,8 @@ def zero_sum_saddle(
     f = f_side.process
     g = LeveledValue(frozenset(range(tree.horizon + 1)), g_vals)
     solution = solve_dynkin(tree, f, g, sigma)
-    rho_star = StrategyA(solution.rho, g_side.family)
-    tau_star = StrategyB(solution.tau.stop, f_side.family)
+    rho_star = Strategy(solution.rho, g_side.family)
+    tau_star = Strategy(solution.tau.stop, f_side.family)
     return ZeroSumSaddle(
         rho_star=rho_star,
         tau_star=tau_star,

@@ -34,15 +34,7 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import GameSpecError
-from .strategies import (
-    AdjustmentFamilyA,
-    AdjustmentFamilyB,
-    MixedStrategyA,
-    PayoffField,
-    RandomizedStoppingTime,
-    StrategyA,
-    StrategyB,
-)
+from .strategies import AdjustmentFamily, PayoffField, RandomizedStoppingTime, Strategy
 from .tree import EventTree, StoppingTime, build_tree
 
 FORMAT_NAME = "stopping-game-v1"
@@ -290,68 +282,76 @@ def generate_random_game(
 # -- Strategy profile serialization -------------------------------------------
 
 
+def _object(data, what: str) -> Mapping:
+    if not isinstance(data, dict):
+        raise GameSpecError(f"{what} must be a JSON object")
+    return data
+
+
+def _per_node(tree: EventTree, data, what: str, convert, default) -> tuple:
+    """Per-node values of a {node id: value} object; omitted nodes get `default`."""
+    values = [default] * tree.n_nodes
+    for nid, val in _object(data, what).items():
+        if nid not in tree.by_id:
+            raise GameSpecError(f"unknown node {nid!r} in profile")
+        try:
+            values[tree.by_id[nid]] = convert(val)
+        except (TypeError, ValueError) as exc:
+            raise GameSpecError(f"{what} at node {nid!r} is not a number") from exc
+    return tuple(values)
+
+
 def _marks_to_json(tree: EventTree, st: StoppingTime) -> dict[str, bool]:
     return {tree.nodes[idx].id: bool(st.marks[idx]) for idx in range(tree.n_nodes)}
 
 
-def _marks_from_json(tree: EventTree, data: Mapping[str, bool]) -> StoppingTime:
-    marks = [False] * tree.n_nodes
-    for nid, val in data.items():
-        if nid not in tree.by_id:
-            raise GameSpecError(f"unknown node {nid!r} in profile")
-        marks[tree.by_id[nid]] = bool(val)
-    return StoppingTime(tuple(marks))
-
-
-def _family_to_json(tree: EventTree, family) -> dict[str, dict[str, bool]]:
-    return {
-        str(t): _marks_to_json(tree, rule) for t, rule in enumerate(family.rules)
+def _strategy_to_json(tree: EventTree, strategy: Strategy) -> dict:
+    if strategy.mixed:
+        probs = strategy.initial.probs
+        obj: dict = {"stop_prob": {node.id: probs[node.index] for node in tree.nodes}}
+    else:
+        obj = {"stops": _marks_to_json(tree, strategy.initial)}
+    obj["adjust"] = {
+        str(t): _marks_to_json(tree, rule) for t, rule in enumerate(strategy.adjust.rules)
     }
+    return obj
 
 
-def _family_from_json(tree: EventTree, data: Mapping[str, Mapping[str, bool]], cls):
+def _strategy_from_json(
+    tree: EventTree, data, label: str, mixed: bool, strict: bool
+) -> Strategy:
+    data = _object(data, f"profile section {label}")
+    key = "stop_prob" if mixed else "stops"
+    for name in (key, "adjust"):
+        if name not in data:
+            raise GameSpecError(f"profile section {label} missing {name!r}")
+    initial: StoppingTime | RandomizedStoppingTime
+    if mixed:
+        initial = RandomizedStoppingTime(_per_node(tree, data[key], key, float, 0.0))
+    else:
+        initial = StoppingTime(_per_node(tree, data[key], key, bool, False))
+    adjust = _object(data["adjust"], "profile adjustment")
     rules = []
     for t in range(tree.horizon + 1):
-        key = str(t)
-        if key not in data:
+        if str(t) not in adjust:
             raise GameSpecError(f"profile adjustment missing rule for time {t}")
-        rules.append(_marks_from_json(tree, data[key]))
-    return cls(tuple(rules))
+        marks = _per_node(tree, adjust[str(t)], "adjustment rule", bool, False)
+        rules.append(StoppingTime(marks))
+    strategy = Strategy(initial, AdjustmentFamily(tuple(rules), strict))
+    strategy.validate(tree)
+    return strategy
 
 
 def profile_to_json(tree: EventTree, mode: str, profile: tuple) -> str:
     """Serialize a strategy profile for the given mode."""
-    rho, tau = profile
-    if mode == "sim":
-        obj = {
-            "mode": "sim",
-            "player1": {
-                "stop_prob": {
-                    tree.nodes[i].id: rho.initial.probs[i] for i in range(tree.n_nodes)
-                },
-                "adjust": _family_to_json(tree, rho.adjust),
-            },
-            "player2": {
-                "stop_prob": {
-                    tree.nodes[i].id: tau.initial.probs[i] for i in range(tree.n_nodes)
-                },
-                "adjust": _family_to_json(tree, tau.adjust),
-            },
-        }
-    elif mode in ("seq", "zs"):
-        obj = {
-            "mode": mode,
-            "player1": {
-                "stops": _marks_to_json(tree, rho.initial),
-                "adjust": _family_to_json(tree, rho.adjust),
-            },
-            "player2": {
-                "stops": _marks_to_json(tree, tau.initial),
-                "adjust": _family_to_json(tree, tau.adjust),
-            },
-        }
-    else:
+    if mode not in ("sim", "seq", "zs"):
         raise GameSpecError(f"unknown mode {mode!r}")
+    rho, tau = profile
+    obj = {
+        "mode": mode,
+        "player1": _strategy_to_json(tree, rho),
+        "player2": _strategy_to_json(tree, tau),
+    }
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -361,6 +361,7 @@ def profile_from_json(tree: EventTree, text: str, mode: str) -> tuple:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise GameSpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    raw = _object(raw, "profile")
     if raw.get("mode") != mode:
         raise GameSpecError(
             f"profile mode {raw.get('mode')!r} does not match requested {mode!r}"
@@ -370,29 +371,8 @@ def profile_from_json(tree: EventTree, text: str, mode: str) -> tuple:
         p2 = raw["player2"]
     except KeyError as exc:
         raise GameSpecError(f"profile missing section {exc}") from exc
-
-    if mode == "sim":
-        def mixed(data) -> MixedStrategyA:
-            probs = [0.0] * tree.n_nodes
-            for nid, val in data["stop_prob"].items():
-                if nid not in tree.by_id:
-                    raise GameSpecError(f"unknown node {nid!r} in profile")
-                probs[tree.by_id[nid]] = float(val)
-            adjust = _family_from_json(tree, data["adjust"], AdjustmentFamilyA)
-            strategy = MixedStrategyA(RandomizedStoppingTime(tuple(probs)), adjust)
-            strategy.validate(tree)
-            return strategy
-
-        return mixed(p1), mixed(p2)
-
-    rho = StrategyA(
-        _marks_from_json(tree, p1["stops"]),
-        _family_from_json(tree, p1["adjust"], AdjustmentFamilyA),
+    mixed = mode == "sim"
+    return (
+        _strategy_from_json(tree, p1, "player1", mixed, strict=True),
+        _strategy_from_json(tree, p2, "player2", mixed, strict=mixed),
     )
-    tau = StrategyB(
-        _marks_from_json(tree, p2["stops"]),
-        _family_from_json(tree, p2["adjust"], AdjustmentFamilyB),
-    )
-    rho.validate(tree)
-    tau.validate(tree)
-    return rho, tau

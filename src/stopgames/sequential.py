@@ -25,11 +25,9 @@ from .dynkin import dynkin_value
 from .errors import SolverDefectError
 from .snell import reaction_value
 from .strategies import (
-    AdjustmentFamilyA,
-    AdjustmentFamilyB,
+    AdjustmentFamily,
     PayoffField,
-    StrategyA,
-    StrategyB,
+    Strategy,
     payoff_pure,
     stop_alone_values,
 )
@@ -74,10 +72,10 @@ class SeqProcessBundle:
     v1: LeveledValue
     v2: LeveledValue
     g1_uncapped: LeveledValue
-    reply_min1: AdjustmentFamilyB
-    later_max1: AdjustmentFamilyA
-    reply_max2: AdjustmentFamilyB
-    later_min2: AdjustmentFamilyA
+    reply_min1: AdjustmentFamily
+    later_max1: AdjustmentFamily
+    reply_max2: AdjustmentFamily
+    later_min2: AdjustmentFamily
 
 
 def seq_processes(tree: EventTree, field: PayoffField) -> SeqProcessBundle:
@@ -182,8 +180,8 @@ class SeqEquilibrium:
     p2_settle: StoppingTime
     p1_reply_time: StoppingTime
     p2_reply_time: StoppingTime
-    rho_star: StrategyA
-    tau_star: StrategyB
+    rho_star: Strategy
+    tau_star: Strategy
     values: tuple[float, float]
     w1: LeveledValue
     w2: LeveledValue
@@ -270,8 +268,8 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
                 w1[idx] = after1
                 w2[idx] = after2
 
-    rho_star = StrategyA(StoppingTime(tuple(rho_marks)), bundle.later_max1)
-    tau_star = StrategyB(StoppingTime(tuple(tau_marks)), bundle.reply_max2)
+    rho_star = Strategy(StoppingTime(tuple(rho_marks)), bundle.later_max1)
+    tau_star = Strategy(StoppingTime(tuple(tau_marks)), bundle.reply_max2)
     values = payoff_pure(tree, field, "seq", rho_star, tau_star)
     if max(abs(values[0] - w1[0]), abs(values[1] - w2[0])) > 1e-9:
         raise SolverDefectError(

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .errors import SolverDefectError
 from .snell import reaction_value
 from .strategies import (
-    AdjustmentFamilyA,
-    MixedStrategyA,
+    AdjustmentFamily,
     PayoffField,
     RandomizedStoppingTime,
+    Strategy,
     payoff_mixed_sim,
     stop_alone_values,
 )
@@ -52,8 +52,8 @@ class SimProcessBundle:
     y2: LeveledValue
     z1: LeveledValue
     z2: LeveledValue
-    rho1_star: AdjustmentFamilyA
-    tau1_star: AdjustmentFamilyA
+    rho1_star: AdjustmentFamily
+    tau1_star: AdjustmentFamily
 
 
 def sim_processes(tree: EventTree, field: PayoffField) -> SimProcessBundle:
@@ -240,8 +240,8 @@ def randomized_dynkin_equilibrium(
 class SimEquilibrium:
     """Mixed equilibrium of the simultaneous-move game, certified."""
 
-    rho: MixedStrategyA
-    tau: MixedStrategyA
+    rho: Strategy
+    tau: Strategy
     values: tuple[float, float]
     report: EquilibriumReport
     bundle: SimProcessBundle
@@ -261,8 +261,8 @@ def sim_equilibrium(
     """
     bundle = sim_processes(tree, field)
     reduced = randomized_dynkin_equilibrium(tree, bundle)
-    rho = MixedStrategyA(reduced.alpha, bundle.rho1_star)
-    tau = MixedStrategyA(reduced.beta, bundle.tau1_star)
+    rho = Strategy(reduced.alpha, bundle.rho1_star)
+    tau = Strategy(reduced.beta, bundle.tau1_star)
     values = payoff_mixed_sim(tree, field, rho, tau)
     expected = (reduced.w1.values[0], reduced.w2.values[0])
     if max(abs(values[0] - expected[0]), abs(values[1] - expected[1])) > 1e-9:

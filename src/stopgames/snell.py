@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .errors import GameSpecError
-from .strategies import AdjustmentFamilyA, AdjustmentFamilyB, PayoffField
+from .strategies import AdjustmentFamily, PayoffField, adjustment_floor
 from .tree import EventTree, LeveledValue, StoppingTime
 
 Window = Literal["inclusive", "strict"]
@@ -59,7 +59,7 @@ def snell(
     T = tree.horizon
     if not 0 <= t <= T:
         raise GameSpecError(f"level {t} outside 0..{T}")
-    start = t if window == "inclusive" else min(t + 1, T)
+    start = adjustment_floor(T, t, window == "strict")
     use_max = direction == "max"
 
     env: dict[int, float] = {}
@@ -111,12 +111,12 @@ class ReactionValue:
 
     ``process`` collects, per node, the value of the stopping problem rooted
     at that node's own level; ``family`` packages the earliest optimizers as
-    an adjustment family (type A for strict windows, type B for inclusive
-    ones); ``results`` keeps the full per-level solutions.
+    an adjustment family, strict (type A) exactly when the window is;
+    ``results`` keeps the full per-level solutions.
     """
 
     process: LeveledValue
-    family: AdjustmentFamilyA | AdjustmentFamilyB
+    family: AdjustmentFamily
     results: tuple[SnellResult, ...]
 
 
@@ -149,13 +149,8 @@ def reaction_value(
         results.append(res)
         process.update(res.value.values)
     rules = tuple(res.optimizer for res in results)
-    family: AdjustmentFamilyA | AdjustmentFamilyB
-    if window == "strict":
-        family = AdjustmentFamilyA(rules)
-    else:
-        family = AdjustmentFamilyB(rules)
     return ReactionValue(
         process=LeveledValue(frozenset(range(tree.horizon + 1)), process),
-        family=family,
+        family=AdjustmentFamily(rules, strict=window == "strict"),
         results=tuple(results),
     )

@@ -2,12 +2,13 @@
 
 Payoffs are revealed at the later of the two players' stop times, and each
 player may replace her plan after observing the other player's stop.  A
-strategy is therefore a pair: an initial stopping rule plus an adjustment
-family giving the follow-up rule for every possible opponent stop time.
-Type A adjustments restart strictly after the observed stop, type B
-adjustments may stop at the observed time itself.  Mixed strategies
-randomize the initial rule only, with an independent stop probability per
-node.
+strategy is therefore one type, :class:`Strategy`: an initial stopping rule
+plus an adjustment family giving the follow-up rule for every possible
+opponent stop time.  The simultaneous and sequential games differ in one
+fact, carried by ``AdjustmentFamily.strict``: strict (type A) adjustments
+restart after the observed stop, type B adjustments may stop at the observed
+time itself (see :func:`adjustment_floor`).  A mixed strategy randomizes the
+initial rule only, with an independent stop probability per node.
 """
 
 from __future__ import annotations
@@ -47,89 +48,76 @@ class RandomizedStoppingTime:
                 )
 
 
-@dataclass(frozen=True)
-class AdjustmentFamilyA:
-    """Follow-up rules indexed by the observed stop time t, restarting at t+1.
+def adjustment_floor(horizon: int, t: int, strict: bool) -> int:
+    """Earliest time an adjustment rule for the observed stop time t may stop.
 
-    ``rules[t]`` must realize a time >= min(t+1, horizon) on every path.
-    Rules are total: one per t, even where a given play never uses them.
+    A strict (type-A) rule restarts at t+1, except at the horizon where the
+    stop is forced; a type-B rule may stop at t itself.
     """
-
-    rules: tuple[StoppingTime, ...]
-
-    def validate(self, tree: EventTree) -> None:
-        _validate_family(tree, self.rules, strict=True)
+    return min(t + 1, horizon) if strict else t
 
 
 @dataclass(frozen=True)
-class AdjustmentFamilyB:
-    """Follow-up rules indexed by the observed stop time t, restarting at t.
+class AdjustmentFamily:
+    """Follow-up rules indexed by the observed stop time t.
 
-    ``rules[t]`` must realize a time >= t on every path; stopping exactly at
-    the observed time is allowed.
+    ``rules[t]`` must realize a time >= adjustment_floor(horizon, t, strict)
+    on every path.  Rules are total: one per t, even where a given play never
+    uses them.
     """
 
     rules: tuple[StoppingTime, ...]
+    strict: bool
 
     def validate(self, tree: EventTree) -> None:
-        _validate_family(tree, self.rules, strict=False)
-
-
-def _validate_family(
-    tree: EventTree, rules: tuple[StoppingTime, ...], strict: bool
-) -> None:
-    if len(rules) != tree.horizon + 1:
-        raise GameSpecError(
-            f"adjustment family needs {tree.horizon + 1} rules, got {len(rules)}"
-        )
-    for t, rule in enumerate(rules):
-        rule.validate(tree)
-        floor = min(t + 1, tree.horizon) if strict else t
-        if min(rule.realized(tree)) < floor:
+        if len(self.rules) != tree.horizon + 1:
             raise GameSpecError(
-                f"adjustment rule for time {t} stops before time {floor}"
+                f"adjustment family needs {tree.horizon + 1} rules, got {len(self.rules)}"
             )
+        for t, rule in enumerate(self.rules):
+            rule.validate(tree)
+            floor = adjustment_floor(tree.horizon, t, self.strict)
+            if min(rule.realized(tree)) < floor:
+                raise GameSpecError(
+                    f"adjustment rule for time {t} stops before time {floor}"
+                )
 
 
 @dataclass(frozen=True)
-class StrategyA:
-    initial: StoppingTime
-    adjust: AdjustmentFamilyA
+class Strategy:
+    """An initial stopping rule, pure or randomized, plus an adjustment family."""
+
+    initial: StoppingTime | RandomizedStoppingTime
+    adjust: AdjustmentFamily
+
+    @property
+    def mixed(self) -> bool:
+        return isinstance(self.initial, RandomizedStoppingTime)
 
     def validate(self, tree: EventTree) -> None:
         self.initial.validate(tree)
         self.adjust.validate(tree)
 
 
-@dataclass(frozen=True)
-class StrategyB:
-    initial: StoppingTime
-    adjust: AdjustmentFamilyB
-
-    def validate(self, tree: EventTree) -> None:
-        self.initial.validate(tree)
-        self.adjust.validate(tree)
-
-
-@dataclass(frozen=True)
-class MixedStrategyA:
-    initial: RandomizedStoppingTime
-    adjust: AdjustmentFamilyA
-
-    def validate(self, tree: EventTree) -> None:
-        self.initial.validate(tree)
-        self.adjust.validate(tree)
+def check_class(strategy, mixed: bool, strict: bool, message: str) -> None:
+    """Raise GameSpecError(message) unless `strategy` has the given class."""
+    if not (
+        isinstance(strategy, Strategy)
+        and strategy.mixed == mixed
+        and strategy.adjust.strict == strict
+    ):
+        raise GameSpecError(message)
 
 
-def as_mixed(strategy: StrategyA) -> MixedStrategyA:
-    """Embed a pure type-A strategy as a degenerate mixed one."""
+def as_mixed(strategy: Strategy) -> Strategy:
+    """Embed a pure strategy as a degenerate mixed one."""
     probs = tuple(1.0 if m else 0.0 for m in strategy.initial.marks)
-    return MixedStrategyA(RandomizedStoppingTime(probs), strategy.adjust)
+    return Strategy(RandomizedStoppingTime(probs), strategy.adjust)
 
 
-def canonical_signature(tree: EventTree, strategy) -> tuple:
+def canonical_signature(tree: EventTree, strategy: Strategy) -> tuple:
     """Hashable normal form identifying extensionally equal strategies."""
-    if isinstance(strategy, MixedStrategyA):
+    if strategy.mixed:
         head: tuple = strategy.initial.probs
     else:
         head = canonical_stopping_time(tree, strategy.initial).marks
@@ -218,7 +206,7 @@ class PayoffField:
 
 
 def effective_times_sim(
-    tree: EventTree, rho: StrategyA, tau: StrategyA, leaf_pos: int
+    tree: EventTree, rho: Strategy, tau: Strategy, leaf_pos: int
 ) -> tuple[int, int]:
     """Realized stop-time pair on one path when both players move each stage.
 
@@ -235,7 +223,7 @@ def effective_times_sim(
 
 
 def effective_times_seq(
-    tree: EventTree, rho: StrategyA, tau: StrategyB, leaf_pos: int
+    tree: EventTree, rho: Strategy, tau: Strategy, leaf_pos: int
 ) -> tuple[int, int]:
     """Realized stop-time pair when player 1 acts first at each stage.
 
@@ -253,8 +241,8 @@ def _payoff_pure_core(
     tree: EventTree,
     field: PayoffField,
     mode: Mode,
-    rho: StrategyA,
-    tau: StrategyA | StrategyB,
+    rho: Strategy,
+    tau: Strategy,
 ) -> tuple[float, float]:
     """Payoff evaluation without class validation; see payoff_pure."""
     sim = mode == "sim"
@@ -289,16 +277,16 @@ def payoff_pure(
     tree: EventTree,
     field: PayoffField,
     mode: Mode,
-    rho: StrategyA,
-    tau: StrategyA | StrategyB,
+    rho: Strategy,
+    tau: Strategy,
 ) -> tuple[float, float]:
     """Exact expected payoffs of a pure strategy profile, both players."""
     if mode == "sim":
-        if not isinstance(tau, StrategyA):
-            raise GameSpecError("simultaneous mode needs two type-A strategies")
+        for strategy in (rho, tau):
+            check_class(strategy, False, True, "simultaneous mode needs two type-A strategies")
     elif mode == "seq":
-        if not isinstance(tau, StrategyB):
-            raise GameSpecError("sequential mode needs a type-B second strategy")
+        check_class(tau, False, False, "sequential mode needs a type-B second strategy")
+        check_class(rho, False, True, "sequential mode needs a type-A first strategy")
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
     rho.validate(tree)
@@ -333,7 +321,7 @@ def stop_alone_values(
     field: PayoffField,
     player: int,
     stopper: int,
-    family: AdjustmentFamilyA | AdjustmentFamilyB,
+    family: AdjustmentFamily,
 ) -> list[list[float]]:
     """Player `player`'s expected payoff when `stopper` stops alone at time t
     and the other player follows her adjustment rule ``family.rules[t]``.
@@ -355,8 +343,8 @@ def stop_alone_values(
 def payoff_mixed_sim(
     tree: EventTree,
     field: PayoffField,
-    rho: MixedStrategyA,
-    tau: MixedStrategyA,
+    rho: Strategy,
+    tau: Strategy,
 ) -> tuple[float, float]:
     """Exact expected payoffs of a mixed profile in the simultaneous game.
 
@@ -365,6 +353,8 @@ def payoff_mixed_sim(
     the independent per-node stop probabilities.  Once a single player has
     stopped, the other's deterministic adjustment rule takes over.
     """
+    for strategy in (rho, tau):
+        check_class(strategy, True, True, "mixed payoffs need two mixed type-A strategies")
     rho.validate(tree)
     tau.validate(tree)
     x1 = stop_alone_values(tree, field, 1, 1, tau.adjust)

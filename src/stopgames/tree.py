@@ -72,12 +72,6 @@ class EventTree:
             paths.append(tuple(path))
         self.paths = tuple(paths)
 
-        leaves_under: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for pos, path in enumerate(self.paths):
-            for idx in path:
-                leaves_under[idx].append(pos)
-        self.leaves_under = tuple(tuple(ps) for ps in leaves_under)
-
         self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
 
     def realized_times(self, marks: tuple[bool, ...]) -> tuple[int, ...]:

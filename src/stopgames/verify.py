@@ -38,13 +38,12 @@ from dataclasses import dataclass
 from .errors import EnumerationCapError, GameSpecError, SolverDefectError
 from .snell import reaction_value
 from .strategies import (
-    AdjustmentFamilyA,
-    AdjustmentFamilyB,
-    MixedStrategyA,
+    AdjustmentFamily,
     PayoffField,
-    StrategyA,
-    StrategyB,
+    Strategy,
     _payoff_pure_core,
+    adjustment_floor,
+    check_class,
     payoff_mixed_sim,
     payoff_pure,
     stop_alone_values,
@@ -62,7 +61,7 @@ def best_response(
     player: int,
     opponent,
     not_before: StoppingTime | None = None,
-) -> tuple[float, StrategyA | StrategyB]:
+) -> tuple[float, Strategy]:
     """Exact optimum over one player's full strategy class.
 
     ``opponent`` must match the mode: a mixed type-A strategy in the
@@ -75,13 +74,14 @@ def best_response(
     if player not in (1, 2):
         raise GameSpecError(f"unknown player {player}")
     if mode == "sim":
-        if not isinstance(opponent, MixedStrategyA):
-            raise GameSpecError("simultaneous best response needs a mixed type-A opponent")
+        check_class(
+            opponent, True, True, "simultaneous best response needs a mixed type-A opponent"
+        )
     elif mode == "seq":
-        if player == 1 and not isinstance(opponent, StrategyB):
-            raise GameSpecError("player 1's sequential opponent must be type B")
-        if player == 2 and not isinstance(opponent, StrategyA):
-            raise GameSpecError("player 2's sequential opponent must be type A")
+        if player == 1:
+            check_class(opponent, False, False, "player 1's sequential opponent must be type B")
+        else:
+            check_class(opponent, False, True, "player 2's sequential opponent must be type A")
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
     opponent.validate(tree)
@@ -132,8 +132,7 @@ def best_response(
                 marks[idx] = True
             else:
                 values[idx] = cont_v
-    cls = StrategyB if window == "inclusive" else StrategyA
-    return values[0], cls(StoppingTime(tuple(marks)), own.family)
+    return values[0], Strategy(StoppingTime(tuple(marks)), own.family)
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,7 @@ def count_strategies(tree: EventTree, kind: str, min_initial_time: int = 0) -> i
     T = tree.horizon
     total = count_stopping_times(tree, min_initial_time)
     for t in range(T + 1):
-        floor = min(t + 1, T) if kind == "a" else t
-        total *= count_stopping_times(tree, floor)
+        total *= count_stopping_times(tree, adjustment_floor(T, t, kind == "a"))
     return total
 
 
@@ -247,7 +245,7 @@ def enumerate_strategies(
     kind: str,
     cap: int | None = None,
     min_initial_time: int = 0,
-) -> list[StrategyA] | list[StrategyB]:
+) -> list[Strategy]:
     """All pure strategies of one class, canonical components throughout."""
     if kind not in ("a", "b"):
         raise GameSpecError(f"unknown strategy kind {kind!r}")
@@ -255,20 +253,17 @@ def enumerate_strategies(
         n = count_strategies(tree, kind, min_initial_time)
         if n > cap:
             raise EnumerationCapError(n, cap)
-    T = tree.horizon
+    strict = kind == "a"
     initials = enumerate_stopping_times(tree, min_initial_time)
-    per_t = []
-    for t in range(T + 1):
-        floor = min(t + 1, T) if kind == "a" else t
-        per_t.append(enumerate_stopping_times(tree, floor))
-    strategies: list = []
-    for initial in initials:
-        for rules in itertools.product(*per_t):
-            if kind == "a":
-                strategies.append(StrategyA(initial, AdjustmentFamilyA(tuple(rules))))
-            else:
-                strategies.append(StrategyB(initial, AdjustmentFamilyB(tuple(rules))))
-    return strategies
+    per_t = [
+        enumerate_stopping_times(tree, adjustment_floor(tree.horizon, t, strict))
+        for t in range(tree.horizon + 1)
+    ]
+    return [
+        Strategy(initial, AdjustmentFamily(tuple(rules), strict))
+        for initial in initials
+        for rules in itertools.product(*per_t)
+    ]
 
 
 @dataclass(frozen=True)

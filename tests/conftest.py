@@ -38,6 +38,12 @@ def matching_field(tree: sg.EventTree) -> sg.PayoffField:
     )
 
 
+def leaves_under(tree: sg.EventTree, node: int) -> list[int]:
+    """Positions of the leaf paths through `node`, read off ``tree.paths``."""
+    t = tree.nodes[node].time
+    return [pos for pos, path in enumerate(tree.paths) if path[t] == node]
+
+
 def path_expectation(tree: sg.EventTree, x: sg.LeveledValue, node: int) -> float:
     """Independent conditional-expectation oracle: explicit sum over the
     level-u descendants of `node`, with edge probabilities multiplied along
@@ -47,7 +53,7 @@ def path_expectation(tree: sg.EventTree, x: sg.LeveledValue, node: int) -> float
     # The downward path from `node` to each level-u descendant is unique, so
     # collecting one probability product per descendant gives the exact sum.
     weights: dict[int, float] = {}
-    for pos in tree.leaves_under[node]:
+    for pos in leaves_under(tree, node):
         path = tree.paths[pos]
         prob = 1.0
         for lev in range(t + 1, u + 1):

@@ -33,6 +33,10 @@ def zs_file(tmp_path):
     return str(path)
 
 
+#: Marks a profile key to delete in the malformed-profile probes.
+_DELETE = "<delete>"
+
+
 def _report_value(text, key):
     for line in text.splitlines():
         if line.startswith(key + ":"):
@@ -136,6 +140,54 @@ class TestVerifyCommand:
         assert code == 2
         assert "certified: FAIL" in text
         assert _report_value(text, "gap[2]") == "1"
+
+    @pytest.mark.parametrize(
+        "mode, keys, value",
+        [
+            ("sim", (), [1, 2]),
+            ("sim", ("player1",), [1, 2]),
+            ("seq", ("player2",), "x"),
+            ("sim", ("player1", "stop_prob"), _DELETE),
+            ("seq", ("player1", "stops"), _DELETE),
+            ("seq", ("player2", "adjust"), _DELETE),
+            ("sim", ("player2", "stop_prob", "0:0"), "x"),
+            ("sim", ("player1", "stop_prob", "1:0"), None),
+            ("sim", ("player1", "stop_prob"), [0.5, 1.0]),
+            ("seq", ("player1", "stops"), 7),
+            ("sim", ("player1", "adjust"), [1, 2]),
+            ("seq", ("player2", "adjust", "0"), True),
+        ],
+        ids=repr,
+    )
+    def test_verify_malformed_profile_is_one_line_error(
+        self, matching_file, tmp_path, capsys, mode, keys, value
+    ):
+        # Replace the value at `keys` of a solved profile, or delete its key.
+        profile = tmp_path / "profile.json"
+        code, _ = _run([f"solve-{mode}", matching_file, "--profile-out", str(profile)])
+        assert code == 0
+        obj = json.loads(profile.read_text(encoding="utf-8"))
+        if not keys:
+            obj = value
+        else:
+            target = obj
+            for key in keys[:-1]:
+                target = target[key]
+            if value == _DELETE:
+                del target[keys[-1]]
+            else:
+                target[keys[-1]] = value
+        profile.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        code, text = _run(
+            ["verify", matching_file, "--profile", str(profile), "--mode", mode]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_verify_seq_profile(self, matching_file, tmp_path):
         profile = tmp_path / "seq.json"

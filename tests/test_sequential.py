@@ -120,8 +120,8 @@ class TestSeqEquilibrium:
         assert sol.p2_settle.realized(tree) == (0,)
         assert sol.p1_reply_time.realized(tree) == (0,)
         literal = (
-            sg.StrategyA(sol.p1_reply_time, sol.bundle.later_max1),
-            sg.StrategyB(sol.p2_settle, sol.bundle.reply_max2),
+            sg.Strategy(sol.p1_reply_time, sol.bundle.later_max1),
+            sg.Strategy(sol.p2_settle, sol.bundle.reply_max2),
         )
         report = sg.check_equilibrium(tree, field, "seq", literal)
         assert not report.passed

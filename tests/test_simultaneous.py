@@ -8,7 +8,7 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import chain_tree
+from conftest import chain_tree, leaves_under
 
 
 class TestSimProcesses:
@@ -54,7 +54,7 @@ class TestSimProcesses:
                     for idx in tree.levels[t]:
                         total = 0.0
                         weight = 0.0
-                        for pos in tree.leaves_under[idx]:
+                        for pos in leaves_under(tree, idx):
                             prob = tree.leaf_probs[pos] / tree.node_prob[idx]
                             u = realized[pos]
                             total += prob * field.value(

@@ -156,7 +156,7 @@ class TestReactionValue:
 
         own_later = sg.reaction_value(tree, field, 2, "second", "strict", "max")
         assert own_later.process.values[0] == approx(0.0, abs=1e-12)
-        assert isinstance(own_later.family, sg.AdjustmentFamilyA)
+        assert own_later.family.strict
 
     def test_constant_payoffs_all_levels(self):
         tree = three_node_tree()
@@ -171,7 +171,7 @@ class TestReactionValue:
         field = matching_field(tree)
         strict = sg.reaction_value(tree, field, 1, "first", "strict", "max")
         inclusive = sg.reaction_value(tree, field, 1, "second", "inclusive", "min")
-        assert isinstance(strict.family, sg.AdjustmentFamilyA)
-        assert isinstance(inclusive.family, sg.AdjustmentFamilyB)
+        assert strict.family.strict
+        assert not inclusive.family.strict
         strict.family.validate(tree)
         inclusive.family.validate(tree)

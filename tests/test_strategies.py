@@ -15,19 +15,19 @@ def _stop_at(tree: sg.EventTree, t: int) -> sg.StoppingTime:
     return sg.constant_stopping_time(tree, t)
 
 
-def _family_a(tree: sg.EventTree) -> sg.AdjustmentFamilyA:
+def _family_a(tree: sg.EventTree) -> sg.AdjustmentFamily:
     """The unique-forced family on a one-period chain: always stop at 1."""
     rule = _stop_at(tree, min(1, tree.horizon))
-    return sg.AdjustmentFamilyA(tuple(rule for _ in range(tree.horizon + 1)))
+    return sg.AdjustmentFamily(tuple(rule for _ in range(tree.horizon + 1)), strict=True)
 
 
-def _strategy_a(tree: sg.EventTree, t0: int) -> sg.StrategyA:
-    return sg.StrategyA(_stop_at(tree, t0), _family_a(tree))
+def _strategy_a(tree: sg.EventTree, t0: int) -> sg.Strategy:
+    return sg.Strategy(_stop_at(tree, t0), _family_a(tree))
 
 
-def _strategy_b(tree: sg.EventTree, t0: int, reply0: int) -> sg.StrategyB:
+def _strategy_b(tree: sg.EventTree, t0: int, reply0: int) -> sg.Strategy:
     rules = [_stop_at(tree, max(t, reply0) if t == 0 else t) for t in range(tree.horizon + 1)]
-    return sg.StrategyB(_stop_at(tree, t0), sg.AdjustmentFamilyB(tuple(rules)))
+    return sg.Strategy(_stop_at(tree, t0), sg.AdjustmentFamily(tuple(rules), strict=False))
 
 
 class TestClassInvariants:
@@ -45,18 +45,18 @@ class TestClassInvariants:
         tree = chain_tree(1)
         stop_now = _stop_at(tree, 0)
         with pytest.raises(sg.GameSpecError, match="stops before"):
-            sg.AdjustmentFamilyA((stop_now, _stop_at(tree, 1))).validate(tree)
+            sg.AdjustmentFamily((stop_now, _stop_at(tree, 1)), strict=True).validate(tree)
 
     def test_family_b_may_restart_at_observed_time(self):
         tree = chain_tree(1)
-        fam = sg.AdjustmentFamilyB((_stop_at(tree, 0), _stop_at(tree, 1)))
+        fam = sg.AdjustmentFamily((_stop_at(tree, 0), _stop_at(tree, 1)), strict=False)
         fam.validate(tree)
 
     def test_family_b_must_not_restart_earlier(self):
         tree = chain_tree(2)
         rules = (_stop_at(tree, 0), _stop_at(tree, 0), _stop_at(tree, 2))
         with pytest.raises(sg.GameSpecError, match="stops before"):
-            sg.AdjustmentFamilyB(rules).validate(tree)
+            sg.AdjustmentFamily(rules, strict=False).validate(tree)
 
 
 class TestEffectiveTimes:
@@ -109,15 +109,15 @@ class TestPayoffPure:
         tree = chain_tree(2)
         field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 3.25)
         for t0 in range(3):
-            rho = sg.StrategyA(
+            rho = sg.Strategy(
                 _stop_at(tree, t0),
-                sg.AdjustmentFamilyA(
-                    tuple(_stop_at(tree, min(t + 1, 2)) for t in range(3))
+                sg.AdjustmentFamily(
+                    tuple(_stop_at(tree, min(t + 1, 2)) for t in range(3)), strict=True
                 ),
             )
-            tau = sg.StrategyB(
+            tau = sg.Strategy(
                 _stop_at(tree, 2 - t0),
-                sg.AdjustmentFamilyB(tuple(_stop_at(tree, t) for t in range(3))),
+                sg.AdjustmentFamily(tuple(_stop_at(tree, t) for t in range(3)), strict=False),
             )
             assert sg.payoff_pure(tree, field, "seq", rho, tau) == (3.25, 3.25)
 
@@ -135,8 +135,8 @@ class TestPayoffMixed:
             doc = gamefile.generate_random_game(3, 2, seed=seed)
             tree, field = doc.tree, doc.payoff_field()
             sol = sg.seq_equilibrium(tree, field)
-            rho = sg.StrategyA(sol.p1_settle, sol.bundle.later_max1)
-            tau = sg.StrategyA(sol.p2_settle, sol.bundle.later_min2)
+            rho = sg.Strategy(sol.p1_settle, sol.bundle.later_max1)
+            tau = sg.Strategy(sol.p2_settle, sol.bundle.later_min2)
             pure = sg.payoff_pure(tree, field, "sim", rho, tau)
             mixed = sg.payoff_mixed_sim(tree, field, sg.as_mixed(rho), sg.as_mixed(tau))
             assert mixed[0] == approx(pure[0], abs=1e-12)
@@ -145,7 +145,7 @@ class TestPayoffMixed:
     def test_matching_game_half_half(self):
         tree = chain_tree(1)
         field = matching_field(tree)
-        half = sg.MixedStrategyA(
+        half = sg.Strategy(
             sg.RandomizedStoppingTime((0.5, 1.0)), _family_a(tree)
         )
         # The four equally likely initial-time pairs give payoffs
@@ -155,7 +155,7 @@ class TestPayoffMixed:
     def test_constant_field(self):
         tree = chain_tree(1)
         field = sg.PayoffField.from_function(tree, lambda i, s, t, n: -1.5)
-        half = sg.MixedStrategyA(
+        half = sg.Strategy(
             sg.RandomizedStoppingTime((0.3, 1.0)), _family_a(tree)
         )
         assert sg.payoff_mixed_sim(tree, field, half, half) == approx((-1.5, -1.5))
@@ -170,7 +170,7 @@ class TestPayoffMixed:
         for p in (0.2, 0.5, 0.8):
             probs = list(base)
             probs[node] = p
-            rho = sg.MixedStrategyA(
+            rho = sg.Strategy(
                 sg.RandomizedStoppingTime(tuple(probs)), sol.rho.adjust
             )
             values.append(sg.payoff_mixed_sim(tree, field, rho, sol.tau))

@@ -13,12 +13,12 @@ from conftest import chain_tree, matching_field
 
 def _forced_family_a(tree):
     rule = sg.constant_stopping_time(tree, min(1, tree.horizon))
-    return sg.AdjustmentFamilyA(tuple(rule for _ in range(tree.horizon + 1)))
+    return sg.AdjustmentFamily(tuple(rule for _ in range(tree.horizon + 1)), strict=True)
 
 
 class TestBestResponse:
     def test_seq_player_two_replies_late(self, matching_tree, matching_payoffs):
-        rho = sg.StrategyA(
+        rho = sg.Strategy(
             sg.constant_stopping_time(matching_tree, 0), _forced_family_a(matching_tree)
         )
         value, strategy = sg.best_response(matching_tree, matching_payoffs, "seq", 2, rho)
@@ -28,10 +28,11 @@ class TestBestResponse:
     def test_constant_payoff_any_mode(self):
         tree = chain_tree(2)
         field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.9)
-        rho = sg.StrategyA(
+        rho = sg.Strategy(
             sg.constant_stopping_time(tree, 0),
-            sg.AdjustmentFamilyA(
-                tuple(sg.constant_stopping_time(tree, min(t + 1, 2)) for t in range(3))
+            sg.AdjustmentFamily(
+                tuple(sg.constant_stopping_time(tree, min(t + 1, 2)) for t in range(3)),
+                strict=True,
             ),
         )
         value, _ = sg.best_response(tree, field, "seq", 2, rho)
@@ -40,14 +41,14 @@ class TestBestResponse:
         assert value == approx(0.9, abs=1e-12)
 
     def test_sim_vs_half_half_opponent(self, matching_tree, matching_payoffs):
-        half = sg.MixedStrategyA(
+        half = sg.Strategy(
             sg.RandomizedStoppingTime((0.5, 1.0)), _forced_family_a(matching_tree)
         )
         value, _ = sg.best_response(matching_tree, matching_payoffs, "sim", 1, half)
         assert value == approx(0.5, abs=1e-12)
 
     def test_class_mismatch(self, matching_tree, matching_payoffs):
-        rho = sg.StrategyA(
+        rho = sg.Strategy(
             sg.constant_stopping_time(matching_tree, 0), _forced_family_a(matching_tree)
         )
         with pytest.raises(sg.GameSpecError, match="type"):
@@ -87,7 +88,7 @@ class TestBestResponse:
                 1.0 if tree.nodes[i].time == tree.horizon else 0.25 + 0.5 * ((i * 13) % 3) / 2.0
                 for i in range(tree.n_nodes)
             )
-            opponent = sg.MixedStrategyA(
+            opponent = sg.Strategy(
                 sg.RandomizedStoppingTime(probs), bundle.tau1_star
             )
             value, strategy = sg.best_response(tree, field, "sim", 1, opponent)
@@ -131,7 +132,7 @@ class TestBestResponse:
             sol = sg.seq_equilibrium(tree, field)
             # Perturb the candidate by forcing an immediate stop.
             candidate = (
-                sg.StrategyA(sg.constant_stopping_time(tree, 0), sol.rho_star.adjust),
+                sg.Strategy(sg.constant_stopping_time(tree, 0), sol.rho_star.adjust),
                 sol.tau_star,
             )
             values = sg.payoff_pure(tree, field, "seq", *candidate)
@@ -151,7 +152,7 @@ class TestCheckEquilibrium:
         assert report.gaps == approx((0.0, 0.0), abs=1e-12)
 
     def test_both_stop_now_fails_for_player_two(self, matching_tree, matching_payoffs):
-        sure = sg.MixedStrategyA(
+        sure = sg.Strategy(
             sg.RandomizedStoppingTime((1.0, 1.0)), _forced_family_a(matching_tree)
         )
         report = sg.check_equilibrium(
@@ -165,12 +166,90 @@ class TestCheckEquilibrium:
     def test_constant_game_any_profile_passes(self):
         tree = chain_tree(1)
         field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.1)
-        sure = sg.MixedStrategyA(
+        sure = sg.Strategy(
             sg.RandomizedStoppingTime((1.0, 1.0)), _forced_family_a(tree)
         )
         report = sg.check_equilibrium(tree, field, "sim", (sure, sure))
         assert report.passed
         assert report.gaps == approx((0.0, 0.0), abs=1e-12)
+
+
+def _strategy_of_class(tree, mixed, strict):
+    """A valid strategy of the given class; every rule stops at the horizon."""
+    initial = (
+        sg.RandomizedStoppingTime((0.5,) * tree.horizon + (1.0,))
+        if mixed
+        else sg.constant_stopping_time(tree, 0)
+    )
+    rule = sg.constant_stopping_time(tree, tree.horizon)
+    family = sg.AdjustmentFamily((rule,) * (tree.horizon + 1), strict=strict)
+    return sg.Strategy(initial, family)
+
+
+_CLASSES = [(False, True), (False, False), (True, True), (True, False)]
+
+# Each entry: a call taking (tree, field, rho, tau), which slot is varied, and
+# the (mixed, strict) class that slot needs.  The other slot holds its own
+# required class.
+_CLASS_CASES = {
+    "payoff_pure-sim": (
+        lambda tr, f, r, t: sg.payoff_pure(tr, f, "sim", r, t),
+        ((False, True), (False, True)),
+    ),
+    "payoff_pure-seq": (
+        lambda tr, f, r, t: sg.payoff_pure(tr, f, "seq", r, t),
+        ((False, True), (False, False)),
+    ),
+    "payoff_mixed_sim": (
+        lambda tr, f, r, t: sg.payoff_mixed_sim(tr, f, r, t),
+        ((True, True), (True, True)),
+    ),
+    "check_equilibrium-sim": (
+        lambda tr, f, r, t: sg.check_equilibrium(tr, f, "sim", (r, t)),
+        ((True, True), (True, True)),
+    ),
+    "check_equilibrium-seq": (
+        lambda tr, f, r, t: sg.check_equilibrium(tr, f, "seq", (r, t)),
+        ((False, True), (False, False)),
+    ),
+    # best_response sees only the opponent: player 1 responds to tau, 2 to rho.
+    "best_response-sim-1": (
+        lambda tr, f, r, t: sg.best_response(tr, f, "sim", 1, t),
+        (None, (True, True)),
+    ),
+    "best_response-sim-2": (
+        lambda tr, f, r, t: sg.best_response(tr, f, "sim", 2, r),
+        ((True, True), None),
+    ),
+    "best_response-seq-1": (
+        lambda tr, f, r, t: sg.best_response(tr, f, "seq", 1, t),
+        (None, (False, False)),
+    ),
+    "best_response-seq-2": (
+        lambda tr, f, r, t: sg.best_response(tr, f, "seq", 2, r),
+        ((False, True), None),
+    ),
+}
+
+
+class TestClassChecks:
+    @pytest.mark.parametrize("case", sorted(_CLASS_CASES))
+    def test_wrong_class_is_a_spec_error(self, case):
+        tree = chain_tree(2)
+        field = matching_field(tree)
+        call, needs = _CLASS_CASES[case]
+        right = [_strategy_of_class(tree, *cls) if cls else None for cls in needs]
+        call(tree, field, *right)
+        for slot, cls in enumerate(needs):
+            if cls is None:
+                continue
+            for wrong in _CLASSES:
+                if wrong == cls:
+                    continue
+                profile = list(right)
+                profile[slot] = _strategy_of_class(tree, *wrong)
+                with pytest.raises(sg.GameSpecError, match="type"):
+                    call(tree, field, *profile)
 
 
 class TestEnumeration:
