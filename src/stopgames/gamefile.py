@@ -31,13 +31,108 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from typing import Mapping
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, RandomizedStoppingTime, Strategy
-from .tree import EventTree, StoppingTime, build_tree
+from .tree import EventTree, StoppingTime, build_tree, checked_int
 
 FORMAT_NAME = "stopping-game-v1"
+
+
+#: Encoders of flat objects (no nested values), keyed by the nesting depth
+#: of the object's braces.  Each writes the items of such an object exactly
+#: as ``json.dumps(..., indent=2)`` would inside the whole document, but
+#: through the C encoder, which ``indent`` disables.
+_FLAT = {
+    depth: json.JSONEncoder(
+        separators=(",\n" + "  " * (depth + 1), ": "), check_circular=False
+    )
+    for depth in (0, 2, 3)
+}
+
+
+def _flat(obj: Mapping, depth: int) -> str:
+    """A flat object as ``json.dumps(..., indent=2)`` writes it at `depth`."""
+    if not obj:
+        return "{}"
+    pad = "  " * depth
+    return f"{{\n{pad}  {_FLAT[depth].encode(obj)[1:-1]}\n{pad}}}"
+
+
+def _flat_list(objs: list[Mapping], depth: int) -> str:
+    """A list of non-empty flat objects as ``json.dumps(..., indent=2)``
+    writes it at `depth`, in one encoder call.
+
+    Encoded with the separator of the objects' items, the list separates two
+    objects by ``},<newline+pad>{``.  That text occurs nowhere else: inside an
+    object the separator precedes a key, and an encoded string holds no raw
+    newline.  So one replacement lays out the objects.
+    """
+    if not objs:
+        return "[]"
+    pad = "  " * depth
+    text = _FLAT[depth + 1].encode(objs)[2:-2]
+    inner = f"\n{pad}  }},\n{pad}  {{\n{pad}    "
+    text = text.replace(f"}},\n{pad}    {{", inner)
+    return f"[\n{pad}  {{\n{pad}    {text}\n{pad}  }}\n{pad}]"
+
+
+def _loads(text: str, document: str):
+    """Decode JSON text, rejecting a repeated key in any object."""
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise GameSpecError(f"duplicate key {key!r} in {document}")
+                seen.add(key)
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise GameSpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def _level_ids(tree: EventTree) -> list[list[str]]:
+    """Node ids of each level, in canonical order."""
+    return [[tree.nodes[idx].id for idx in level] for level in tree.levels]
+
+
+def _slices(
+    sections: Mapping[int, Mapping[tuple[int, int], Mapping[str, float]]],
+    tree: EventTree,
+    exact: bool,
+) -> dict[tuple[int, int, int], tuple[float, ...]]:
+    """Each payoff block's values in canonical node order, keyed (player, s, t).
+
+    A node the block lacks is an error; with `exact`, so is a node off the
+    block's level, which is reported first.
+    """
+    level_ids = _level_ids(tree)
+    slices = {}
+    for player, by_st in sections.items():
+        for st, per_node in by_st.items():
+            ids = level_ids[max(st)]
+            try:
+                vals = tuple(map(per_node.__getitem__, ids))
+            except KeyError:
+                vals = None
+            if vals is None or exact and len(per_node) != len(ids):
+                extra = per_node.keys() - set(ids) if exact else ()
+                if extra:
+                    raise GameSpecError(
+                        f"payoff for unknown or off-level node {sorted(extra)[0]} "
+                        f"at (s,t)={st}"
+                    )
+                missing = next(nid for nid in ids if nid not in per_node)
+                raise GameSpecError(f"payoff missing for node {missing} at (s,t)={st}")
+            slices[(player, *st)] = vals
+    return slices
 
 
 @dataclass(frozen=True)
@@ -57,7 +152,7 @@ class GameDocument:
         """Two-player field; both payoff sections must be present."""
         if set(self.sections) != {1, 2}:
             raise GameSpecError("game file needs payoff sections for players 1 and 2")
-        return PayoffField(self.tree, self._slices(self.sections))
+        return PayoffField(self.tree, _slices(self.sections, self.tree, exact=True))
 
     def zero_sum_field(self) -> PayoffField:
         """Field with player 2's payoffs the negation of player 1's.
@@ -75,57 +170,52 @@ class GameDocument:
                             f"payoff section 2 is not the negation of section 1 "
                             f"at (s,t)={st}, node {nid}"
                         )
-        one = {
-            st: self._aligned(st, per_node)
-            for st, per_node in self.sections[1].items()
-        }
-        return PayoffField.zero_sum(self.tree, one)
+        slices = _slices({1: self.sections[1]}, self.tree, exact=False)
+        return PayoffField.zero_sum(
+            self.tree, {key[1:]: vals for key, vals in slices.items()}
+        )
 
-    def _aligned(self, st: tuple[int, int], per_node: Mapping[str, float]) -> list[float]:
-        level = max(st)
-        out = []
-        for idx in self.tree.levels[level]:
-            nid = self.tree.nodes[idx].id
-            if nid not in per_node:
+
+def _st_key(st_key: str, horizon: int) -> tuple[int, int]:
+    """The (s, t) of a payoff key, checked against the horizon."""
+    try:
+        s_str, t_str = st_key.split(",")
+        st = (int(s_str), int(t_str))
+    except ValueError as exc:
+        raise GameSpecError(f"malformed payoff key {st_key!r}") from exc
+    if not (0 <= st[0] <= horizon and 0 <= st[1] <= horizon):
+        raise GameSpecError(f"payoff key {st_key!r} outside 0..{horizon}")
+    return st
+
+
+def _float_payoffs(section: dict, player: int) -> dict:
+    """`section` with every payoff a float; each must be a JSON number."""
+    kinds = set(map(type, chain.from_iterable(map(dict.values, section.values()))))
+    if kinds <= {float}:
+        return section
+    if kinds <= {float, int}:
+        try:
+            return {
+                st: dict(zip(per_node, map(float, per_node.values())))
+                for st, per_node in section.items()
+            }
+        except OverflowError:
+            pass
+    for st, per_node in section.items():
+        for nid, val in per_node.items():
+            if type(val) not in (float, int):
                 raise GameSpecError(
-                    f"payoff missing for node {nid} at (s,t)={st}"
+                    f"payoff for node {nid} at (s,t)={st} in section {player} "
+                    f"is not a number"
                 )
-            out.append(per_node[nid])
-        return out
-
-    def _slices(self, sections) -> dict[tuple[int, int, int], list[float]]:
-        out = {}
-        for player, by_st in sections.items():
-            for st, per_node in by_st.items():
-                extra = per_node.keys() - {
-                    self.tree.nodes[idx].id for idx in self.tree.levels[max(st)]
-                }
-                if extra:
-                    raise GameSpecError(
-                        f"payoff for unknown or off-level node {sorted(extra)[0]} "
-                        f"at (s,t)={st}"
-                    )
-                out[(player, st[0], st[1])] = self._aligned(st, per_node)
-        return out
-
-
-def _reject_duplicates(pairs):
-    seen = set()
-    out = {}
-    for key, value in pairs:
-        if key in seen:
-            raise GameSpecError(f"duplicate key {key!r} in game file")
-        seen.add(key)
-        out[key] = value
-    return out
+    raise GameSpecError(
+        f"payoff section {player} holds an integer too large for a float"
+    )
 
 
 def parse(text: str) -> GameDocument:
     """Parse and validate a game file."""
-    try:
-        raw = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise GameSpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    raw = _loads(text, "game file")
     if not isinstance(raw, dict):
         raise GameSpecError("game file must be a JSON object")
     if raw.get("format", FORMAT_NAME) != FORMAT_NAME:
@@ -136,6 +226,7 @@ def parse(text: str) -> GameDocument:
     tree = build_tree({"horizon": raw["horizon"], "nodes": raw["nodes"]})
 
     horizon = tree.horizon
+    keys = {f"{s},{t}": (s, t) for s in range(horizon + 1) for t in range(horizon + 1)}
     sections: dict[int, dict[tuple[int, int], dict[str, float]]] = {}
     if not isinstance(raw["payoffs"], dict) or not raw["payoffs"]:
         raise GameSpecError("payoffs must map player ids to payoff sections")
@@ -149,21 +240,11 @@ def parse(text: str) -> GameDocument:
         for st_key, per_node in by_st.items():
             if not isinstance(per_node, dict):
                 raise GameSpecError(f"payoff entry {st_key!r} must be an object")
-            try:
-                s_str, t_str = st_key.split(",")
-                st = (int(s_str), int(t_str))
-            except ValueError as exc:
-                raise GameSpecError(f"malformed payoff key {st_key!r}") from exc
-            if not (0 <= st[0] <= horizon and 0 <= st[1] <= horizon):
-                raise GameSpecError(f"payoff key {st_key!r} outside 0..{horizon}")
-            section[st] = {str(k): float(v) for k, v in per_node.items()}
-        for s in range(horizon + 1):
-            for t in range(horizon + 1):
-                if (s, t) not in section:
-                    raise GameSpecError(
-                        f"payoff section {player} missing entry ({s},{t})"
-                    )
-        sections[player] = section
+            section[keys.get(st_key) or _st_key(st_key, horizon)] = per_node
+        if len(section) != len(keys):
+            s, t = next(st for st in keys.values() if st not in section)
+            raise GameSpecError(f"payoff section {player} missing entry ({s},{t})")
+        sections[player] = _float_payoffs(section, player)
 
     name = raw.get("name")
     seed = raw.get("seed")
@@ -171,7 +252,7 @@ def parse(text: str) -> GameDocument:
         tree=tree,
         sections=sections,
         name=None if name is None else str(name),
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else checked_int(seed, "seed"),
     )
 
 
@@ -188,14 +269,19 @@ def load_bundled(name: str) -> GameDocument:
 
 
 def emit(doc: GameDocument) -> str:
-    """Canonical JSON text; parse(emit(doc)) reproduces the game exactly."""
+    """Canonical JSON text; parse(emit(doc)) reproduces the game exactly.
+
+    The text is ``json.dumps(obj, indent=2) + "\n"`` of the game object:
+    the layout is written here, and the flat objects in it go through the C
+    encoders of ``_FLAT``.
+    """
     tree = doc.tree
-    obj: dict = {"format": FORMAT_NAME}
+    head: dict = {"format": FORMAT_NAME}
     if doc.name is not None:
-        obj["name"] = doc.name
+        head["name"] = doc.name
     if doc.seed is not None:
-        obj["seed"] = doc.seed
-    obj["horizon"] = tree.horizon
+        head["seed"] = doc.seed
+    head["horizon"] = tree.horizon
     nodes = []
     for node in tree.nodes:
         entry: dict = {"id": node.id, "time": node.time}
@@ -203,20 +289,25 @@ def emit(doc: GameDocument) -> str:
             entry["parent"] = tree.nodes[node.parent].id
             entry["prob"] = node.edge_prob
         nodes.append(entry)
-    obj["nodes"] = nodes
-    payoffs: dict = {}
+    level_ids = _level_ids(tree)
+    players = []
     for player in sorted(doc.sections):
-        by_st = {}
+        section = doc.sections[player]
+        blocks = []
         for s in range(tree.horizon + 1):
             for t in range(tree.horizon + 1):
-                per_node = doc.sections[player][(s, t)]
-                by_st[f"{s},{t}"] = {
-                    tree.nodes[idx].id: per_node[tree.nodes[idx].id]
-                    for idx in tree.levels[max(s, t)]
-                }
-        payoffs[str(player)] = by_st
-    obj["payoffs"] = payoffs
-    return json.dumps(obj, indent=2) + "\n"
+                ids = level_ids[max(s, t)]
+                per_node = section[(s, t)]
+                if type(per_node) is not dict or list(per_node) != ids:
+                    per_node = dict(zip(ids, map(per_node.__getitem__, ids)))
+                blocks.append(f'      "{s},{t}": {_flat(per_node, 3)}')
+        players.append(f'    "{player}": {{\n' + ",\n".join(blocks) + "\n    }")
+    payoffs = "{\n" + ",\n".join(players) + "\n  }" if players else "{}"
+    return (
+        f"{{\n  {_FLAT[0].encode(head)[1:-1]},\n"
+        f'  "nodes": {_flat_list(nodes, 1)},\n'
+        f'  "payoffs": {payoffs}\n}}\n'
+    )
 
 
 def save(doc: GameDocument, path: str) -> None:
@@ -288,33 +379,48 @@ def _object(data, what: str) -> Mapping:
     return data
 
 
-def _per_node(tree: EventTree, data, what: str, convert, default) -> tuple:
-    """Per-node values of a {node id: value} object; omitted nodes get `default`."""
-    values = [default] * tree.n_nodes
-    for nid, val in _object(data, what).items():
-        if nid not in tree.by_id:
-            raise GameSpecError(f"unknown node {nid!r} in profile")
-        try:
-            values[tree.by_id[nid]] = convert(val)
-        except (TypeError, ValueError) as exc:
-            raise GameSpecError(f"{what} at node {nid!r} is not a number") from exc
-    return tuple(values)
+#: JSON types a profile value may have: numbers for stop probabilities,
+#: booleans for stop marks.
+_KINDS = {"number": {int, float}, "boolean": {bool}}
 
 
-def _marks_to_json(tree: EventTree, st: StoppingTime) -> dict[str, bool]:
-    return {tree.nodes[idx].id: bool(st.marks[idx]) for idx in range(tree.n_nodes)}
+def _per_node(tree: EventTree, data, what: str, kind: str) -> tuple:
+    """Per-node values of a {node id: value} object of the given kind.
+
+    Omitted nodes read as 0.0 or False; numbers read as floats.
+    """
+    data = _object(data, what)
+    kinds = _KINDS[kind]
+    if not (data.keys() <= tree.by_id.keys() and set(map(type, data.values())) <= kinds):
+        for nid, val in data.items():
+            if nid not in tree.by_id:
+                raise GameSpecError(f"unknown node {nid!r} in profile")
+            if type(val) not in kinds:
+                raise GameSpecError(f"{what} at node {nid!r} is not a {kind}")
+    if kind == "boolean":
+        return tuple(map(data.get, tree.by_id, repeat(False)))
+    try:
+        return tuple(map(float, map(data.get, tree.by_id, repeat(0.0))))
+    except OverflowError as exc:
+        raise GameSpecError(f"{what} holds an integer too large for a float") from exc
 
 
-def _strategy_to_json(tree: EventTree, strategy: Strategy) -> dict:
+def _strategy_to_json(tree: EventTree, strategy: Strategy) -> str:
+    """A strategy's object, as ``json.dumps(..., indent=2)`` writes it in a profile."""
+
+    def marks(rule: StoppingTime) -> dict[str, bool]:
+        return dict(zip(tree.by_id, map(bool, rule.marks)))
+
     if strategy.mixed:
-        probs = strategy.initial.probs
-        obj: dict = {"stop_prob": {node.id: probs[node.index] for node in tree.nodes}}
+        head = f'"stop_prob": {_flat(dict(zip(tree.by_id, strategy.initial.probs)), 2)}'
     else:
-        obj = {"stops": _marks_to_json(tree, strategy.initial)}
-    obj["adjust"] = {
-        str(t): _marks_to_json(tree, rule) for t, rule in enumerate(strategy.adjust.rules)
-    }
-    return obj
+        head = f'"stops": {_flat(marks(strategy.initial), 2)}'
+    rules = ",\n".join(
+        f'      "{t}": {_flat(marks(rule), 3)}'
+        for t, rule in enumerate(strategy.adjust.rules)
+    )
+    adjust = f"{{\n{rules}\n    }}" if rules else "{}"
+    return f'{{\n    {head},\n    "adjust": {adjust}\n  }}'
 
 
 def _strategy_from_json(
@@ -327,15 +433,15 @@ def _strategy_from_json(
             raise GameSpecError(f"profile section {label} missing {name!r}")
     initial: StoppingTime | RandomizedStoppingTime
     if mixed:
-        initial = RandomizedStoppingTime(_per_node(tree, data[key], key, float, 0.0))
+        initial = RandomizedStoppingTime(_per_node(tree, data[key], key, "number"))
     else:
-        initial = StoppingTime(_per_node(tree, data[key], key, bool, False))
+        initial = StoppingTime(_per_node(tree, data[key], key, "boolean"))
     adjust = _object(data["adjust"], "profile adjustment")
     rules = []
     for t in range(tree.horizon + 1):
         if str(t) not in adjust:
             raise GameSpecError(f"profile adjustment missing rule for time {t}")
-        marks = _per_node(tree, adjust[str(t)], "adjustment rule", bool, False)
+        marks = _per_node(tree, adjust[str(t)], "adjustment rule", "boolean")
         rules.append(StoppingTime(marks))
     strategy = Strategy(initial, AdjustmentFamily(tuple(rules), strict))
     strategy.validate(tree)
@@ -347,21 +453,16 @@ def profile_to_json(tree: EventTree, mode: str, profile: tuple) -> str:
     if mode not in ("sim", "seq", "zs"):
         raise GameSpecError(f"unknown mode {mode!r}")
     rho, tau = profile
-    obj = {
-        "mode": mode,
-        "player1": _strategy_to_json(tree, rho),
-        "player2": _strategy_to_json(tree, tau),
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    return (
+        f'{{\n  "mode": "{mode}",\n'
+        f'  "player1": {_strategy_to_json(tree, rho)},\n'
+        f'  "player2": {_strategy_to_json(tree, tau)}\n}}\n'
+    )
 
 
 def profile_from_json(tree: EventTree, text: str, mode: str) -> tuple:
     """Deserialize and validate a strategy profile for the given mode."""
-    try:
-        raw = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise GameSpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    raw = _object(raw, "profile")
+    raw = _object(_loads(text, "profile"), "profile")
     if raw.get("mode") != mode:
         raise GameSpecError(
             f"profile mode {raw.get('mode')!r} does not match requested {mode!r}"

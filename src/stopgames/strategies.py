@@ -14,6 +14,9 @@ initial rule only, with an independent stop probability per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+from math import isfinite
+from operator import neg
 from typing import Callable, Mapping, Sequence
 
 from .errors import GameSpecError
@@ -140,26 +143,19 @@ class PayoffField:
         T = tree.horizon
         self.tree = tree
         self._data: dict[tuple[int, int, int], tuple[float, ...]] = {}
-        bound = 0.0
-        for i in (1, 2):
-            for s in range(T + 1):
-                for t in range(T + 1):
-                    key = (i, s, t)
-                    if key not in slices:
-                        raise GameSpecError(f"payoff field missing slice {key}")
-                    level = max(s, t)
-                    vals = tuple(float(v) for v in slices[key])
-                    if len(vals) != len(tree.levels[level]):
-                        raise GameSpecError(
-                            f"payoff slice {key} needs {len(tree.levels[level])} "
-                            f"values, got {len(vals)}"
-                        )
-                    for v in vals:
-                        if v != v or v in (float("inf"), float("-inf")):
-                            raise GameSpecError(f"non-finite payoff in slice {key}")
-                        bound = max(bound, abs(v))
-                    self._data[key] = vals
-        self.bound = bound
+        for key in product((1, 2), range(T + 1), range(T + 1)):
+            if key not in slices:
+                raise GameSpecError(f"payoff field missing slice {key}")
+            size = len(tree.levels[max(key[1], key[2])])
+            vals = tuple(map(float, slices[key]))
+            if len(vals) != size:
+                raise GameSpecError(
+                    f"payoff slice {key} needs {size} values, got {len(vals)}"
+                )
+            if not all(map(isfinite, vals)):
+                raise GameSpecError(f"non-finite payoff in slice {key}")
+            self._data[key] = vals
+        self.bound = max(map(abs, chain.from_iterable(self._data.values())), default=0.0)
 
     @classmethod
     def from_function(
@@ -186,9 +182,9 @@ class PayoffField:
             for t in range(T + 1):
                 if (s, t) not in u1:
                     raise GameSpecError(f"payoff field missing slice (1, {s}, {t})")
-                vals = tuple(float(v) for v in u1[(s, t)])
+                vals = tuple(map(float, u1[(s, t)]))
                 slices[(1, s, t)] = vals
-                slices[(2, s, t)] = tuple(-v for v in vals)
+                slices[(2, s, t)] = tuple(map(neg, vals))
         return cls(tree, slices)
 
     def value(self, player: int, s: int, t: int, node: int) -> float:

@@ -170,34 +170,48 @@ def constant_stopping_time(tree: EventTree, t: int) -> StoppingTime:
     return StoppingTime(tuple(marks))
 
 
+def checked_int(value, what: str) -> int:
+    """`value` if it is an integer, not a bool; else a GameSpecError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GameSpecError(f"{what} must be an integer")
+    return value
+
+
 def build_tree(spec: Mapping) -> EventTree:
     """Build and validate an event tree from a raw description.
 
     ``spec`` maps ``horizon`` to an integer and ``nodes`` to a list of
-    mappings with keys ``id``, ``time`` and, for non-root nodes, ``parent``
-    and ``prob``.  Node ordering in the input is irrelevant; the result uses
-    the canonical (time, id) ordering.
+    mappings with keys ``id``, ``time`` (an integer) and, for non-root
+    nodes, ``parent`` and ``prob`` (a number).  Node ordering in the input
+    is irrelevant; the result uses the canonical (time, id) ordering.
     """
     try:
-        horizon = int(spec["horizon"])
-        raw_nodes = list(spec["nodes"])
+        horizon = checked_int(spec["horizon"], "horizon")
+        raw_nodes = spec["nodes"]
     except (KeyError, TypeError) as exc:
         raise GameSpecError(f"tree description missing field: {exc}") from exc
+    if not isinstance(raw_nodes, (list, tuple)):
+        raise GameSpecError("nodes must be a list")
     if horizon < 0:
         raise GameSpecError(f"horizon must be >= 0, got {horizon}")
 
-    seen: dict[str, dict] = {}
+    seen: dict[str, Mapping] = {}
     for raw in raw_nodes:
+        if not isinstance(raw, Mapping):
+            raise GameSpecError("each node must be an object")
+        if "id" not in raw:
+            raise GameSpecError("node without 'id'")
         nid = str(raw["id"])
         if nid in seen:
             raise GameSpecError(f"duplicate node id {nid}")
+        checked_int(raw.get("time"), f"time of node {nid}")
         seen[nid] = raw
 
     roots = [nid for nid, raw in seen.items() if raw.get("parent") is None]
     if len(roots) != 1:
         raise GameSpecError(f"expected exactly one root node, found {len(roots)}")
 
-    order = sorted(seen, key=lambda nid: (int(seen[nid]["time"]), nid))
+    order = sorted(seen, key=lambda nid: (seen[nid]["time"], nid))
     index_of = {nid: i for i, nid in enumerate(order)}
 
     times: dict[str, int] = {}
@@ -206,7 +220,7 @@ def build_tree(spec: Mapping) -> EventTree:
     children: dict[str, list[str]] = {nid: [] for nid in order}
     for nid in order:
         raw = seen[nid]
-        t = int(raw["time"])
+        t = raw["time"]
         parent = raw.get("parent")
         if parent is None:
             if t != 0:
@@ -216,12 +230,20 @@ def build_tree(spec: Mapping) -> EventTree:
             parent = str(parent)
             if parent not in seen:
                 raise GameSpecError(f"orphan node {nid}: unknown parent {parent}")
-            if t != int(seen[parent]["time"]) + 1:
+            if t != seen[parent]["time"] + 1:
                 raise GameSpecError(
                     f"time inconsistency at node {nid}: time {t}, parent at "
                     f"{seen[parent]['time']}"
                 )
-            prob = float(raw["prob"])
+            prob = raw.get("prob")
+            if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+                raise GameSpecError(f"node {nid} needs a numeric 'prob'")
+            try:
+                prob = float(prob)
+            except OverflowError:
+                raise GameSpecError(
+                    f"transition probability at node {nid} outside (0, 1]"
+                ) from None
             if not 0.0 < prob <= 1.0:
                 raise GameSpecError(
                     f"transition probability {prob:g} at node {nid} outside (0, 1]"

@@ -89,6 +89,48 @@ class TestSolveCommands:
         code, _ = _run(["solve-sim", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("payoffs", "1", "0,0", "0:0"), "x"),
+            (("payoffs", "1", "0,0", "0:0"), None),
+            (("payoffs", "2", "1,1", "1:0"), True),
+            (("payoffs", "2", "0,1", "1:0"), "0.5"),
+            (("horizon",), "abc"),
+            (("seed",), "abc"),
+            (("nodes", 1, "id"), _DELETE),
+            (("nodes", 1, "prob"), _DELETE),
+            (("nodes", 1), 7),
+            (("nodes",), {"0:0": {"id": "0:0", "time": 0}}),
+            (("nodes", 1, "time"), 1.7),
+            (("nodes", 1, "time"), 1.0),
+            (("horizon",), 1.0),
+        ],
+        ids=repr,
+    )
+    def test_malformed_game_value_is_one_line_error(
+        self, matching_file, tmp_path, capsys, keys, value
+    ):
+        # Replace the value at `keys` of a valid game file, or delete its key.
+        with open(matching_file, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        if value == _DELETE:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        code, text = _run(["solve-sim", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_input_validation_error(self, tmp_path):
         doc = {
             "format": "stopping-game-v1",
@@ -156,6 +198,10 @@ class TestVerifyCommand:
             ("seq", ("player1", "stops"), 7),
             ("sim", ("player1", "adjust"), [1, 2]),
             ("seq", ("player2", "adjust", "0"), True),
+            ("seq", ("player1", "stops", "0:0"), "false"),
+            ("seq", ("player2", "adjust", "1", "1:0"), "false"),
+            ("sim", ("player1", "stop_prob", "0:0"), True),
+            ("sim", ("player2", "stop_prob", "1:0"), "1.0"),
         ],
         ids=repr,
     )
@@ -188,6 +234,19 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_verify_duplicate_profile_key_names_the_profile(
+        self, matching_file, tmp_path, capsys
+    ):
+        profile = tmp_path / "profile.json"
+        code, _ = _run(["solve-seq", matching_file, "--profile-out", str(profile)])
+        assert code == 0
+        text = profile.read_text(encoding="utf-8")
+        profile.write_text(text.replace('"mode": "seq"', '"mode": "seq", "mode": "seq"'))
+        capsys.readouterr()
+        code, _ = _run(["verify", matching_file, "--profile", str(profile), "--mode", "seq"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: duplicate key 'mode' in profile\n"
 
     def test_verify_seq_profile(self, matching_file, tmp_path):
         profile = tmp_path / "seq.json"

@@ -98,6 +98,18 @@ class TestBuildTree:
                 }
             )
 
+    def test_integer_prob_too_large_for_a_float(self):
+        with pytest.raises(sg.GameSpecError, match="outside"):
+            sg.build_tree(
+                {
+                    "horizon": 1,
+                    "nodes": [
+                        {"id": "r", "time": 0},
+                        {"id": "a", "time": 1, "parent": "r", "prob": 10**400},
+                    ],
+                }
+            )
+
     def test_leaf_probabilities_sum_to_one(self):
         for seed in range(5):
             tree = gamefile.generate_random_game(3, 3, seed=seed).tree
