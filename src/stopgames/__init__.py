@@ -9,11 +9,9 @@ oracles.
 """
 
 from .dynkin import (
-    DynkinSolution,
     ZeroSumSaddle,
     dynkin_hitting_saddle,
     dynkin_value,
-    solve_dynkin,
     zero_sum_saddle,
 )
 from .errors import EnumerationCapError, GameSpecError, SolverDefectError
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustmentFamily",
-    "DynkinSolution",
     "EnumerationCapError",
     "EnumerationResult",
     "EquilibriumReport",
@@ -121,7 +118,6 @@ __all__ = [
     "sim_equilibrium",
     "sim_processes",
     "snell",
-    "solve_dynkin",
     "stage_nash_2x2",
     "stopping_time_from_realized",
     "zero_sum_saddle",

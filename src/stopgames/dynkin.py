@@ -37,17 +37,11 @@ def dynkin_value(tree: EventTree, f: LeveledValue, g: LeveledValue) -> LeveledVa
     all_levels = frozenset(range(tree.horizon + 1))
     if f.levels != all_levels or g.levels != all_levels:
         raise GameSpecError("boundary processes must be defined on all levels")
-    v: dict[int, float] = {}
-    for t in range(tree.horizon, -1, -1):
-        for idx in tree.levels[t]:
-            if t == tree.horizon:
-                v[idx] = f.values[idx]
-            else:
-                node = tree.nodes[idx]
-                cont = sum(
-                    p * v[c] for c, p in zip(node.children, node.child_probs)
-                )
-                v[idx] = _median(f.values[idx], g.values[idx], cont)
+    f_vals, g_vals = f.values, g.values
+    v = {idx: f_vals[idx] for idx in tree.leaves}
+    for t in range(tree.horizon - 1, -1, -1):
+        for idx, cont in zip(tree.levels[t], tree.expect_next(v, t)):
+            v[idx] = _median(f_vals[idx], g_vals[idx], cont)
     return LeveledValue(all_levels, v)
 
 
@@ -78,35 +72,6 @@ def dynkin_hitting_saddle(
         sigma,
     )
     return rho.stop, tau
-
-
-@dataclass(frozen=True)
-class DynkinSolution:
-    """Value process and hitting-time saddle of one Dynkin game."""
-
-    v: LeveledValue
-    rho: StoppingTime
-    tau: HittingResult
-    value_at_root: float
-
-
-def solve_dynkin(
-    tree: EventTree,
-    f: LeveledValue,
-    g: LeveledValue,
-    sigma: StoppingTime | None = None,
-) -> DynkinSolution:
-    """Convenience wrapper: value plus hitting saddle from sigma (default 0)."""
-    if sigma is None:
-        sigma = constant_stopping_time(tree, 0)
-    v = dynkin_value(tree, f, g)
-    rho, tau = dynkin_hitting_saddle(tree, v, f, g, sigma)
-    sigma_times = sigma.realized(tree)
-    value = sum(
-        prob * v.values[tree.paths[pos][sigma_times[pos]]]
-        for pos, prob in enumerate(tree.leaf_probs)
-    )
-    return DynkinSolution(v=v, rho=rho, tau=tau, value_at_root=value)
 
 
 @dataclass(frozen=True)
@@ -153,17 +118,21 @@ def zero_sum_saddle(
     }
     f = f_side.process
     g = LeveledValue(frozenset(range(tree.horizon + 1)), g_vals)
-    solution = solve_dynkin(tree, f, g, sigma)
-    rho_star = Strategy(solution.rho, g_side.family)
-    tau_star = Strategy(solution.tau.stop, f_side.family)
+    v = dynkin_value(tree, f, g)
+    rho, tau = dynkin_hitting_saddle(tree, v, f, g, sigma)
+    sigma_times = sigma.realized(tree)
+    value = sum(
+        prob * v.values[tree.paths[pos][sigma_times[pos]]]
+        for pos, prob in enumerate(tree.leaf_probs)
+    )
     return ZeroSumSaddle(
-        rho_star=rho_star,
-        tau_star=tau_star,
-        value=solution.value_at_root,
+        rho_star=Strategy(rho, g_side.family),
+        tau_star=Strategy(tau.stop, f_side.family),
+        value=value,
         f=f,
         g=g,
-        v=solution.v,
-        rho_hit=solution.rho,
-        tau_hit=solution.tau,
+        v=v,
+        rho_hit=rho,
+        tau_hit=tau,
         sigma=sigma,
     )

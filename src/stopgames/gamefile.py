@@ -31,7 +31,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain
 from typing import Mapping
 
 from .errors import GameSpecError
@@ -96,6 +96,12 @@ def _loads(text: str, document: str):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise GameSpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except GameSpecError:
+        raise
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise GameSpecError(f"number with too many digits in {document}") from exc
+    except RecursionError:
+        raise GameSpecError(f"{document} nests too deeply") from None
 
 
 def _level_ids(tree: EventTree) -> list[list[str]]:
@@ -387,7 +393,7 @@ _KINDS = {"number": {int, float}, "boolean": {bool}}
 def _per_node(tree: EventTree, data, what: str, kind: str) -> tuple:
     """Per-node values of a {node id: value} object of the given kind.
 
-    Omitted nodes read as 0.0 or False; numbers read as floats.
+    Every node needs a value; numbers read as floats.
     """
     data = _object(data, what)
     kinds = _KINDS[kind]
@@ -397,10 +403,13 @@ def _per_node(tree: EventTree, data, what: str, kind: str) -> tuple:
                 raise GameSpecError(f"unknown node {nid!r} in profile")
             if type(val) not in kinds:
                 raise GameSpecError(f"{what} at node {nid!r} is not a {kind}")
+    if len(data) != tree.n_nodes:
+        missing = next(nid for nid in tree.by_id if nid not in data)
+        raise GameSpecError(f"{what} has no value for node {missing!r}")
     if kind == "boolean":
-        return tuple(map(data.get, tree.by_id, repeat(False)))
+        return tuple(map(data.__getitem__, tree.by_id))
     try:
-        return tuple(map(float, map(data.get, tree.by_id, repeat(0.0))))
+        return tuple(map(float, map(data.__getitem__, tree.by_id)))
     except OverflowError as exc:
         raise GameSpecError(f"{what} holds an integer too large for a float") from exc
 

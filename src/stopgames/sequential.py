@@ -242,17 +242,14 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
     w2 = [0.0] * tree.n_nodes
     rho_marks = [False] * tree.n_nodes
     tau_marks = [False] * tree.n_nodes
-    for t in range(T, -1, -1):
-        for idx in tree.levels[t]:
-            if t == T:
-                w1[idx] = field.value(1, T, T, idx)
-                w2[idx] = field.value(2, T, T, idx)
-                rho_marks[idx] = True
-                tau_marks[idx] = True
-                continue
-            node = tree.nodes[idx]
-            cont1 = sum(p * w1[c] for c, p in zip(node.children, node.child_probs))
-            cont2 = sum(p * w2[c] for c, p in zip(node.children, node.child_probs))
+    for idx in tree.leaves:
+        w1[idx] = field.value(1, T, T, idx)
+        w2[idx] = field.value(2, T, T, idx)
+        rho_marks[idx] = True
+        tau_marks[idx] = True
+    for t in range(T - 1, -1, -1):
+        conts = zip(tree.levels[t], tree.expect_next(w1, t), tree.expect_next(w2, t))
+        for idx, cont1, cont2 in conts:
             # Player 2's choice once player 1 has continued.
             if h2[idx] >= cont2:
                 tau_marks[idx] = True

@@ -201,17 +201,14 @@ def randomized_dynkin_equilibrium(
     w1 = [0.0] * n
     w2 = [0.0] * n
     stages = []
-    for t in range(T, -1, -1):
-        for idx in tree.levels[t]:
-            if t == T:
-                p[idx] = 1.0
-                q[idx] = 1.0
-                w1[idx] = bundle.z1.values[idx]
-                w2[idx] = bundle.z2.values[idx]
-                continue
-            node = tree.nodes[idx]
-            c1 = sum(pc * w1[c] for c, pc in zip(node.children, node.child_probs))
-            c2 = sum(pc * w2[c] for c, pc in zip(node.children, node.child_probs))
+    for idx in tree.leaves:
+        p[idx] = 1.0
+        q[idx] = 1.0
+        w1[idx] = bundle.z1.values[idx]
+        w2[idx] = bundle.z2.values[idx]
+    for t in range(T - 1, -1, -1):
+        conts = zip(tree.levels[t], tree.expect_next(w1, t), tree.expect_next(w2, t))
+        for idx, c1, c2 in conts:
             a = (
                 (bundle.z1.values[idx], bundle.x1.values[idx]),
                 (bundle.y1.values[idx], c1),

@@ -10,6 +10,7 @@ stop is always available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 from typing import Callable, Literal
 
 from .errors import GameSpecError
@@ -62,38 +63,28 @@ def snell(
     start = adjustment_floor(T, t, window == "strict")
     use_max = direction == "max"
 
-    env: dict[int, float] = {}
+    env = {idx: reward(T, idx) for idx in tree.leaves}
     marks = [False] * tree.n_nodes
-    for u in range(T, start - 1, -1):
-        for idx in tree.levels[u]:
+    for u in range(T - 1, start - 1, -1):
+        for idx, cont in zip(tree.levels[u], tree.expect_next(env, u)):
             w = reward(u, idx)
-            if w != w:
-                raise GameSpecError(
-                    f"reward missing at node {tree.nodes[idx].id}"
-                )
-            if u == T:
-                s = w
-            else:
-                node = tree.nodes[idx]
-                cont = sum(
-                    p * env[c] for c, p in zip(node.children, node.child_probs)
-                )
-                s = max(w, cont) if use_max else min(w, cont)
+            s = max(w, cont) if use_max else min(w, cont)
             env[idx] = s
             if abs(w - s) <= OPTIMIZER_TOL:
                 marks[idx] = True
     for leaf in tree.leaves:
         marks[leaf] = True
+    # A NaN reward leaves NaN in the envelope at its own node only: max and
+    # min return a NaN first argument and drop a NaN second one.  env is in
+    # visiting order, so this names the first NaN reward visited.
+    if any(map(isnan, env.values())):
+        idx = next(idx for idx, s in env.items() if isnan(s))
+        raise GameSpecError(f"reward missing at node {tree.nodes[idx].id}")
 
     if window == "inclusive" or t == T:
         value = {idx: env[idx] for idx in tree.levels[t]}
     else:
-        value = {}
-        for idx in tree.levels[t]:
-            node = tree.nodes[idx]
-            value[idx] = sum(
-                p * env[c] for c, p in zip(node.children, node.child_probs)
-            )
+        value = dict(zip(tree.levels[t], tree.expect_next(env, t)))
 
     return SnellResult(
         level=t,

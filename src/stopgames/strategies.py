@@ -299,16 +299,14 @@ def expected_at_stop(
     node n; it equals the expectation, over paths through n, of the reward
     evaluated at the node where the rule first stops.
     """
+    marks = rule.marks
     out = [0.0] * tree.n_nodes
-    for t in range(tree.horizon, -1, -1):
-        for idx in tree.levels[t]:
-            if rule.marks[idx]:
-                out[idx] = reward(idx)
-            else:
-                node = tree.nodes[idx]
-                out[idx] = sum(
-                    p * out[c] for c, p in zip(node.children, node.child_probs)
-                )
+    for idx in tree.leaves:
+        if marks[idx]:
+            out[idx] = reward(idx)
+    for t in range(tree.horizon - 1, -1, -1):
+        for idx, cont in zip(tree.levels[t], tree.expect_next(out, t)):
+            out[idx] = reward(idx) if marks[idx] else cont
     return out
 
 
@@ -361,17 +359,14 @@ def payoff_mixed_sim(
     w1 = [0.0] * tree.n_nodes
     w2 = [0.0] * tree.n_nodes
     T = tree.horizon
-    for t in range(T, -1, -1):
-        for idx in tree.levels[t]:
-            if t == T:
-                w1[idx] = field.value(1, T, T, idx)
-                w2[idx] = field.value(2, T, T, idx)
-                continue
-            node = tree.nodes[idx]
+    for idx in tree.leaves:
+        w1[idx] = field.value(1, T, T, idx)
+        w2[idx] = field.value(2, T, T, idx)
+    for t in range(T - 1, -1, -1):
+        conts = zip(tree.levels[t], tree.expect_next(w1, t), tree.expect_next(w2, t))
+        for idx, d1, d2 in conts:
             p = rho.initial.probs[idx]
             q = tau.initial.probs[idx]
-            d1 = sum(pc * w1[c] for c, pc in zip(node.children, node.child_probs))
-            d2 = sum(pc * w2[c] for c, pc in zip(node.children, node.child_probs))
             w1[idx] = (
                 p * q * field.value(1, t, t, idx)
                 + p * (1.0 - q) * x1[t][idx]

@@ -10,6 +10,7 @@ expectation, hitting times) reduce to sums and scans over the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import GameSpecError
@@ -73,6 +74,29 @@ class EventTree:
         self.paths = tuple(paths)
 
         self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
+        # Per level, each node's (child probabilities, child indices).
+        self._level_edges = tuple(
+            tuple((self.nodes[i].child_probs, self.nodes[i].children) for i in level)
+            for level in self.levels
+        )
+
+    def expect_next(
+        self, values: Sequence[float] | Mapping[int, float], t: int
+    ) -> list[float]:
+        """E_t[X_{t+1}] for each level-t node, in level order.
+
+        ``values`` is indexed by node and must cover level t+1.  Children are
+        summed in id order by ``sum``; every backward induction takes its
+        continuation values from here, so this order fixes the report bytes.
+        """
+        # A loop, not a comprehension: this runs once per level of every
+        # induction, and a comprehension's own frame dominates on the
+        # one-node levels of a chain.
+        get = values.__getitem__
+        out = []
+        for probs, kids in self._level_edges[t]:
+            out.append(sum(map(mul, probs, map(get, kids))))
+        return out
 
     def realized_times(self, marks: tuple[bool, ...]) -> tuple[int, ...]:
         """Per path, the time of the first node marked stop (cached)."""
@@ -347,13 +371,7 @@ def expectation_to_level(tree: EventTree, x: LeveledValue, t: int) -> LeveledVal
     except KeyError as exc:
         raise GameSpecError(f"value missing at node index {exc}") from exc
     for lev in range(u - 1, t - 1, -1):
-        nxt = {}
-        for idx in tree.levels[lev]:
-            node = tree.nodes[idx]
-            nxt[idx] = sum(
-                p * vals[c] for c, p in zip(node.children, node.child_probs)
-            )
-        vals = nxt
+        vals = dict(zip(tree.levels[lev], tree.expect_next(vals, lev)))
     return LeveledValue(frozenset({t}), vals)
 
 

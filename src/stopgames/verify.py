@@ -110,21 +110,18 @@ def best_response(
 
     values = [0.0] * tree.n_nodes
     marks = [False] * tree.n_nodes
-    for t in range(T, -1, -1):
+    for idx in tree.leaves:
+        values[idx] = field.value(player, T, T, idx)
+        marks[idx] = True
+    for t in range(T - 1, -1, -1):
         adj = own.results[t].value.values
-        for idx in tree.levels[t]:
-            if t == T:
-                values[idx] = field.value(player, T, T, idx)
-                marks[idx] = True
-                continue
+        for idx, cont in zip(tree.levels[t], tree.expect_next(values, t)):
             if mode == "sim":
                 tie = field.value(player, t, t, idx)
             elif player == 1:
                 tie = alone[t][idx]
             else:
                 tie = adj[idx]
-            node = tree.nodes[idx]
-            cont = sum(p * values[c] for c, p in zip(node.children, node.child_probs))
             stop_v = mix(idx, tie, alone[t][idx])
             cont_v = mix(idx, adj[idx], cont)
             if allowed[idx] and stop_v >= cont_v:

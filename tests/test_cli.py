@@ -168,11 +168,17 @@ class TestVerifyCommand:
             "mode": "sim",
             "player1": {
                 "stop_prob": {"0:0": 1.0, "1:0": 1.0},
-                "adjust": {"0": {"1:0": True}, "1": {"1:0": True}},
+                "adjust": {
+                    "0": {"0:0": False, "1:0": True},
+                    "1": {"0:0": False, "1:0": True},
+                },
             },
             "player2": {
                 "stop_prob": {"0:0": 1.0, "1:0": 1.0},
-                "adjust": {"0": {"1:0": True}, "1": {"1:0": True}},
+                "adjust": {
+                    "0": {"0:0": False, "1:0": True},
+                    "1": {"0:0": False, "1:0": True},
+                },
             },
         }
         profile.write_text(json.dumps(obj), encoding="utf-8")
@@ -202,6 +208,8 @@ class TestVerifyCommand:
             ("seq", ("player2", "adjust", "1", "1:0"), "false"),
             ("sim", ("player1", "stop_prob", "0:0"), True),
             ("sim", ("player2", "stop_prob", "1:0"), "1.0"),
+            ("sim", ("player1", "stop_prob", "0:0"), _DELETE),
+            ("seq", ("player2", "adjust", "1", "0:0"), _DELETE),
         ],
         ids=repr,
     )

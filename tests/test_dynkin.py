@@ -142,9 +142,11 @@ class TestHittingSaddle:
             levels = frozenset(range(tree.horizon + 1))
             f = sg.LeveledValue(levels, f_vals)
             g = sg.LeveledValue(levels, g_vals)
-            solution = sg.solve_dynkin(tree, f, g)
-            rho_real = solution.rho.realized(tree)
-            tau_real = solution.tau.stop.realized(tree)
+            v = sg.dynkin_value(tree, f, g)
+            zero = sg.constant_stopping_time(tree, 0)
+            rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, zero)
+            rho_real = rho.realized(tree)
+            tau_real = tau.stop.realized(tree)
 
             def against(r_realized, t_realized):
                 total = 0.0
@@ -157,7 +159,7 @@ class TestHittingSaddle:
                 return total
 
             center = against(rho_real, tau_real)
-            assert center == approx(solution.value_at_root, abs=1e-9)
+            assert center == approx(v.values[0], abs=1e-9)
             for st in sg.enumerate_stopping_times(tree):
                 other = st.realized(tree)
                 assert against(other, tau_real) <= center + 1e-9
@@ -172,8 +174,10 @@ class TestHittingSaddle:
             levels = frozenset(range(tree.horizon + 1))
             f = sg.LeveledValue(levels, f_vals)
             g = sg.LeveledValue(levels, g_vals)
-            solution = sg.solve_dynkin(tree, f, g)
-            assert stopped_submartingale_ok(tree, solution.v, solution.rho)
+            v = sg.dynkin_value(tree, f, g)
+            zero = sg.constant_stopping_time(tree, 0)
+            rho, _ = sg.dynkin_hitting_saddle(tree, v, f, g, zero)
+            assert stopped_submartingale_ok(tree, v, rho)
 
 
 class TestZeroSumSaddle:

@@ -291,6 +291,18 @@ class TestParsing:
         with pytest.raises(sg.GameSpecError, match="too large"):
             gamefile.parse(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[" * 100_000, "nests too deeply"), ("1" * 5000, "too many digits")],
+        ids=["deep nesting", "long integer"],
+    )
+    def test_undecodable_json_is_a_spec_error(self, text, message):
+        with pytest.raises(sg.GameSpecError, match=message):
+            gamefile.parse(text)
+        tree = gamefile.generate_random_game(1, 1, seed=3).tree
+        with pytest.raises(sg.GameSpecError, match=message):
+            gamefile.profile_from_json(tree, text, "sim")
+
     def test_unknown_format(self):
         with pytest.raises(sg.GameSpecError, match="unsupported format"):
             gamefile.parse('{"format": "other", "horizon": 0, "nodes": [], "payoffs": {}}')

@@ -70,6 +70,18 @@ class TestWorkedExamples:
         res_strict = sg.snell(tree, lambda u, i: 1.25, 0, "strict", "min")
         assert res_strict.optimizer.realized(tree) == (1, 1)
 
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    @pytest.mark.parametrize(
+        "nan_nodes, named",
+        [({8, 12}, "3:1"), ({2, 9}, "3:2"), ({1, 2}, "1:0"), ({0, 14}, "3:7")],
+    )
+    def test_nan_reward_names_the_first_node_visited(self, direction, nan_nodes, named):
+        # Leaves are visited first, then each earlier level in id order.
+        tree = gamefile.generate_random_game(3, 2, seed=1).tree
+        reward = lambda u, i: float("nan") if i in nan_nodes else float(i)
+        with pytest.raises(sg.GameSpecError, match=f"reward missing at node {named}$"):
+            sg.snell(tree, reward, 0, "inclusive", direction)
+
 
 class TestProperties:
     @pytest.mark.parametrize("window", ["inclusive", "strict"])

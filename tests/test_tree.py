@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from pytest import approx
 
@@ -169,6 +171,49 @@ class TestConditionalExpectation:
         tree = three_node_tree()
         with pytest.raises(sg.GameSpecError, match="missing value"):
             sg.LeveledValue.build(tree, {1}, {1: 2.0})
+
+
+def _random_values(rng: random.Random, n: int) -> list[float]:
+    """Uniform values on [-1, 1], with signed zeros mixed in."""
+    return [
+        rng.choice((-0.0, 0.0, rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(n)
+    ]
+
+
+class TestExpectNext:
+    @staticmethod
+    def _random_trees():
+        for seed in range(30):
+            horizon, branching = 1 + seed % 5, 1 + (seed // 5) % 3
+            yield seed, gamefile.generate_random_game(horizon, branching, seed=seed).tree
+
+    def test_bits_match_hand_written_child_sum(self):
+        for seed, tree in self._random_trees():
+            values = _random_values(random.Random(seed), tree.n_nodes)
+            for t in range(tree.horizon):
+                expected = [
+                    float.hex(sum(p * values[c] for c, p in zip(n.children, n.child_probs)))
+                    for n in (tree.nodes[idx] for idx in tree.levels[t])
+                ]
+                nxt = {idx: values[idx] for idx in tree.levels[t + 1]}
+                for given in (values, nxt):
+                    got = tree.expect_next(given, t)
+                    assert [float.hex(x) for x in got] == expected
+
+    def test_signed_zeros_sum_to_positive_zero(self):
+        tree = three_node_tree()
+        assert float.hex(tree.expect_next([0.0, -0.0, -0.0], 0)[0]) == "0x0.0p+0"
+
+    def test_agrees_with_path_expectation(self):
+        for seed, tree in self._random_trees():
+            values = _random_values(random.Random(seed), tree.n_nodes)
+            for t in range(tree.horizon):
+                x = sg.LeveledValue.build(
+                    tree, {t + 1}, {idx: values[idx] for idx in tree.levels[t + 1]}
+                )
+                got = tree.expect_next(x.values, t)
+                for idx, val in zip(tree.levels[t], got):
+                    assert val == approx(path_expectation(tree, x, idx), abs=1e-12)
 
 
 class TestHittingTime:
