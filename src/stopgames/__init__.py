@@ -32,25 +32,18 @@ from .strategies import (
     PayoffField,
     RandomizedStoppingTime,
     Strategy,
-    as_mixed,
-    effective_times_seq,
-    effective_times_sim,
     payoff_mixed_sim,
     payoff_pure,
 )
 from .tree import (
     EventTree,
     HittingResult,
-    LeveledValue,
     Node,
     StoppingTime,
     build_tree,
     canonical_stopping_time,
-    conditional_expectation,
     constant_stopping_time,
-    expectation_to_level,
     hitting_time,
-    stopping_time_from_realized,
 )
 from .verify import (
     EnumerationResult,
@@ -75,7 +68,6 @@ __all__ = [
     "GameDocument",
     "GameSpecError",
     "HittingResult",
-    "LeveledValue",
     "Node",
     "PayoffField",
     "RandomizedDynkinEquilibrium",
@@ -90,23 +82,18 @@ __all__ = [
     "StoppingTime",
     "Strategy",
     "ZeroSumSaddle",
-    "as_mixed",
     "best_response",
     "build_tree",
     "canonical_stopping_time",
     "check_equilibrium",
-    "conditional_expectation",
     "constant_stopping_time",
     "count_stopping_times",
     "count_strategies",
     "dynkin_hitting_saddle",
     "dynkin_value",
-    "effective_times_seq",
-    "effective_times_sim",
     "enumerate_oracle",
     "enumerate_stopping_times",
     "enumerate_strategies",
-    "expectation_to_level",
     "generate_random_game",
     "hitting_time",
     "payoff_mixed_sim",
@@ -119,6 +106,5 @@ __all__ = [
     "sim_processes",
     "snell",
     "stage_nash_2x2",
-    "stopping_time_from_realized",
     "zero_sum_saddle",
 ]

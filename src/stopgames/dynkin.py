@@ -11,6 +11,7 @@ One recursion therefore serves both stage-game orientations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import GameSpecError
 from .snell import reaction_value
@@ -18,7 +19,6 @@ from .strategies import PayoffField, Strategy
 from .tree import (
     EventTree,
     HittingResult,
-    LeveledValue,
     StoppingTime,
     constant_stopping_time,
     hitting_time,
@@ -32,24 +32,24 @@ def _median(a: float, b: float, c: float) -> float:
     return max(min(a, b), min(max(a, b), c))
 
 
-def dynkin_value(tree: EventTree, f: LeveledValue, g: LeveledValue) -> LeveledValue:
+def dynkin_value(
+    tree: EventTree, f: Sequence[float], g: Sequence[float]
+) -> tuple[float, ...]:
     """Backward median recursion; terminal value F at the horizon."""
-    all_levels = frozenset(range(tree.horizon + 1))
-    if f.levels != all_levels or g.levels != all_levels:
+    if not len(f) == len(g) == tree.n_nodes:
         raise GameSpecError("boundary processes must be defined on all levels")
-    f_vals, g_vals = f.values, g.values
-    v = {idx: f_vals[idx] for idx in tree.leaves}
+    v = list(f)
     for t in range(tree.horizon - 1, -1, -1):
         for idx, cont in zip(tree.levels[t], tree.expect_next(v, t)):
-            v[idx] = _median(f_vals[idx], g_vals[idx], cont)
-    return LeveledValue(all_levels, v)
+            v[idx] = _median(f[idx], g[idx], cont)
+    return tuple(v)
 
 
 def dynkin_hitting_saddle(
     tree: EventTree,
-    v: LeveledValue,
-    f: LeveledValue,
-    g: LeveledValue,
+    v: Sequence[float],
+    f: Sequence[float],
+    g: Sequence[float],
     sigma: StoppingTime,
 ) -> tuple[StoppingTime, HittingResult]:
     """First times >= sigma at which v meets F (maximizer) and G (minimizer).
@@ -61,14 +61,14 @@ def dynkin_hitting_saddle(
     """
     rho = hitting_time(
         tree,
-        lambda idx: abs(v.values[idx] - f.values[idx]) <= HITTING_TOL,
+        lambda idx: abs(v[idx] - f[idx]) <= HITTING_TOL,
         sigma,
     )
     if rho.clamped:
         raise GameSpecError("value process does not meet its terminal boundary")
     tau = hitting_time(
         tree,
-        lambda idx: abs(v.values[idx] - g.values[idx]) <= HITTING_TOL,
+        lambda idx: abs(v[idx] - g[idx]) <= HITTING_TOL,
         sigma,
     )
     return rho.stop, tau
@@ -87,9 +87,9 @@ class ZeroSumSaddle:
     rho_star: Strategy
     tau_star: Strategy
     value: float
-    f: LeveledValue
-    g: LeveledValue
-    v: LeveledValue
+    f: tuple[float, ...]
+    g: tuple[float, ...]
+    v: tuple[float, ...]
     rho_hit: StoppingTime
     tau_hit: HittingResult
     sigma: StoppingTime
@@ -112,17 +112,13 @@ def zero_sum_saddle(
     sigma.validate(tree)
     f_side = reaction_value(tree, field, 1, "second", "inclusive", "min")
     g_side = reaction_value(tree, field, 1, "first", "strict", "max")
-    g_vals = {
-        idx: max(g_side.process.values[idx], f_side.process.values[idx])
-        for idx in range(tree.n_nodes)
-    }
     f = f_side.process
-    g = LeveledValue(frozenset(range(tree.horizon + 1)), g_vals)
+    g = tuple(map(max, g_side.process, f))
     v = dynkin_value(tree, f, g)
     rho, tau = dynkin_hitting_saddle(tree, v, f, g, sigma)
     sigma_times = sigma.realized(tree)
     value = sum(
-        prob * v.values[tree.paths[pos][sigma_times[pos]]]
+        prob * v[tree.paths[pos][sigma_times[pos]]]
         for pos, prob in enumerate(tree.leaf_probs)
     )
     return ZeroSumSaddle(

@@ -33,7 +33,6 @@ from .strategies import (
 )
 from .tree import (
     EventTree,
-    LeveledValue,
     StoppingTime,
     constant_stopping_time,
     hitting_time,
@@ -63,15 +62,15 @@ class SeqProcessBundle:
     punishing player 2 (both type A).
     """
 
-    f1: LeveledValue
-    g1: LeveledValue
-    f2: LeveledValue
-    g2: LeveledValue
-    h1: LeveledValue
-    h2: LeveledValue
-    v1: LeveledValue
-    v2: LeveledValue
-    g1_uncapped: LeveledValue
+    f1: tuple[float, ...]
+    g1: tuple[float, ...]
+    f2: tuple[float, ...]
+    g2: tuple[float, ...]
+    h1: tuple[float, ...]
+    h2: tuple[float, ...]
+    v1: tuple[float, ...]
+    v2: tuple[float, ...]
+    g1_uncapped: tuple[float, ...]
     reply_min1: AdjustmentFamily
     later_max1: AdjustmentFamily
     reply_max2: AdjustmentFamily
@@ -80,9 +79,6 @@ class SeqProcessBundle:
 
 def seq_processes(tree: EventTree, field: PayoffField) -> SeqProcessBundle:
     """Build both players' boundary/value/settle processes."""
-    T = tree.horizon
-    all_levels = frozenset(range(T + 1))
-
     f1_side = reaction_value(tree, field, 1, "second", "inclusive", "min")
     g1_side = reaction_value(tree, field, 1, "first", "strict", "max")
     f2_side = reaction_value(tree, field, 2, "second", "inclusive", "max")
@@ -90,36 +86,17 @@ def seq_processes(tree: EventTree, field: PayoffField) -> SeqProcessBundle:
 
     f1 = f1_side.process
     f2 = f2_side.process
-    g1 = LeveledValue(
-        all_levels,
-        {
-            idx: max(g1_side.process.values[idx], f1.values[idx])
-            for idx in range(tree.n_nodes)
-        },
-    )
-    g2 = LeveledValue(
-        all_levels,
-        {
-            idx: min(g2_side.process.values[idx], f2.values[idx])
-            for idx in range(tree.n_nodes)
-        },
-    )
-    v1 = dynkin_value(tree, f1, g1)
-    v2 = dynkin_value(tree, f2, g2)
-
-    h1 = stop_alone_values(tree, field, 1, 1, f2_side.family)
-    h2 = stop_alone_values(tree, field, 2, 2, g1_side.family)
-    nodes = tree.nodes
-
+    g1 = tuple(map(max, g1_side.process, f1))
+    g2 = tuple(map(min, g2_side.process, f2))
     return SeqProcessBundle(
         f1=f1,
         g1=g1,
         f2=f2,
         g2=g2,
-        h1=LeveledValue.from_function(tree, all_levels, lambda i: h1[nodes[i].time][i]),
-        h2=LeveledValue.from_function(tree, all_levels, lambda i: h2[nodes[i].time][i]),
-        v1=v1,
-        v2=v2,
+        h1=stop_alone_values(tree, field, 1, 1, f2_side.family),
+        h2=stop_alone_values(tree, field, 2, 2, g1_side.family),
+        v1=dynkin_value(tree, f1, g1),
+        v2=dynkin_value(tree, f2, g2),
         g1_uncapped=g1_side.process,
         reply_min1=f1_side.family,
         later_max1=g1_side.family,
@@ -183,8 +160,8 @@ class SeqEquilibrium:
     rho_star: Strategy
     tau_star: Strategy
     values: tuple[float, float]
-    w1: LeveledValue
-    w2: LeveledValue
+    w1: tuple[float, ...]
+    w2: tuple[float, ...]
     diagnostics: SeqDiagnostics
     bundle: SeqProcessBundle
 
@@ -205,14 +182,10 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
     bundle = seq_processes(tree, field)
     zero = constant_stopping_time(tree, 0)
 
-    v1 = bundle.v1.values
-    v2 = bundle.v2.values
-    h1 = bundle.h1.values
-    h2 = bundle.h2.values
-    f1 = bundle.f1.values
-    f2 = bundle.f2.values
-    g1 = bundle.g1.values
-    g1_raw = bundle.g1_uncapped.values
+    v1, v2 = bundle.v1, bundle.v2
+    h1, h2 = bundle.h1, bundle.h2
+    f1, f2 = bundle.f1, bundle.f2
+    g1, g1_raw = bundle.g1, bundle.g1_uncapped
 
     settle1 = hitting_time(tree, lambda i: v1[i] <= h1[i] + THRESHOLD_TOL, zero)
     settle2 = hitting_time(
@@ -274,7 +247,6 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
             f"{values} vs {(w1[0], w2[0])}"
         )
 
-    all_levels = frozenset(range(T + 1))
     return SeqEquilibrium(
         p1_settle=settle1.stop,
         p2_settle=settle2.stop,
@@ -283,8 +255,8 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
         rho_star=rho_star,
         tau_star=tau_star,
         values=values,
-        w1=LeveledValue(all_levels, dict(enumerate(w1))),
-        w2=LeveledValue(all_levels, dict(enumerate(w2))),
+        w1=tuple(w1),
+        w2=tuple(w2),
         diagnostics=diagnostics,
         bundle=bundle,
     )

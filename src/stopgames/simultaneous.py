@@ -24,7 +24,7 @@ from .strategies import (
     payoff_mixed_sim,
     stop_alone_values,
 )
-from .tree import EventTree, LeveledValue
+from .tree import EventTree
 from .verify import EquilibriumReport, check_equilibrium
 
 #: Mixed stage solutions with an indifference denominator below this are
@@ -39,47 +39,37 @@ CLAMP_TOL = 1e-9
 class SimProcessBundle:
     """Adapted processes of the reduced simultaneous stopping game.
 
-    For each time t and node: x1/x2 are the players' payoffs when player 1
-    stops first and player 2 replies with her optimal strictly-later rule;
-    y1/y2 the mirror case; z1/z2 the simultaneous-stop payoffs.  The
-    optimizer families behind x and y are kept as the equilibrium
-    adjustments.
+    Each is indexed by node; at a level-t node, x1/x2 are the players'
+    payoffs when player 1 stops first at t and player 2 replies with her
+    optimal strictly-later rule; y1/y2 the mirror case; z1/z2 the
+    simultaneous-stop payoffs.  The optimizer families behind x and y are
+    kept as the equilibrium adjustments.
     """
 
-    x1: LeveledValue
-    x2: LeveledValue
-    y1: LeveledValue
-    y2: LeveledValue
-    z1: LeveledValue
-    z2: LeveledValue
+    x1: tuple[float, ...]
+    x2: tuple[float, ...]
+    y1: tuple[float, ...]
+    y2: tuple[float, ...]
+    z1: tuple[float, ...]
+    z2: tuple[float, ...]
     rho1_star: AdjustmentFamily
     tau1_star: AdjustmentFamily
 
 
 def sim_processes(tree: EventTree, field: PayoffField) -> SimProcessBundle:
     """Build the six reduced-game processes and the optimizer families."""
-    T = tree.horizon
-    all_levels = frozenset(range(T + 1))
-
     y1_side = reaction_value(tree, field, 1, "first", "strict", "max")
     x2_side = reaction_value(tree, field, 2, "second", "strict", "max")
     rho1_star = y1_side.family
     tau1_star = x2_side.family
-
-    x1 = stop_alone_values(tree, field, 1, 1, tau1_star)
-    y2 = stop_alone_values(tree, field, 2, 2, rho1_star)
-    nodes = tree.nodes
-
-    def own_level(fn) -> LeveledValue:
-        return LeveledValue.from_function(tree, all_levels, lambda i: fn(nodes[i].time, i))
-
+    levels = tuple(enumerate(tree.levels))
     return SimProcessBundle(
-        x1=own_level(lambda t, i: x1[t][i]),
+        x1=stop_alone_values(tree, field, 1, 1, tau1_star),
         x2=x2_side.process,
         y1=y1_side.process,
-        y2=own_level(lambda t, i: y2[t][i]),
-        z1=own_level(lambda t, i: field.value(1, t, t, i)),
-        z2=own_level(lambda t, i: field.value(2, t, t, i)),
+        y2=stop_alone_values(tree, field, 2, 2, rho1_star),
+        z1=tuple(field.value(1, t, t, i) for t, level in levels for i in level),
+        z2=tuple(field.value(2, t, t, i) for t, level in levels for i in level),
         rho1_star=rho1_star,
         tau1_star=tau1_star,
     )
@@ -180,8 +170,8 @@ class RandomizedDynkinEquilibrium:
 
     alpha: RandomizedStoppingTime
     beta: RandomizedStoppingTime
-    w1: LeveledValue
-    w2: LeveledValue
+    w1: tuple[float, ...]
+    w2: tuple[float, ...]
     stages: tuple[StageRecord, ...]
 
 
@@ -204,31 +194,24 @@ def randomized_dynkin_equilibrium(
     for idx in tree.leaves:
         p[idx] = 1.0
         q[idx] = 1.0
-        w1[idx] = bundle.z1.values[idx]
-        w2[idx] = bundle.z2.values[idx]
+        w1[idx] = bundle.z1[idx]
+        w2[idx] = bundle.z2[idx]
     for t in range(T - 1, -1, -1):
         conts = zip(tree.levels[t], tree.expect_next(w1, t), tree.expect_next(w2, t))
         for idx, c1, c2 in conts:
-            a = (
-                (bundle.z1.values[idx], bundle.x1.values[idx]),
-                (bundle.y1.values[idx], c1),
-            )
-            b = (
-                (bundle.z2.values[idx], bundle.x2.values[idx]),
-                (bundle.y2.values[idx], c2),
-            )
+            a = ((bundle.z1[idx], bundle.x1[idx]), (bundle.y1[idx], c1))
+            b = ((bundle.z2[idx], bundle.x2[idx]), (bundle.y2[idx], c2))
             sol = stage_nash_2x2(a, b)
             p[idx] = sol.p
             q[idx] = sol.q
             w1[idx] = sol.value1
             w2[idx] = sol.value2
             stages.append(StageRecord(node=idx, a=a, b=b, solution=sol))
-    all_levels = frozenset(range(T + 1))
     return RandomizedDynkinEquilibrium(
         alpha=RandomizedStoppingTime(tuple(p)),
         beta=RandomizedStoppingTime(tuple(q)),
-        w1=LeveledValue(all_levels, dict(enumerate(w1))),
-        w2=LeveledValue(all_levels, dict(enumerate(w2))),
+        w1=tuple(w1),
+        w2=tuple(w2),
         stages=tuple(reversed(stages)),
     )
 
@@ -261,7 +244,7 @@ def sim_equilibrium(
     rho = Strategy(reduced.alpha, bundle.rho1_star)
     tau = Strategy(reduced.beta, bundle.tau1_star)
     values = payoff_mixed_sim(tree, field, rho, tau)
-    expected = (reduced.w1.values[0], reduced.w2.values[0])
+    expected = (reduced.w1[0], reduced.w2[0])
     if max(abs(values[0] - expected[0]), abs(values[1] - expected[1])) > 1e-9:
         raise SolverDefectError(
             "profile payoff disagrees with the backward-induction values: "

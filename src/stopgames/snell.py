@@ -15,7 +15,7 @@ from typing import Callable, Literal
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, adjustment_floor
-from .tree import EventTree, LeveledValue, StoppingTime
+from .tree import EventTree, StoppingTime
 
 Window = Literal["inclusive", "strict"]
 Direction = Literal["max", "min"]
@@ -28,14 +28,15 @@ OPTIMIZER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SnellResult:
-    """Value, earliest optimizer, and envelope of one stopping problem."""
+    """Value, earliest optimizer, and envelope of one stopping problem.
 
-    level: int
-    window: Window
-    direction: Direction
-    value: LeveledValue
+    ``value`` holds the level-t values in level order; ``envelope`` is
+    indexed by node and is 0.0 below the window start.
+    """
+
+    value: tuple[float, ...]
     optimizer: StoppingTime
-    envelope: LeveledValue
+    envelope: tuple[float, ...]
 
 
 def snell(
@@ -63,7 +64,9 @@ def snell(
     start = adjustment_floor(T, t, window == "strict")
     use_max = direction == "max"
 
-    env = {idx: reward(T, idx) for idx in tree.leaves}
+    env = [0.0] * tree.n_nodes
+    for idx in tree.leaves:
+        env[idx] = reward(T, idx)
     marks = [False] * tree.n_nodes
     for u in range(T - 1, start - 1, -1):
         for idx, cont in zip(tree.levels[u], tree.expect_next(env, u)):
@@ -75,25 +78,17 @@ def snell(
     for leaf in tree.leaves:
         marks[leaf] = True
     # A NaN reward leaves NaN in the envelope at its own node only: max and
-    # min return a NaN first argument and drop a NaN second one.  env is in
-    # visiting order, so this names the first NaN reward visited.
-    if any(map(isnan, env.values())):
-        idx = next(idx for idx, s in env.items() if isnan(s))
+    # min return a NaN first argument and drop a NaN second one.  Levels are
+    # visited from the horizon down, so this names the first NaN visited.
+    if any(map(isnan, env)):
+        idx = next(i for lv in reversed(tree.levels[start:]) for i in lv if isnan(env[i]))
         raise GameSpecError(f"reward missing at node {tree.nodes[idx].id}")
 
     if window == "inclusive" or t == T:
-        value = {idx: env[idx] for idx in tree.levels[t]}
+        value = env[tree.level_start[t] : tree.level_start[t + 1]]
     else:
-        value = dict(zip(tree.levels[t], tree.expect_next(env, t)))
-
-    return SnellResult(
-        level=t,
-        window=window,
-        direction=direction,
-        value=LeveledValue(frozenset({t}), value),
-        optimizer=StoppingTime(tuple(marks)),
-        envelope=LeveledValue(frozenset(range(start, T + 1)), env),
-    )
+        value = tree.expect_next(env, t)
+    return SnellResult(tuple(value), StoppingTime(tuple(marks)), tuple(env))
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,11 @@ class ReactionValue:
 
     ``process`` collects, per node, the value of the stopping problem rooted
     at that node's own level; ``family`` packages the earliest optimizers as
-    an adjustment family, strict (type A) exactly when the window is;
-    ``results`` keeps the full per-level solutions.
+    an adjustment family, strict (type A) exactly when the window is.
     """
 
-    process: LeveledValue
+    process: tuple[float, ...]
     family: AdjustmentFamily
-    results: tuple[SnellResult, ...]
 
 
 def reaction_value(
@@ -129,19 +122,17 @@ def reaction_value(
         raise GameSpecError(f"unknown player {player}")
     if side not in ("first", "second"):
         raise GameSpecError(f"unknown side {side!r}")
-    results = []
-    process: dict[int, float] = {}
+    process: list[float] = []
+    rules = []
     for t in range(tree.horizon + 1):
         if side == "first":
             reward = lambda u, idx: field.value(player, u, t, idx)
         else:
             reward = lambda u, idx: field.value(player, t, u, idx)
         res = snell(tree, reward, t, window, direction)
-        results.append(res)
-        process.update(res.value.values)
-    rules = tuple(res.optimizer for res in results)
+        process += res.value
+        rules.append(res.optimizer)
     return ReactionValue(
-        process=LeveledValue(frozenset(range(tree.horizon + 1)), process),
-        family=AdjustmentFamily(rules, strict=window == "strict"),
-        results=tuple(results),
+        process=tuple(process),
+        family=AdjustmentFamily(tuple(rules), strict=window == "strict"),
     )

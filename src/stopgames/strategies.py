@@ -20,7 +20,7 @@ from operator import neg
 from typing import Callable, Mapping, Sequence
 
 from .errors import GameSpecError
-from .tree import EventTree, LeveledValue, StoppingTime, canonical_stopping_time
+from .tree import EventTree, StoppingTime
 
 Mode = str  # "sim" | "seq"
 
@@ -112,23 +112,6 @@ def check_class(strategy, mixed: bool, strict: bool, message: str) -> None:
         raise GameSpecError(message)
 
 
-def as_mixed(strategy: Strategy) -> Strategy:
-    """Embed a pure strategy as a degenerate mixed one."""
-    probs = tuple(1.0 if m else 0.0 for m in strategy.initial.marks)
-    return Strategy(RandomizedStoppingTime(probs), strategy.adjust)
-
-
-def canonical_signature(tree: EventTree, strategy: Strategy) -> tuple:
-    """Hashable normal form identifying extensionally equal strategies."""
-    if strategy.mixed:
-        head: tuple = strategy.initial.probs
-    else:
-        head = canonical_stopping_time(tree, strategy.initial).marks
-    return (head,) + tuple(
-        canonical_stopping_time(tree, rule).marks for rule in strategy.adjust.rules
-    )
-
-
 class PayoffField:
     """The two per-player payoff families U^i(s, t, .), one value per node.
 
@@ -191,47 +174,6 @@ class PayoffField:
         vals = self._data[(player, s, t)]
         return vals[node - self.tree.level_start[max(s, t)]]
 
-    def level_slice(self, player: int, s: int, t: int) -> LeveledValue:
-        level = max(s, t)
-        start = self.tree.level_start[level]
-        vals = self._data[(player, s, t)]
-        return LeveledValue(
-            frozenset({level}),
-            {idx: vals[idx - start] for idx in self.tree.levels[level]},
-        )
-
-
-def effective_times_sim(
-    tree: EventTree, rho: Strategy, tau: Strategy, leaf_pos: int
-) -> tuple[int, int]:
-    """Realized stop-time pair on one path when both players move each stage.
-
-    The earlier initial stopper fixes her time; the other switches to her
-    adjustment rule for that time.  On ties both stop at the common time.
-    """
-    s0 = rho.initial.realized(tree)[leaf_pos]
-    t0 = tau.initial.realized(tree)[leaf_pos]
-    if s0 < t0:
-        return s0, tau.adjust.rules[s0].realized(tree)[leaf_pos]
-    if s0 > t0:
-        return rho.adjust.rules[t0].realized(tree)[leaf_pos], t0
-    return s0, s0
-
-
-def effective_times_seq(
-    tree: EventTree, rho: Strategy, tau: Strategy, leaf_pos: int
-) -> tuple[int, int]:
-    """Realized stop-time pair when player 1 acts first at each stage.
-
-    On ties player 1's stop stands and player 2 responds with her adjustment
-    rule, which may stop at the same time.
-    """
-    s0 = rho.initial.realized(tree)[leaf_pos]
-    t0 = tau.initial.realized(tree)[leaf_pos]
-    if s0 <= t0:
-        return s0, tau.adjust.rules[s0].realized(tree)[leaf_pos]
-    return rho.adjust.rules[t0].realized(tree)[leaf_pos], t0
-
 
 def _payoff_pure_core(
     tree: EventTree,
@@ -291,23 +233,24 @@ def payoff_pure(
 
 
 def expected_at_stop(
-    tree: EventTree, rule: StoppingTime, reward: Callable[[int], float]
+    tree: EventTree, rule: StoppingTime, reward: Callable[[int], float], t: int
 ) -> list[float]:
-    """Expected reward collected at `rule`'s first stop, per starting node.
+    """Expected reward collected at `rule`'s first stop at or after level t,
+    per level-t node, in level order.
 
-    Entry n is meaningful whenever the rule has not stopped strictly above
-    node n; it equals the expectation, over paths through n, of the reward
-    evaluated at the node where the rule first stops.
+    Entry n is the expectation, over paths through node n, of the reward
+    evaluated at the node where the rule first stops.  The induction runs
+    backward from the horizon to level t and no further.
     """
     marks = rule.marks
     out = [0.0] * tree.n_nodes
     for idx in tree.leaves:
         if marks[idx]:
             out[idx] = reward(idx)
-    for t in range(tree.horizon - 1, -1, -1):
-        for idx, cont in zip(tree.levels[t], tree.expect_next(out, t)):
+    for u in range(tree.horizon - 1, t - 1, -1):
+        for idx, cont in zip(tree.levels[u], tree.expect_next(out, u)):
             out[idx] = reward(idx) if marks[idx] else cont
-    return out
+    return out[tree.level_start[t] : tree.level_start[t + 1]]
 
 
 def stop_alone_values(
@@ -316,22 +259,23 @@ def stop_alone_values(
     player: int,
     stopper: int,
     family: AdjustmentFamily,
-) -> list[list[float]]:
-    """Player `player`'s expected payoff when `stopper` stops alone at time t
-    and the other player follows her adjustment rule ``family.rules[t]``.
+) -> tuple[float, ...]:
+    """Player `player`'s expected payoff, per node at its own level t, when
+    `stopper` stops alone at t and the other player follows her adjustment
+    rule ``family.rules[t]``.
 
-    Row t is meaningful at every node of level t; the stopper's time goes in
-    her own payoff argument, the follower's realized time in the other.
+    The stopper's time goes in her own payoff argument, the follower's
+    realized time in the other.
     """
     nodes = tree.nodes
-    rows = []
+    out: list[float] = []
     for t, rule in enumerate(family.rules):
         if stopper == 1:
             reward = lambda m: field.value(player, t, nodes[m].time, m)
         else:
             reward = lambda m: field.value(player, nodes[m].time, t, m)
-        rows.append(expected_at_stop(tree, rule, reward))
-    return rows
+        out += expected_at_stop(tree, rule, reward, t)
+    return tuple(out)
 
 
 def payoff_mixed_sim(
@@ -369,14 +313,14 @@ def payoff_mixed_sim(
             q = tau.initial.probs[idx]
             w1[idx] = (
                 p * q * field.value(1, t, t, idx)
-                + p * (1.0 - q) * x1[t][idx]
-                + (1.0 - p) * q * y1[t][idx]
+                + p * (1.0 - q) * x1[idx]
+                + (1.0 - p) * q * y1[idx]
                 + (1.0 - p) * (1.0 - q) * d1
             )
             w2[idx] = (
                 p * q * field.value(2, t, t, idx)
-                + p * (1.0 - q) * x2[t][idx]
-                + (1.0 - p) * q * y2[t][idx]
+                + p * (1.0 - q) * x2[idx]
+                + (1.0 - p) * q * y2[idx]
                 + (1.0 - p) * (1.0 - q) * d2
             )
     return w1[0], w2[0]

@@ -1,17 +1,18 @@
 """Finite filtered probability spaces represented as rooted event trees.
 
 The sample space is the set of root-to-leaf paths.  The information available
-at time t is the partition of paths by their time-t node, so adapted processes
-are simply "one value per node" and essential suprema/infima over events are
-exact per-node maxima/minima.  All probabilistic operations (conditional
-expectation, hitting times) reduce to sums and scans over the tree.
+at time t is the partition of paths by their time-t node, so an adapted
+process is simply one value per node, held as a tuple indexed by node in the
+canonical order, and essential suprema/infima over events are exact per-node
+maxima/minima.  All probabilistic operations (conditional expectation,
+hitting times) reduce to sums and scans over the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import GameSpecError
 
@@ -163,25 +164,6 @@ def canonical_stopping_time(tree: EventTree, st: StoppingTime) -> StoppingTime:
     return StoppingTime(tuple(marks))
 
 
-def stopping_time_from_realized(
-    tree: EventTree, realized: Sequence[int]
-) -> StoppingTime:
-    """Reconstruct a stopping time from per-path realized times.
-
-    Fails when the realized times are not adapted, i.e. when two paths
-    through the same node disagree on whether to stop there.
-    """
-    marks = [False] * tree.n_nodes
-    for leaf in tree.leaves:
-        marks[leaf] = True
-    for pos, path in enumerate(tree.paths):
-        marks[path[realized[pos]]] = True
-    st = StoppingTime(tuple(marks))
-    if tree.realized_times(st.marks) != tuple(realized):
-        raise GameSpecError("realized times are not adapted to the tree")
-    return st
-
-
 def constant_stopping_time(tree: EventTree, t: int) -> StoppingTime:
     """The stopping time identically equal to t."""
     if not 0 <= t <= tree.horizon:
@@ -309,76 +291,6 @@ def build_tree(spec: Mapping) -> EventTree:
             )
         )
     return EventTree(horizon, nodes)
-
-
-@dataclass(frozen=True)
-class LeveledValue:
-    """Real values defined on every node of a fixed set of tree levels."""
-
-    levels: frozenset[int]
-    values: Mapping[int, float]
-
-    @classmethod
-    def build(
-        cls, tree: EventTree, levels: Iterable[int], values: Mapping[int, float]
-    ) -> "LeveledValue":
-        lv = cls(frozenset(levels), dict(values))
-        lv.validate(tree)
-        return lv
-
-    @classmethod
-    def from_function(
-        cls, tree: EventTree, levels: Iterable[int], fn: Callable[[int], float]
-    ) -> "LeveledValue":
-        levels = frozenset(levels)
-        values = {idx: fn(idx) for t in sorted(levels) for idx in tree.levels[t]}
-        return cls(levels, values)
-
-    def validate(self, tree: EventTree) -> None:
-        expected = set()
-        for t in self.levels:
-            if not 0 <= t <= tree.horizon:
-                raise GameSpecError(f"level {t} outside 0..{tree.horizon}")
-            expected.update(tree.levels[t])
-        missing = expected - self.values.keys()
-        if missing:
-            idx = min(missing)
-            raise GameSpecError(f"missing value at node {tree.nodes[idx].id}")
-        extra = self.values.keys() - expected
-        if extra:
-            idx = min(extra)
-            raise GameSpecError(
-                f"value at node {tree.nodes[idx].id} outside the declared levels"
-            )
-        for idx, val in self.values.items():
-            if val != val or val in (float("inf"), float("-inf")):
-                raise GameSpecError(f"non-finite value at node {tree.nodes[idx].id}")
-
-
-def _single_level(x: LeveledValue) -> int:
-    if len(x.levels) != 1:
-        raise GameSpecError("expected a value defined on exactly one level")
-    return next(iter(x.levels))
-
-
-def expectation_to_level(tree: EventTree, x: LeveledValue, t: int) -> LeveledValue:
-    """Conditional expectation of a level-u value at every level-t node, t <= u."""
-    u = _single_level(x)
-    if not 0 <= t <= u:
-        raise GameSpecError(f"level mismatch: cannot condition level {u} on level {t}")
-    try:
-        vals = {idx: x.values[idx] for idx in tree.levels[u]}
-    except KeyError as exc:
-        raise GameSpecError(f"value missing at node index {exc}") from exc
-    for lev in range(u - 1, t - 1, -1):
-        vals = dict(zip(tree.levels[lev], tree.expect_next(vals, lev)))
-    return LeveledValue(frozenset({t}), vals)
-
-
-def conditional_expectation(tree: EventTree, x: LeveledValue, node: int) -> float:
-    """Conditional expectation of a single-level value at one node."""
-    t = tree.nodes[node].time
-    return expectation_to_level(tree, x, t).values[node]
 
 
 @dataclass(frozen=True)

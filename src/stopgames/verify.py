@@ -113,16 +113,16 @@ def best_response(
     for idx in tree.leaves:
         values[idx] = field.value(player, T, T, idx)
         marks[idx] = True
+    adj = own.process
     for t in range(T - 1, -1, -1):
-        adj = own.results[t].value.values
         for idx, cont in zip(tree.levels[t], tree.expect_next(values, t)):
             if mode == "sim":
                 tie = field.value(player, t, t, idx)
             elif player == 1:
-                tie = alone[t][idx]
+                tie = alone[idx]
             else:
                 tie = adj[idx]
-            stop_v = mix(idx, tie, alone[t][idx])
+            stop_v = mix(idx, tie, alone[idx])
             cont_v = mix(idx, adj[idx], cont)
             if allowed[idx] and stop_v >= cont_v:
                 values[idx] = stop_v

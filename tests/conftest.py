@@ -44,11 +44,11 @@ def leaves_under(tree: sg.EventTree, node: int) -> list[int]:
     return [pos for pos, path in enumerate(tree.paths) if path[t] == node]
 
 
-def path_expectation(tree: sg.EventTree, x: sg.LeveledValue, node: int) -> float:
-    """Independent conditional-expectation oracle: explicit sum over the
-    level-u descendants of `node`, with edge probabilities multiplied along
-    each downward path (no backward recursion)."""
-    (u,) = x.levels
+def path_expectation(tree: sg.EventTree, x, u: int, node: int) -> float:
+    """Independent conditional-expectation oracle for a node-indexed process
+    `x` at level u: explicit sum over the level-u descendants of `node`, with
+    edge probabilities multiplied along each downward path (no backward
+    recursion)."""
     t = tree.nodes[node].time
     # The downward path from `node` to each level-u descendant is unique, so
     # collecting one probability product per descendant gives the exact sum.
@@ -59,10 +59,42 @@ def path_expectation(tree: sg.EventTree, x: sg.LeveledValue, node: int) -> float
         for lev in range(t + 1, u + 1):
             prob *= tree.nodes[path[lev]].edge_prob
         weights[path[u]] = prob
-    return sum(p * x.values[m] for m, p in weights.items())
+    return sum(p * x[m] for m, p in weights.items())
 
 
-def brute_force_dynkin(tree: sg.EventTree, f: sg.LeveledValue, g: sg.LeveledValue):
+def path_stop_expectation(tree: sg.EventTree, marks, reward, node: int) -> float:
+    """Independent lone-stopper oracle: the reward at the first node marked
+    in `marks` at or after `node`, summed over the leaf paths through `node`
+    with edge probabilities multiplied along each path (no backward
+    recursion)."""
+    t = tree.nodes[node].time
+    total = 0.0
+    for pos in leaves_under(tree, node):
+        path = tree.paths[pos]
+        prob = 1.0
+        for lev in range(t + 1, tree.horizon + 1):
+            prob *= tree.nodes[path[lev]].edge_prob
+        total += prob * reward(next(idx for idx in path[t:] if marks[idx]))
+    return total
+
+
+def conditional_expectation(tree: sg.EventTree, x, u: int, t: int) -> list[float]:
+    """E_t[X_u] for t <= u, by ``tree.expect_next``: a copy of the
+    node-indexed process `x` whose levels t..u-1 hold E_lev[X_u]."""
+    vals = list(x)
+    for lev in range(u - 1, t - 1, -1):
+        vals[tree.level_start[lev] : tree.level_start[lev + 1]] = tree.expect_next(vals, lev)
+    return vals
+
+
+def diagonal(tree: sg.EventTree, field: sg.PayoffField, player: int) -> tuple[float, ...]:
+    """The player's same-time payoff U(t, t) at every node of its level t."""
+    return tuple(
+        field.value(player, t, t, idx) for t, level in enumerate(tree.levels) for idx in level
+    )
+
+
+def brute_force_dynkin(tree: sg.EventTree, f, g):
     """Exhaustive maximin/minimax over all stopping-time pairs of the
     first-stop payoff: f at the first player's stop when not later, else g
     at the second player's."""
@@ -75,9 +107,9 @@ def brute_force_dynkin(tree: sg.EventTree, f: sg.LeveledValue, g: sg.LeveledValu
             r = realized[ri][pos]
             t = realized[ti][pos]
             if r <= t:
-                total += prob * f.values[tree.paths[pos][r]]
+                total += prob * f[tree.paths[pos][r]]
             else:
-                total += prob * g.values[tree.paths[pos][t]]
+                total += prob * g[tree.paths[pos][t]]
         return total
 
     table = [[payoff(i, j) for j in range(len(sts))] for i in range(len(sts))]
@@ -88,7 +120,7 @@ def brute_force_dynkin(tree: sg.EventTree, f: sg.LeveledValue, g: sg.LeveledValu
 
 def stopped_submartingale_ok(
     tree: sg.EventTree,
-    v: sg.LeveledValue,
+    v,
     stop: sg.StoppingTime,
     tol: float = 1e-9,
 ) -> bool:
@@ -103,10 +135,10 @@ def stopped_submartingale_ok(
             frozen[idx] = frozen[node.parent]
             halted[idx] = True
         elif stop.marks[idx]:
-            frozen[idx] = v.values[idx]
+            frozen[idx] = v[idx]
             halted[idx] = True
         else:
-            frozen[idx] = v.values[idx]
+            frozen[idx] = v[idx]
     for node in tree.nodes:
         if not node.children:
             continue
@@ -114,6 +146,72 @@ def stopped_submartingale_ok(
         if cont < frozen[node.index] - tol:
             return False
     return True
+
+
+def effective_times_sim(
+    tree: sg.EventTree, rho: sg.Strategy, tau: sg.Strategy, leaf_pos: int
+) -> tuple[int, int]:
+    """Realized stop-time pair on one path when both players move each stage.
+
+    The earlier initial stopper fixes her time; the other switches to her
+    adjustment rule for that time.  On ties both stop at the common time.
+    """
+    s0 = rho.initial.realized(tree)[leaf_pos]
+    t0 = tau.initial.realized(tree)[leaf_pos]
+    if s0 < t0:
+        return s0, tau.adjust.rules[s0].realized(tree)[leaf_pos]
+    if s0 > t0:
+        return rho.adjust.rules[t0].realized(tree)[leaf_pos], t0
+    return s0, s0
+
+
+def effective_times_seq(
+    tree: sg.EventTree, rho: sg.Strategy, tau: sg.Strategy, leaf_pos: int
+) -> tuple[int, int]:
+    """Realized stop-time pair when player 1 acts first at each stage.
+
+    On ties player 1's stop stands and player 2 responds with her adjustment
+    rule, which may stop at the same time.
+    """
+    s0 = rho.initial.realized(tree)[leaf_pos]
+    t0 = tau.initial.realized(tree)[leaf_pos]
+    if s0 <= t0:
+        return s0, tau.adjust.rules[s0].realized(tree)[leaf_pos]
+    return rho.adjust.rules[t0].realized(tree)[leaf_pos], t0
+
+
+def stopping_time_from_realized(tree: sg.EventTree, realized) -> sg.StoppingTime:
+    """Reconstruct a stopping time from per-path realized times.
+
+    Fails when the realized times are not adapted, i.e. when two paths
+    through the same node disagree on whether to stop there.
+    """
+    marks = [False] * tree.n_nodes
+    for leaf in tree.leaves:
+        marks[leaf] = True
+    for pos, path in enumerate(tree.paths):
+        marks[path[realized[pos]]] = True
+    st = sg.StoppingTime(tuple(marks))
+    if tree.realized_times(st.marks) != tuple(realized):
+        raise sg.GameSpecError("realized times are not adapted to the tree")
+    return st
+
+
+def as_mixed(strategy: sg.Strategy) -> sg.Strategy:
+    """Embed a pure strategy as a degenerate mixed one."""
+    probs = tuple(1.0 if m else 0.0 for m in strategy.initial.marks)
+    return sg.Strategy(sg.RandomizedStoppingTime(probs), strategy.adjust)
+
+
+def canonical_signature(tree: sg.EventTree, strategy: sg.Strategy) -> tuple:
+    """Hashable normal form identifying extensionally equal strategies."""
+    if strategy.mixed:
+        head: tuple = strategy.initial.probs
+    else:
+        head = sg.canonical_stopping_time(tree, strategy.initial).marks
+    return (head,) + tuple(
+        sg.canonical_stopping_time(tree, rule).marks for rule in strategy.adjust.rules
+    )
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,12 @@ import stopgames as sg
 from stopgames import gamefile
 from stopgames.cli import run
 
-from conftest import brute_force_dynkin, stopped_submartingale_ok
+from conftest import (
+    brute_force_dynkin,
+    conditional_expectation,
+    diagonal,
+    stopped_submartingale_ok,
+)
 
 
 def _line(num: int, name: str, ok: bool) -> bool:
@@ -130,8 +135,8 @@ def test_criterion_3_simultaneous_equilibria(sim_solutions):
     solutions, elapsed = sim_solutions
     gaps_ok = all(max(sol.report.gaps) <= 1e-9 for _, sol in solutions)
     consistent = all(
-        abs(sol.values[0] - sol.reduced.w1.values[0]) <= 1e-9
-        and abs(sol.values[1] - sol.reduced.w2.values[0]) <= 1e-9
+        abs(sol.values[0] - sol.reduced.w1[0]) <= 1e-9
+        and abs(sol.values[1] - sol.reduced.w2[0]) <= 1e-9
         for _, sol in solutions
     )
     ok = gaps_ok and consistent and len(solutions) == 1000 and elapsed < 60.0
@@ -169,20 +174,17 @@ def test_criterion_5_dynkin_oracle_equivalence():
         h, b = shapes[k % len(shapes)]
         tree = gamefile.generate_random_game(h, b, seed=30_000 + k).tree
         assert sg.count_stopping_times(tree) <= 20
-        levels = frozenset(range(tree.horizon + 1))
-        f_vals = {i: rng.uniform(-1, 1) for i in range(tree.n_nodes)}
-        g_vals = {i: f_vals[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)}
-        f = sg.LeveledValue(levels, f_vals)
-        g = sg.LeveledValue(levels, g_vals)
+        f = [rng.uniform(-1, 1) for _ in range(tree.n_nodes)]
+        g = [f[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)]
         v = sg.dynkin_value(tree, f, g)
         maximin, minimax = brute_force_dynkin(tree, f, g)
-        if abs(v.values[0] - maximin) > 1e-12 or abs(v.values[0] - minimax) > 1e-12:
+        if abs(v[0] - maximin) > 1e-12 or abs(v[0] - minimax) > 1e-12:
             ok = False
         for i in range(tree.n_nodes):
-            if not (f.values[i] - 1e-12 <= v.values[i] <= g.values[i] + 1e-12):
+            if not (f[i] - 1e-12 <= v[i] <= g[i] + 1e-12):
                 ok = False
         for leaf in tree.leaves:
-            if v.values[leaf] != f.values[leaf]:
+            if v[leaf] != f[leaf]:
                 ok = False
     assert _line(5, "median recursion equals exhaustive optimum on 200 games", ok)
 
@@ -194,12 +196,9 @@ def test_criterion_6_structural_certificates(seq_solutions, zs_solutions):
         tree = doc.tree
         bundle = sol.bundle
         for i in range(tree.n_nodes):
-            if bundle.f1.values[i] > bundle.h1.values[i] + 1e-12:
+            if bundle.f1[i] > bundle.h1[i] + 1e-12:
                 ok = False
-            if (
-                min(bundle.h2.values[i], bundle.f2.values[i])
-                < bundle.g2.values[i] - 1e-12
-            ):
+            if min(bundle.h2[i], bundle.f2[i]) < bundle.g2[i] - 1e-12:
                 ok = False
         if not stopped_submartingale_ok(tree, bundle.v1, sol.p1_settle):
             ok = False
@@ -208,14 +207,15 @@ def test_criterion_6_structural_certificates(seq_solutions, zs_solutions):
         if not sol.diagnostics.settle1_before_floor_hit:
             ok = False
         # Tower property on this instance's own payoff data.
-        x = doc.payoff_field().level_slice(1, tree.horizon, tree.horizon)
-        for t in range(tree.horizon + 1):
-            mid = sg.expectation_to_level(tree, x, t)
+        x = diagonal(tree, doc.payoff_field(), 1)
+        T = tree.horizon
+        for t in range(T + 1):
+            mid = conditional_expectation(tree, x, T, t)
             for s in range(t + 1):
-                nested = sg.expectation_to_level(tree, mid, s)
-                direct = sg.expectation_to_level(tree, x, s)
+                nested = conditional_expectation(tree, mid, t, s)
+                direct = conditional_expectation(tree, x, T, s)
                 for idx in tree.levels[s]:
-                    if abs(nested.values[idx] - direct.values[idx]) > 1e-12:
+                    if abs(nested[idx] - direct[idx]) > 1e-12:
                         ok = False
     for doc, _, saddle, _ in zs_solutions:
         if not stopped_submartingale_ok(doc.tree, saddle.v, saddle.rho_hit):

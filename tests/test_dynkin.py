@@ -19,9 +19,7 @@ from conftest import (
 
 
 def _chain_values(tree, seq):
-    return sg.LeveledValue(
-        frozenset(range(tree.horizon + 1)), {i: float(v) for i, v in enumerate(seq)}
-    )
+    return tuple(map(float, seq))
 
 
 class TestDynkinValue:
@@ -30,7 +28,7 @@ class TestDynkinValue:
         f = _chain_values(tree, [0.0, 1.0])
         g = _chain_values(tree, [2.0, 1.0])
         v = sg.dynkin_value(tree, f, g)
-        assert (v.values[0], v.values[1]) == (1.0, 1.0)
+        assert (v[0], v[1]) == (1.0, 1.0)
         maximin, minimax = brute_force_dynkin(tree, f, g)
         assert maximin == approx(1.0, abs=1e-12)
         assert minimax == approx(1.0, abs=1e-12)
@@ -40,7 +38,7 @@ class TestDynkinValue:
         f = _chain_values(tree, [1.0, 0.0])
         g = _chain_values(tree, [2.0, 2.0])
         v = sg.dynkin_value(tree, f, g)
-        assert (v.values[0], v.values[1]) == (1.0, 0.0)
+        assert (v[0], v[1]) == (1.0, 0.0)
         maximin, minimax = brute_force_dynkin(tree, f, g)
         assert maximin == approx(1.0, abs=1e-12)
 
@@ -48,22 +46,28 @@ class TestDynkinValue:
         tree = chain_tree(2)
         f = _chain_values(tree, [0.3, -0.4, 0.9])
         v = sg.dynkin_value(tree, f, f)
-        assert all(v.values[i] == f.values[i] for i in range(3))
+        assert all(v[i] == f[i] for i in range(3))
+
+    def test_boundaries_must_cover_every_node(self):
+        tree = chain_tree(2)
+        full = (0.0, 0.5, 1.0)
+        for f, g in ((full[:2], full), (full, full[:2]), (full + (2.0,), full + (2.0,))):
+            with pytest.raises(
+                sg.GameSpecError, match="^boundary processes must be defined on all levels$"
+            ):
+                sg.dynkin_value(tree, f, g)
 
     def test_sandwich_and_terminal(self):
         rng = random.Random(4)
         for _ in range(20):
             tree = gamefile.generate_random_game(3, 2, seed=rng.randrange(10**6)).tree
-            f_vals = {i: rng.uniform(-1, 1) for i in range(tree.n_nodes)}
-            g_vals = {i: f_vals[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)}
-            levels = frozenset(range(tree.horizon + 1))
-            f = sg.LeveledValue(levels, f_vals)
-            g = sg.LeveledValue(levels, g_vals)
+            f = [rng.uniform(-1, 1) for _ in range(tree.n_nodes)]
+            g = [f[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)]
             v = sg.dynkin_value(tree, f, g)
             for i in range(tree.n_nodes):
-                assert f.values[i] - 1e-12 <= v.values[i] <= g.values[i] + 1e-12
+                assert f[i] - 1e-12 <= v[i] <= g[i] + 1e-12
             for leaf in tree.leaves:
-                assert v.values[leaf] == f.values[leaf]
+                assert v[leaf] == f[leaf]
 
     def test_reversed_orientation_matches_brute_force(self):
         # Boundary ordering g <= f: the recursion then values the game in
@@ -71,11 +75,8 @@ class TestDynkinValue:
         rng = random.Random(11)
         for _ in range(10):
             tree = chain_tree(3)
-            g_vals = {i: rng.uniform(-1, 1) for i in range(tree.n_nodes)}
-            f_vals = {i: g_vals[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)}
-            levels = frozenset(range(4))
-            f = sg.LeveledValue(levels, f_vals)
-            g = sg.LeveledValue(levels, g_vals)
+            g = [rng.uniform(-1, 1) for _ in range(tree.n_nodes)]
+            f = [g[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)]
             v = sg.dynkin_value(tree, f, g)
             sts = sg.enumerate_stopping_times(tree)
             realized = [st.realized(tree) for st in sts]
@@ -85,9 +86,9 @@ class TestDynkinValue:
                 for pos, prob in enumerate(tree.leaf_probs):
                     r, t = realized[ri][pos], realized[ti][pos]
                     if r <= t:
-                        total += prob * f.values[tree.paths[pos][r]]
+                        total += prob * f[tree.paths[pos][r]]
                     else:
-                        total += prob * g.values[tree.paths[pos][t]]
+                        total += prob * g[tree.paths[pos][t]]
                 return total
 
             table = [[payoff(i, j) for j in range(len(sts))] for i in range(len(sts))]
@@ -96,8 +97,8 @@ class TestDynkinValue:
                 min(table[i][j] for i in range(len(sts))) for j in range(len(sts))
             )
             minimax = min(max(row) for row in table)
-            assert v.values[0] == approx(maximin, abs=1e-12)
-            assert v.values[0] == approx(minimax, abs=1e-12)
+            assert v[0] == approx(maximin, abs=1e-12)
+            assert v[0] == approx(minimax, abs=1e-12)
 
 
 class TestHittingSaddle:
@@ -137,11 +138,8 @@ class TestHittingSaddle:
         rng = random.Random(21)
         for _ in range(10):
             tree = gamefile.generate_random_game(2, 2, seed=rng.randrange(10**6)).tree
-            f_vals = {i: rng.uniform(-1, 1) for i in range(tree.n_nodes)}
-            g_vals = {i: f_vals[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)}
-            levels = frozenset(range(tree.horizon + 1))
-            f = sg.LeveledValue(levels, f_vals)
-            g = sg.LeveledValue(levels, g_vals)
+            f = [rng.uniform(-1, 1) for _ in range(tree.n_nodes)]
+            g = [f[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)]
             v = sg.dynkin_value(tree, f, g)
             zero = sg.constant_stopping_time(tree, 0)
             rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, zero)
@@ -153,13 +151,13 @@ class TestHittingSaddle:
                 for pos, prob in enumerate(tree.leaf_probs):
                     r, t = r_realized[pos], t_realized[pos]
                     if r <= t:
-                        total += prob * f.values[tree.paths[pos][r]]
+                        total += prob * f[tree.paths[pos][r]]
                     else:
-                        total += prob * g.values[tree.paths[pos][t]]
+                        total += prob * g[tree.paths[pos][t]]
                 return total
 
             center = against(rho_real, tau_real)
-            assert center == approx(v.values[0], abs=1e-9)
+            assert center == approx(v[0], abs=1e-9)
             for st in sg.enumerate_stopping_times(tree):
                 other = st.realized(tree)
                 assert against(other, tau_real) <= center + 1e-9
@@ -169,11 +167,8 @@ class TestHittingSaddle:
         rng = random.Random(33)
         for _ in range(10):
             tree = gamefile.generate_random_game(3, 3, seed=rng.randrange(10**6)).tree
-            f_vals = {i: rng.uniform(-1, 1) for i in range(tree.n_nodes)}
-            g_vals = {i: f_vals[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)}
-            levels = frozenset(range(tree.horizon + 1))
-            f = sg.LeveledValue(levels, f_vals)
-            g = sg.LeveledValue(levels, g_vals)
+            f = [rng.uniform(-1, 1) for _ in range(tree.n_nodes)]
+            g = [f[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)]
             v = sg.dynkin_value(tree, f, g)
             zero = sg.constant_stopping_time(tree, 0)
             rho, _ = sg.dynkin_hitting_saddle(tree, v, f, g, zero)
@@ -191,9 +186,9 @@ class TestZeroSumSaddle:
             },
         )
         saddle = sg.zero_sum_saddle(matching_tree, field)
-        assert [saddle.f.values[i] for i in range(2)] == [0.0, 1.0]
-        assert [saddle.g.values[i] for i in range(2)] == [0.0, 1.0]
-        assert [saddle.v.values[i] for i in range(2)] == [0.0, 1.0]
+        assert [saddle.f[i] for i in range(2)] == [0.0, 1.0]
+        assert [saddle.g[i] for i in range(2)] == [0.0, 1.0]
+        assert [saddle.v[i] for i in range(2)] == [0.0, 1.0]
         assert saddle.value == approx(0.0, abs=1e-12)
         assert saddle.rho_star.initial.realized(matching_tree) == (0,)
         assert saddle.tau_star.adjust.rules[0].realized(matching_tree) == (1,)

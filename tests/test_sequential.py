@@ -8,7 +8,7 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import chain_tree, stopped_submartingale_ok
+from conftest import canonical_signature, chain_tree, stopped_submartingale_ok
 
 
 def _corner_game():
@@ -28,17 +28,17 @@ def _corner_game():
 class TestSeqProcesses:
     def test_matching_game_player_one(self, matching_tree, matching_payoffs):
         bundle = sg.seq_processes(matching_tree, matching_payoffs)
-        assert [bundle.f1.values[i] for i in range(2)] == [0.0, 1.0]
-        assert [bundle.g1.values[i] for i in range(2)] == [0.0, 1.0]
-        assert [bundle.v1.values[i] for i in range(2)] == [0.0, 1.0]
-        assert [bundle.h1.values[i] for i in range(2)] == [0.0, 1.0]
+        assert [bundle.f1[i] for i in range(2)] == [0.0, 1.0]
+        assert [bundle.g1[i] for i in range(2)] == [0.0, 1.0]
+        assert [bundle.v1[i] for i in range(2)] == [0.0, 1.0]
+        assert [bundle.h1[i] for i in range(2)] == [0.0, 1.0]
 
     def test_matching_game_player_two(self, matching_tree, matching_payoffs):
         bundle = sg.seq_processes(matching_tree, matching_payoffs)
-        assert [bundle.f2.values[i] for i in range(2)] == [0.0, -1.0]
-        assert [bundle.g2.values[i] for i in range(2)] == [0.0, -1.0]
-        assert [bundle.v2.values[i] for i in range(2)] == [0.0, -1.0]
-        assert [bundle.h2.values[i] for i in range(2)] == [0.0, -1.0]
+        assert [bundle.f2[i] for i in range(2)] == [0.0, -1.0]
+        assert [bundle.g2[i] for i in range(2)] == [0.0, -1.0]
+        assert [bundle.v2[i] for i in range(2)] == [0.0, -1.0]
+        assert [bundle.h2[i] for i in range(2)] == [0.0, -1.0]
 
     def test_constant_payoffs(self):
         tree = chain_tree(2)
@@ -48,33 +48,33 @@ class TestSeqProcesses:
             bundle.f1, bundle.g1, bundle.f2, bundle.g2,
             bundle.h1, bundle.h2, bundle.v1, bundle.v2,
         ):
-            assert all(v == approx(0.7, abs=1e-12) for v in proc.values.values())
+            assert all(v == approx(0.7, abs=1e-12) for v in proc)
 
     def test_boundary_orderings(self):
         for seed in range(15):
             doc = gamefile.generate_random_game(3, 2, seed=seed)
             bundle = sg.seq_processes(doc.tree, doc.payoff_field())
             for i in range(doc.tree.n_nodes):
-                assert bundle.f1.values[i] <= bundle.h1.values[i] + 1e-12
+                assert bundle.f1[i] <= bundle.h1[i] + 1e-12
                 assert (
-                    min(bundle.h2.values[i], bundle.f2.values[i])
-                    >= bundle.g2.values[i] - 1e-12
+                    min(bundle.h2[i], bundle.f2[i])
+                    >= bundle.g2[i] - 1e-12
                 )
-                assert bundle.f1.values[i] <= bundle.g1.values[i] + 1e-12
-                assert bundle.g2.values[i] <= bundle.f2.values[i] + 1e-12
+                assert bundle.f1[i] <= bundle.g1[i] + 1e-12
+                assert bundle.g2[i] <= bundle.f2[i] + 1e-12
                 assert (
-                    bundle.f1.values[i] - 1e-12
-                    <= bundle.v1.values[i]
-                    <= bundle.g1.values[i] + 1e-12
+                    bundle.f1[i] - 1e-12
+                    <= bundle.v1[i]
+                    <= bundle.g1[i] + 1e-12
                 )
                 assert (
-                    bundle.g2.values[i] - 1e-12
-                    <= bundle.v2.values[i]
-                    <= bundle.f2.values[i] + 1e-12
+                    bundle.g2[i] - 1e-12
+                    <= bundle.v2[i]
+                    <= bundle.f2[i] + 1e-12
                 )
             for leaf in doc.tree.leaves:
-                assert bundle.v1.values[leaf] == bundle.f1.values[leaf]
-                assert bundle.v2.values[leaf] == bundle.f2.values[leaf]
+                assert bundle.v1[leaf] == bundle.f1[leaf]
+                assert bundle.v2[leaf] == bundle.f2[leaf]
 
 
 class TestSeqEquilibrium:
@@ -140,7 +140,6 @@ class TestSeqEquilibrium:
         sol = sg.seq_equilibrium(matching_tree, matching_payoffs)
         enum = sg.enumerate_oracle(matching_tree, matching_payoffs, "seq")
         assert enum.equilibria  # pure equilibria exist in the sequential game
-        from stopgames.strategies import canonical_signature
 
         signatures = {
             (
@@ -156,8 +155,6 @@ class TestSeqEquilibrium:
         assert ours in signatures
 
     def test_output_in_enumerated_set_on_random_small_games(self):
-        from stopgames.strategies import canonical_signature
-
         for seed in range(6):
             doc = gamefile.generate_random_game(1, 1 + seed % 2, seed=60 + seed)
             tree, field = doc.tree, doc.payoff_field()

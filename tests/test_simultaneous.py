@@ -14,13 +14,13 @@ from conftest import chain_tree, leaves_under
 class TestSimProcesses:
     def test_matching_game_processes(self, matching_tree, matching_payoffs):
         bundle = sg.sim_processes(matching_tree, matching_payoffs)
-        assert bundle.x1.values[0] == approx(0.0, abs=1e-12)
-        assert bundle.y1.values[0] == approx(0.0, abs=1e-12)
-        assert bundle.z1.values[0] == 1.0
-        assert bundle.z1.values[1] == 1.0
-        assert bundle.x2.values[0] == approx(0.0, abs=1e-12)
-        assert bundle.y2.values[0] == approx(0.0, abs=1e-12)
-        assert bundle.z2.values[0] == -1.0
+        assert bundle.x1[0] == approx(0.0, abs=1e-12)
+        assert bundle.y1[0] == approx(0.0, abs=1e-12)
+        assert bundle.z1[0] == 1.0
+        assert bundle.z1[1] == 1.0
+        assert bundle.x2[0] == approx(0.0, abs=1e-12)
+        assert bundle.y2[0] == approx(0.0, abs=1e-12)
+        assert bundle.z2[0] == -1.0
         assert bundle.rho1_star.rules[0].realized(matching_tree) == (1,)
         assert bundle.tau1_star.rules[0].realized(matching_tree) == (1,)
 
@@ -29,7 +29,7 @@ class TestSimProcesses:
         field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.4)
         bundle = sg.sim_processes(tree, field)
         for proc in (bundle.x1, bundle.x2, bundle.y1, bundle.y2, bundle.z1, bundle.z2):
-            assert all(v == approx(0.4, abs=1e-12) for v in proc.values.values())
+            assert all(v == approx(0.4, abs=1e-12) for v in proc)
 
     def test_tie_slices_are_exact(self):
         doc = gamefile.generate_random_game(3, 2, seed=31)
@@ -37,8 +37,8 @@ class TestSimProcesses:
         bundle = sg.sim_processes(tree, field)
         for t in range(tree.horizon + 1):
             for idx in tree.levels[t]:
-                assert bundle.z1.values[idx] == field.value(1, t, t, idx)
-                assert bundle.z2.values[idx] == field.value(2, t, t, idx)
+                assert bundle.z1[idx] == field.value(1, t, t, idx)
+                assert bundle.z2[idx] == field.value(2, t, t, idx)
 
     def test_one_sided_dominance_on_small_trees(self):
         # The stop-first payoffs can never beat the player's own optimum over
@@ -61,7 +61,7 @@ class TestSimProcesses:
                                 2, t, u, tree.paths[pos][max(t, u)]
                             )
                             weight += prob
-                        assert total <= bundle.x2.values[idx] * weight + 1e-9
+                        assert total <= bundle.x2[idx] * weight + 1e-9
 
 
 class TestStageNash:
@@ -128,8 +128,8 @@ class TestReducedEquilibrium:
         assert reduced.alpha.probs[0] == approx(0.5)
         assert reduced.beta.probs[0] == approx(0.5)
         assert reduced.alpha.probs[1] == 1.0
-        assert reduced.w1.values[0] == approx(0.5)
-        assert reduced.w2.values[0] == approx(-0.5)
+        assert reduced.w1[0] == approx(0.5)
+        assert reduced.w2[0] == approx(-0.5)
 
     def test_horizon_nodes_stop_surely(self):
         doc = gamefile.generate_random_game(3, 2, seed=2)
@@ -144,8 +144,8 @@ class TestReducedEquilibrium:
         field = sg.PayoffField.from_function(tree, lambda i, s, t, n: -0.25)
         bundle = sg.sim_processes(tree, field)
         reduced = sg.randomized_dynkin_equilibrium(tree, bundle)
-        assert reduced.w1.values[0] == approx(-0.25, abs=1e-12)
-        assert reduced.w2.values[0] == approx(-0.25, abs=1e-12)
+        assert reduced.w1[0] == approx(-0.25, abs=1e-12)
+        assert reduced.w2[0] == approx(-0.25, abs=1e-12)
 
     def test_stage_records_are_stage_equilibria(self):
         for seed in range(10):
@@ -194,8 +194,8 @@ class TestSimEquilibrium:
         for seed in range(10):
             doc = gamefile.generate_random_game(4, 2, seed=400 + seed)
             sol = sg.sim_equilibrium(doc.tree, doc.payoff_field())
-            assert sol.values[0] == approx(sol.reduced.w1.values[0], abs=1e-9)
-            assert sol.values[1] == approx(sol.reduced.w2.values[0], abs=1e-9)
+            assert sol.values[0] == approx(sol.reduced.w1[0], abs=1e-9)
+            assert sol.values[1] == approx(sol.reduced.w2[0], abs=1e-9)
 
     def test_no_pure_equilibrium_but_mixed_exists(self, matching_tree, matching_payoffs):
         enum = sg.enumerate_oracle(matching_tree, matching_payoffs, "sim")

@@ -38,34 +38,34 @@ class TestWorkedExamples:
         tree = three_node_tree()
         reward = _reward_from_map({0: 0.0, 1: 2.0, 2: 4.0})
         res = sg.snell(tree, reward, 0, "strict", "max")
-        assert res.value.values[0] == approx(3.0, abs=1e-12)
+        assert res.value[0] == approx(3.0, abs=1e-12)
         assert res.optimizer.realized(tree) == (1, 1)
 
     def test_inclusive_max_picks_immediate_reward(self):
         tree = three_node_tree()
         reward = _reward_from_map({0: 5.0, 1: 2.0, 2: 4.0})
         res = sg.snell(tree, reward, 0, "inclusive", "max")
-        assert res.value.values[0] == approx(5.0, abs=1e-12)
+        assert res.value[0] == approx(5.0, abs=1e-12)
         assert res.optimizer.realized(tree) == (0, 0)
 
     def test_inclusive_min_waits(self):
         tree = three_node_tree()
         reward = _reward_from_map({0: 5.0, 1: 2.0, 2: 4.0})
         res = sg.snell(tree, reward, 0, "inclusive", "min")
-        assert res.value.values[0] == approx(3.0, abs=1e-12)
+        assert res.value[0] == approx(3.0, abs=1e-12)
         assert res.optimizer.realized(tree) == (1, 1)
 
     def test_strict_window_at_horizon_is_forced(self):
         tree = three_node_tree()
         reward = _reward_from_map({0: 5.0, 1: 2.0, 2: 4.0})
         res = sg.snell(tree, reward, 1, "strict", "max")
-        assert res.value.values[1] == 2.0
-        assert res.value.values[2] == 4.0
+        assert res.value[0] == 2.0
+        assert res.value[1] == 4.0
 
     def test_constant_reward_stops_at_window_start(self):
         tree = three_node_tree()
         res = sg.snell(tree, lambda u, i: 1.25, 0, "inclusive", "max")
-        assert res.value.values[0] == 1.25
+        assert res.value[0] == 1.25
         assert res.optimizer.realized(tree) == (0, 0)
         res_strict = sg.snell(tree, lambda u, i: 1.25, 0, "strict", "min")
         assert res_strict.optimizer.realized(tree) == (1, 1)
@@ -96,7 +96,7 @@ class TestProperties:
                 res = sg.snell(tree, reward, t, window, direction)
                 if t == 0:
                     oracle = _brute_force(tree, reward, t, window, direction)
-                    assert res.value.values[0] == approx(oracle, abs=1e-12)
+                    assert res.value[0] == approx(oracle, abs=1e-12)
 
     def test_envelope_recursion_identity(self):
         doc = gamefile.generate_random_game(3, 2, seed=9)
@@ -104,7 +104,7 @@ class TestProperties:
         field = doc.payoff_field()
         reward = lambda u, idx: field.value(1, u, 1, idx)
         res = sg.snell(tree, reward, 1, "inclusive", "max")
-        env = res.envelope.values
+        env = res.envelope
         for t in range(1, tree.horizon):
             for idx in tree.levels[t]:
                 node = tree.nodes[idx]
@@ -125,7 +125,7 @@ class TestProperties:
             for pos, prob in enumerate(tree.leaf_probs):
                 stop_node = tree.paths[pos][realized[pos]]
                 total += prob * reward(realized[pos], stop_node)
-            assert total == approx(res.value.values[0], abs=1e-12)
+            assert total == approx(res.value[0], abs=1e-12)
 
     def test_window_monotonicity(self):
         for seed in range(6):
@@ -136,15 +136,12 @@ class TestProperties:
             for t in range(tree.horizon + 1):
                 strict = sg.snell(tree, reward, t, "strict", "max")
                 inclusive = sg.snell(tree, reward, t, "inclusive", "max")
-                for idx in tree.levels[t]:
-                    assert (
-                        inclusive.value.values[idx]
-                        >= strict.value.values[idx] - 1e-12
-                    )
+                for pos in range(len(tree.levels[t])):
+                    assert inclusive.value[pos] >= strict.value[pos] - 1e-12
                 strict_min = sg.snell(tree, reward, t, "strict", "min")
                 incl_min = sg.snell(tree, reward, t, "inclusive", "min")
-                for idx in tree.levels[t]:
-                    assert incl_min.value.values[idx] <= strict_min.value.values[idx] + 1e-12
+                for pos in range(len(tree.levels[t])):
+                    assert incl_min.value[pos] <= strict_min.value[pos] + 1e-12
 
     def test_optimizer_realizes_inside_window(self):
         doc = gamefile.generate_random_game(4, 2, seed=5)
@@ -162,12 +159,12 @@ class TestReactionValue:
     def test_matching_game_reply_values(self, matching_tree, matching_payoffs):
         tree, field = matching_tree, matching_payoffs
         worst_reply = sg.reaction_value(tree, field, 1, "second", "inclusive", "min")
-        assert worst_reply.process.values[0] == approx(0.0, abs=1e-12)
-        assert worst_reply.process.values[1] == approx(1.0, abs=1e-12)
+        assert worst_reply.process[0] == approx(0.0, abs=1e-12)
+        assert worst_reply.process[1] == approx(1.0, abs=1e-12)
         assert worst_reply.family.rules[0].realized(tree) == (1,)
 
         own_later = sg.reaction_value(tree, field, 2, "second", "strict", "max")
-        assert own_later.process.values[0] == approx(0.0, abs=1e-12)
+        assert own_later.process[0] == approx(0.0, abs=1e-12)
         assert own_later.family.strict
 
     def test_constant_payoffs_all_levels(self):
@@ -176,7 +173,7 @@ class TestReactionValue:
         for side in ("first", "second"):
             for window in ("inclusive", "strict"):
                 rv = sg.reaction_value(tree, field, 1, side, window, "max")
-                assert all(v == 0.75 for v in rv.process.values.values())
+                assert all(v == 0.75 for v in rv.process)
 
     def test_family_class_matches_window(self):
         tree = three_node_tree()

@@ -12,7 +12,8 @@ import random
 
 import stopgames as sg
 from stopgames import gamefile
-from stopgames.strategies import canonical_signature
+
+from conftest import canonical_signature
 
 SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (2, 2)]
 

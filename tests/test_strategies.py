@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from pytest import approx
 
 import stopgames as sg
 from stopgames import gamefile
+from stopgames.strategies import expected_at_stop, stop_alone_values
 
-from conftest import chain_tree, matching_field
+from conftest import (
+    as_mixed,
+    chain_tree,
+    effective_times_seq,
+    effective_times_sim,
+    matching_field,
+    path_stop_expectation,
+)
 
 
 def _stop_at(tree: sg.EventTree, t: int) -> sg.StoppingTime:
@@ -64,31 +75,31 @@ class TestEffectiveTimes:
         tree = chain_tree(1)
         rho = _strategy_a(tree, 0)
         tau = _strategy_a(tree, 1)
-        assert sg.effective_times_sim(tree, rho, tau, 0) == (0, 1)
-        assert sg.effective_times_sim(tree, tau, rho, 0) == (1, 0)
+        assert effective_times_sim(tree, rho, tau, 0) == (0, 1)
+        assert effective_times_sim(tree, tau, rho, 0) == (1, 0)
 
     def test_sim_tie_stops_together(self):
         tree = chain_tree(1)
         rho = _strategy_a(tree, 0)
-        assert sg.effective_times_sim(tree, rho, rho, 0) == (0, 0)
+        assert effective_times_sim(tree, rho, rho, 0) == (0, 0)
 
     def test_seq_tie_goes_to_player_one(self):
         tree = chain_tree(1)
         rho = _strategy_a(tree, 0)
         tau = _strategy_b(tree, 0, reply0=1)
-        assert sg.effective_times_seq(tree, rho, tau, 0) == (0, 1)
+        assert effective_times_seq(tree, rho, tau, 0) == (0, 1)
 
     def test_seq_second_player_may_reply_at_once(self):
         tree = chain_tree(1)
         rho = _strategy_a(tree, 0)
         tau = _strategy_b(tree, 1, reply0=0)
-        assert sg.effective_times_seq(tree, rho, tau, 0) == (0, 0)
+        assert effective_times_seq(tree, rho, tau, 0) == (0, 0)
 
     def test_seq_second_player_stopping_first(self):
         tree = chain_tree(1)
         rho = _strategy_a(tree, 1)
         tau = _strategy_b(tree, 0, reply0=0)
-        assert sg.effective_times_seq(tree, rho, tau, 0) == (1, 0)
+        assert effective_times_seq(tree, rho, tau, 0) == (1, 0)
 
 
 class TestPayoffPure:
@@ -138,7 +149,7 @@ class TestPayoffMixed:
             rho = sg.Strategy(sol.p1_settle, sol.bundle.later_max1)
             tau = sg.Strategy(sol.p2_settle, sol.bundle.later_min2)
             pure = sg.payoff_pure(tree, field, "sim", rho, tau)
-            mixed = sg.payoff_mixed_sim(tree, field, sg.as_mixed(rho), sg.as_mixed(tau))
+            mixed = sg.payoff_mixed_sim(tree, field, as_mixed(rho), as_mixed(tau))
             assert mixed[0] == approx(pure[0], abs=1e-12)
             assert mixed[1] == approx(pure[1], abs=1e-12)
 
@@ -177,6 +188,47 @@ class TestPayoffMixed:
         for k in (0, 1):
             second_diff = values[0][k] - 2.0 * values[1][k] + values[2][k]
             assert second_diff == approx(0.0, abs=1e-9)
+
+
+class TestStopAloneValues:
+    def test_expected_at_stop_reads_from_level_t(self):
+        tree = chain_tree(2)
+        rule = sg.StoppingTime((False, True, True))
+        reward = lambda m: float(m)  # the node index
+        assert expected_at_stop(tree, rule, reward, 0) == [1.0]
+        assert expected_at_stop(tree, rule, reward, 1) == [1.0]
+        assert expected_at_stop(tree, rule, reward, 2) == [2.0]
+
+    def test_matches_path_sum_oracle(self):
+        for seed in range(30):
+            horizon, branching = 1 + seed % 5, 1 + (seed // 5) % 3
+            doc = gamefile.generate_random_game(horizon, branching, seed=seed)
+            tree, field = doc.tree, doc.payoff_field()
+            rng = random.Random(seed)
+            # Arbitrary rules stop at, below or only after their own level.
+            arbitrary = tuple(
+                sg.StoppingTime(
+                    tuple(n.time == horizon or rng.random() < 0.3 for n in tree.nodes)
+                )
+                for _ in range(horizon + 1)
+            )
+            families = (
+                sg.AdjustmentFamily(arbitrary, strict=False),
+                sg.reaction_value(tree, field, 1, "first", "strict", "max").family,
+                sg.reaction_value(tree, field, 2, "second", "inclusive", "min").family,
+            )
+            tol = 1e-12 * field.bound
+            for family, stopper, player in product(families, (1, 2), (1, 2)):
+                got = stop_alone_values(tree, field, player, stopper, family)
+                assert type(got) is tuple and len(got) == tree.n_nodes
+                for node in tree.nodes:
+                    t = node.time
+                    if stopper == 1:
+                        reward = lambda m: field.value(player, t, tree.nodes[m].time, m)
+                    else:
+                        reward = lambda m: field.value(player, tree.nodes[m].time, t, m)
+                    want = path_stop_expectation(tree, family.rules[t].marks, reward, node.index)
+                    assert got[node.index] == approx(want, abs=tol), (seed, node.id)
 
 
 class TestPayoffField:

@@ -10,7 +10,14 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import chain_tree, path_expectation, three_node_tree
+from conftest import (
+    chain_tree,
+    conditional_expectation,
+    diagonal,
+    path_expectation,
+    stopping_time_from_realized,
+    three_node_tree,
+)
 
 
 class TestBuildTree:
@@ -121,56 +128,45 @@ class TestBuildTree:
 class TestConditionalExpectation:
     def test_two_leaf_average(self):
         tree = three_node_tree()
-        x = sg.LeveledValue.build(tree, {1}, {1: 2.0, 2: 4.0})
-        assert sg.conditional_expectation(tree, x, 0) == approx(3.0, abs=1e-12)
+        x = (0.0, 2.0, 4.0)
+        assert conditional_expectation(tree, x, 1, 0)[0] == approx(3.0, abs=1e-12)
 
     def test_identity_at_same_level(self):
         tree = three_node_tree()
-        x = sg.LeveledValue.build(tree, {1}, {1: 2.0, 2: 4.0})
-        assert sg.conditional_expectation(tree, x, 1) == 2.0
+        x = (0.0, 2.0, 4.0)
+        assert conditional_expectation(tree, x, 1, 1)[1] == 2.0
 
     def test_tower_property_against_path_sum(self):
         for seed in range(10):
             tree = gamefile.generate_random_game(3, 2, seed=seed).tree
             doc = gamefile.generate_random_game(3, 2, seed=seed)
-            x = doc.payoff_field().level_slice(1, 3, 3)
-            nested = sg.expectation_to_level(
-                tree, sg.expectation_to_level(tree, x, 2), 0
+            x = diagonal(tree, doc.payoff_field(), 1)
+            nested = conditional_expectation(
+                tree, conditional_expectation(tree, x, 3, 2), 2, 0
             )
-            direct = sg.expectation_to_level(tree, x, 0)
-            oracle = path_expectation(tree, x, 0)
-            assert nested.values[0] == approx(direct.values[0], abs=1e-12)
-            assert direct.values[0] == approx(oracle, abs=1e-12)
+            direct = conditional_expectation(tree, x, 3, 0)
+            oracle = path_expectation(tree, x, 3, 0)
+            assert nested[0] == approx(direct[0], abs=1e-12)
+            assert direct[0] == approx(oracle, abs=1e-12)
 
     def test_tower_property_all_level_pairs(self):
         doc = gamefile.generate_random_game(4, 2, seed=77)
         tree = doc.tree
-        x = doc.payoff_field().level_slice(2, 4, 4)
+        x = diagonal(tree, doc.payoff_field(), 2)
         for t in range(5):
             for s in range(t + 1):
-                nested = sg.expectation_to_level(
-                    tree, sg.expectation_to_level(tree, x, t), s
+                nested = conditional_expectation(
+                    tree, conditional_expectation(tree, x, 4, t), t, s
                 )
-                direct = sg.expectation_to_level(tree, x, s)
+                direct = conditional_expectation(tree, x, 4, s)
                 for idx in tree.levels[s]:
-                    assert nested.values[idx] == approx(direct.values[idx], abs=1e-12)
+                    assert nested[idx] == approx(direct[idx], abs=1e-12)
 
     def test_constant_preservation(self):
         tree = gamefile.generate_random_game(3, 3, seed=1).tree
-        x = sg.LeveledValue.from_function(tree, {3}, lambda idx: 2.5)
-        out = sg.expectation_to_level(tree, x, 0)
-        assert out.values[0] == approx(2.5, abs=1e-12)
-
-    def test_level_mismatch(self):
-        tree = three_node_tree()
-        x = sg.LeveledValue.build(tree, {0}, {0: 1.0})
-        with pytest.raises(sg.GameSpecError, match="level"):
-            sg.conditional_expectation(tree, x, 1)
-
-    def test_missing_value_rejected_at_build(self):
-        tree = three_node_tree()
-        with pytest.raises(sg.GameSpecError, match="missing value"):
-            sg.LeveledValue.build(tree, {1}, {1: 2.0})
+        x = (2.5,) * tree.n_nodes
+        out = conditional_expectation(tree, x, 3, 0)
+        assert out[0] == approx(2.5, abs=1e-12)
 
 
 def _random_values(rng: random.Random, n: int) -> list[float]:
@@ -208,12 +204,9 @@ class TestExpectNext:
         for seed, tree in self._random_trees():
             values = _random_values(random.Random(seed), tree.n_nodes)
             for t in range(tree.horizon):
-                x = sg.LeveledValue.build(
-                    tree, {t + 1}, {idx: values[idx] for idx in tree.levels[t + 1]}
-                )
-                got = tree.expect_next(x.values, t)
+                got = tree.expect_next(values, t)
                 for idx, val in zip(tree.levels[t], got):
-                    assert val == approx(path_expectation(tree, x, idx), abs=1e-12)
+                    assert val == approx(path_expectation(tree, values, t + 1, idx), abs=1e-12)
 
 
 class TestHittingTime:
@@ -259,7 +252,7 @@ class TestHittingTime:
         start_times = start.realized(tree)
         assert all(r >= s for r, s in zip(realized, start_times))
         # Adapted: rebuilding from realized times must succeed.
-        rebuilt = sg.stopping_time_from_realized(tree, realized)
+        rebuilt = stopping_time_from_realized(tree, realized)
         assert rebuilt.realized(tree) == realized
 
 
@@ -276,7 +269,7 @@ class TestStoppingTimeUtilities:
         # One path stops at the root, the other at time 1: the root decision
         # would have to differ across paths through it.
         with pytest.raises(sg.GameSpecError, match="not adapted"):
-            sg.stopping_time_from_realized(tree, [0, 1])
+            stopping_time_from_realized(tree, [0, 1])
 
     def test_validate_requires_horizon_stop(self):
         tree = chain_tree(1)

@@ -8,7 +8,7 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import chain_tree, matching_field
+from conftest import as_mixed, chain_tree, matching_field
 
 
 def _forced_family_a(tree):
@@ -37,7 +37,7 @@ class TestBestResponse:
         )
         value, _ = sg.best_response(tree, field, "seq", 2, rho)
         assert value == approx(0.9, abs=1e-12)
-        value, _ = sg.best_response(tree, field, "sim", 1, sg.as_mixed(rho))
+        value, _ = sg.best_response(tree, field, "sim", 1, as_mixed(rho))
         assert value == approx(0.9, abs=1e-12)
 
     def test_sim_vs_half_half_opponent(self, matching_tree, matching_payoffs):
@@ -93,11 +93,11 @@ class TestBestResponse:
             )
             value, strategy = sg.best_response(tree, field, "sim", 1, opponent)
             best = max(
-                sg.payoff_mixed_sim(tree, field, sg.as_mixed(rho), opponent)[0]
+                sg.payoff_mixed_sim(tree, field, as_mixed(rho), opponent)[0]
                 for rho in sg.enumerate_strategies(tree, "a")
             )
             assert value == approx(best, abs=1e-12)
-            achieved = sg.payoff_mixed_sim(tree, field, sg.as_mixed(strategy), opponent)[0]
+            achieved = sg.payoff_mixed_sim(tree, field, as_mixed(strategy), opponent)[0]
             assert achieved == approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("horizon", [0, 1, 2])
