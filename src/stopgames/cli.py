@@ -10,6 +10,7 @@ Exit codes: 0 on success, 1 on input errors, 2 on certification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import IO
 
@@ -267,6 +268,9 @@ def run(argv: list[str], out: IO[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        eps = getattr(args, "eps", 0.0)
+        if not 0.0 <= eps < math.inf:
+            raise GameSpecError(f"--eps must be finite and non-negative, got {eps:g}")
         return args.func(args, out)
     except (GameSpecError, EnumerationCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

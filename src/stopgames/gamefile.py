@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
+from math import isfinite
 from typing import Mapping
 
 from .errors import GameSpecError
@@ -342,6 +343,8 @@ def generate_random_game(
     lo, hi = payoff_range
     if not lo < hi:
         raise GameSpecError(f"empty payoff range ({lo:g}, {hi:g})")
+    if not isfinite(hi - lo):
+        raise GameSpecError(f"payoff range ({lo:g}, {hi:g}) needs finite bounds and width")
 
     rng = random.Random(seed)
     nodes = [{"id": "0:0", "time": 0}]

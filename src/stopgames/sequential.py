@@ -215,9 +215,9 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
     w2 = [0.0] * tree.n_nodes
     rho_marks = [False] * tree.n_nodes
     tau_marks = [False] * tree.n_nodes
-    for idx in tree.leaves:
-        w1[idx] = field.value(1, T, T, idx)
-        w2[idx] = field.value(2, T, T, idx)
+    for idx, z1, z2 in zip(tree.leaves, field.row(1, T, T), field.row(2, T, T)):
+        w1[idx] = z1
+        w2[idx] = z2
         rho_marks[idx] = True
         tau_marks[idx] = True
     for t in range(T - 1, -1, -1):

@@ -13,6 +13,7 @@ game, which is then certified by the best-response oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import SolverDefectError
 from .snell import reaction_value
@@ -62,14 +63,14 @@ def sim_processes(tree: EventTree, field: PayoffField) -> SimProcessBundle:
     x2_side = reaction_value(tree, field, 2, "second", "strict", "max")
     rho1_star = y1_side.family
     tau1_star = x2_side.family
-    levels = tuple(enumerate(tree.levels))
+    levels = range(tree.horizon + 1)
     return SimProcessBundle(
         x1=stop_alone_values(tree, field, 1, 1, tau1_star),
         x2=x2_side.process,
         y1=y1_side.process,
         y2=stop_alone_values(tree, field, 2, 2, rho1_star),
-        z1=tuple(field.value(1, t, t, i) for t, level in levels for i in level),
-        z2=tuple(field.value(2, t, t, i) for t, level in levels for i in level),
+        z1=tuple(chain.from_iterable(field.row(1, t, t) for t in levels)),
+        z2=tuple(chain.from_iterable(field.row(2, t, t) for t in levels)),
         rho1_star=rho1_star,
         tau1_star=tau1_star,
     )

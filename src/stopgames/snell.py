@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isnan
-from typing import Callable, Literal
+from typing import Literal, Sequence
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, adjustment_floor
@@ -41,14 +41,15 @@ class SnellResult:
 
 def snell(
     tree: EventTree,
-    reward: Callable[[int, int], float],
+    rows: Sequence[Sequence[float]],
     t: int,
     window: Window,
     direction: Direction,
 ) -> SnellResult:
     """Solve one optimal stopping problem rooted at level t.
 
-    ``reward(u, node)`` is the payoff of stopping at a level-u node.  The
+    ``rows[u]`` holds the payoff of stopping at each level-u node, in level
+    order; only levels from the window start to the horizon are read.  The
     envelope satisfies S_T = W_T and S_u = opt(W_u, E_u[S_{u+1}]) down to the
     window start; the value at a level-t node is S_t (inclusive window) or
     the one-step expectation of the envelope (strict window).  The optimizer
@@ -65,12 +66,11 @@ def snell(
     use_max = direction == "max"
 
     env = [0.0] * tree.n_nodes
-    for idx in tree.leaves:
-        env[idx] = reward(T, idx)
+    for idx, w in zip(tree.leaves, rows[T]):
+        env[idx] = w
     marks = [False] * tree.n_nodes
     for u in range(T - 1, start - 1, -1):
-        for idx, cont in zip(tree.levels[u], tree.expect_next(env, u)):
-            w = reward(u, idx)
+        for idx, w, cont in zip(tree.levels[u], rows[u], tree.expect_next(env, u)):
             s = max(w, cont) if use_max else min(w, cont)
             env[idx] = s
             if abs(w - s) <= OPTIMIZER_TOL:
@@ -116,23 +116,30 @@ def reaction_value(
 
     ``side="first"`` optimizes the first argument of the player's payoff
     (rewards U(u, t) over stop times u); ``side="second"`` optimizes the
-    second argument (rewards U(t, u)).
+    second argument (rewards U(t, u)).  The table is memoized on the field.
     """
     if player not in (1, 2):
         raise GameSpecError(f"unknown player {player}")
     if side not in ("first", "second"):
         raise GameSpecError(f"unknown side {side!r}")
+    key = (tree, player, side, window, direction)
+    cached = field._tables.get(key)
+    if cached is not None:
+        return cached
+    T = tree.horizon
     process: list[float] = []
     rules = []
-    for t in range(tree.horizon + 1):
+    for t in range(T + 1):
+        # Levels below t are never read.
         if side == "first":
-            reward = lambda u, idx: field.value(player, u, t, idx)
+            rows = [None] * t + [field.row(player, u, t) for u in range(t, T + 1)]
         else:
-            reward = lambda u, idx: field.value(player, t, u, idx)
-        res = snell(tree, reward, t, window, direction)
+            rows = [None] * t + [field.row(player, t, u) for u in range(t, T + 1)]
+        res = snell(tree, rows, t, window, direction)
         process += res.value
         rules.append(res.optimizer)
-    return ReactionValue(
+    table = field._tables[key] = ReactionValue(
         process=tuple(process),
         family=AdjustmentFamily(tuple(rules), strict=window == "strict"),
     )
+    return table

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from math import isfinite
 from operator import neg
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import GameSpecError
 from .tree import EventTree, StoppingTime
@@ -80,7 +80,9 @@ class AdjustmentFamily:
         for t, rule in enumerate(self.rules):
             rule.validate(tree)
             floor = adjustment_floor(tree.horizon, t, self.strict)
-            if min(rule.realized(tree)) < floor:
+            # Some path stops before the floor exactly when a node below the
+            # floor is marked: that node is, or follows, a path's first stop.
+            if any(rule.marks[: tree.level_start[floor]]):
                 raise GameSpecError(
                     f"adjustment rule for time {t} stops before time {floor}"
                 )
@@ -118,8 +120,13 @@ class PayoffField:
     The payoff for player i when the effective stop times are (s, t) is read
     at the node of level max(s, t) on the realized path, which is exactly the
     information available once both players have stopped.  Values are stored
-    per (player, s, t) as a list aligned with the canonical node ordering of
+    per (player, s, t) as a tuple aligned with the canonical node ordering of
     level max(s, t).
+
+    A field also memoizes the one-sided tables computed from it
+    (:func:`~stopgames.snell.reaction_value` and :func:`stop_alone_values`),
+    keyed by their arguments, so the solvers and the certificate share each
+    table for as long as the field lives.
     """
 
     def __init__(self, tree: EventTree, slices: Mapping[tuple[int, int, int], Sequence[float]]):
@@ -139,20 +146,7 @@ class PayoffField:
                 raise GameSpecError(f"non-finite payoff in slice {key}")
             self._data[key] = vals
         self.bound = max(map(abs, chain.from_iterable(self._data.values())), default=0.0)
-
-    @classmethod
-    def from_function(
-        cls, tree: EventTree, fn: Callable[[int, int, int, int], float]
-    ) -> "PayoffField":
-        """Build a field from fn(player, s, t, node_index)."""
-        T = tree.horizon
-        slices = {}
-        for i in (1, 2):
-            for s in range(T + 1):
-                for t in range(T + 1):
-                    level = max(s, t)
-                    slices[(i, s, t)] = [fn(i, s, t, idx) for idx in tree.levels[level]]
-        return cls(tree, slices)
+        self._tables: dict[tuple, object] = {}
 
     @classmethod
     def zero_sum(
@@ -173,6 +167,10 @@ class PayoffField:
     def value(self, player: int, s: int, t: int, node: int) -> float:
         vals = self._data[(player, s, t)]
         return vals[node - self.tree.level_start[max(s, t)]]
+
+    def row(self, player: int, s: int, t: int) -> tuple[float, ...]:
+        """U^player(s, t, .) over the nodes of level max(s, t), in level order."""
+        return self._data[(player, s, t)]
 
 
 def _payoff_pure_core(
@@ -233,23 +231,25 @@ def payoff_pure(
 
 
 def expected_at_stop(
-    tree: EventTree, rule: StoppingTime, reward: Callable[[int], float], t: int
+    tree: EventTree, rule: StoppingTime, rows: Sequence[Sequence[float]], t: int
 ) -> list[float]:
     """Expected reward collected at `rule`'s first stop at or after level t,
     per level-t node, in level order.
 
-    Entry n is the expectation, over paths through node n, of the reward
-    evaluated at the node where the rule first stops.  The induction runs
-    backward from the horizon to level t and no further.
+    ``rows[u]`` holds the reward of stopping at each level-u node, in level
+    order; only levels t..T are read.  Entry n is the expectation, over
+    paths through node n, of the reward at the node where the rule first
+    stops.  The induction runs backward from the horizon to level t and no
+    further.
     """
     marks = rule.marks
     out = [0.0] * tree.n_nodes
-    for idx in tree.leaves:
+    for idx, w in zip(tree.leaves, rows[tree.horizon]):
         if marks[idx]:
-            out[idx] = reward(idx)
+            out[idx] = w
     for u in range(tree.horizon - 1, t - 1, -1):
-        for idx, cont in zip(tree.levels[u], tree.expect_next(out, u)):
-            out[idx] = reward(idx) if marks[idx] else cont
+        for idx, w, cont in zip(tree.levels[u], rows[u], tree.expect_next(out, u)):
+            out[idx] = w if marks[idx] else cont
     return out[tree.level_start[t] : tree.level_start[t + 1]]
 
 
@@ -265,17 +265,23 @@ def stop_alone_values(
     rule ``family.rules[t]``.
 
     The stopper's time goes in her own payoff argument, the follower's
-    realized time in the other.
+    realized time in the other.  The table is memoized on the field.
     """
-    nodes = tree.nodes
+    key = (tree, player, stopper, family)
+    cached = field._tables.get(key)
+    if cached is not None:
+        return cached
+    T = tree.horizon
     out: list[float] = []
     for t, rule in enumerate(family.rules):
+        # Levels below t are never read.
         if stopper == 1:
-            reward = lambda m: field.value(player, t, nodes[m].time, m)
+            rows = [None] * t + [field.row(player, t, u) for u in range(t, T + 1)]
         else:
-            reward = lambda m: field.value(player, nodes[m].time, t, m)
-        out += expected_at_stop(tree, rule, reward, t)
-    return tuple(out)
+            rows = [None] * t + [field.row(player, u, t) for u in range(t, T + 1)]
+        out += expected_at_stop(tree, rule, rows, t)
+    table = field._tables[key] = tuple(out)
+    return table
 
 
 def payoff_mixed_sim(
@@ -303,22 +309,28 @@ def payoff_mixed_sim(
     w1 = [0.0] * tree.n_nodes
     w2 = [0.0] * tree.n_nodes
     T = tree.horizon
-    for idx in tree.leaves:
-        w1[idx] = field.value(1, T, T, idx)
-        w2[idx] = field.value(2, T, T, idx)
+    for idx, z1, z2 in zip(tree.leaves, field.row(1, T, T), field.row(2, T, T)):
+        w1[idx] = z1
+        w2[idx] = z2
     for t in range(T - 1, -1, -1):
-        conts = zip(tree.levels[t], tree.expect_next(w1, t), tree.expect_next(w2, t))
-        for idx, d1, d2 in conts:
+        conts = zip(
+            tree.levels[t],
+            field.row(1, t, t),
+            field.row(2, t, t),
+            tree.expect_next(w1, t),
+            tree.expect_next(w2, t),
+        )
+        for idx, z1, z2, d1, d2 in conts:
             p = rho.initial.probs[idx]
             q = tau.initial.probs[idx]
             w1[idx] = (
-                p * q * field.value(1, t, t, idx)
+                p * q * z1
                 + p * (1.0 - q) * x1[idx]
                 + (1.0 - p) * q * y1[idx]
                 + (1.0 - p) * (1.0 - q) * d1
             )
             w2[idx] = (
-                p * q * field.value(2, t, t, idx)
+                p * q * z2
                 + p * (1.0 - q) * x2[idx]
                 + (1.0 - p) * q * y2[idx]
                 + (1.0 - p) * (1.0 - q) * d2

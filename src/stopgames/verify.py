@@ -110,14 +110,15 @@ def best_response(
 
     values = [0.0] * tree.n_nodes
     marks = [False] * tree.n_nodes
-    for idx in tree.leaves:
-        values[idx] = field.value(player, T, T, idx)
+    for idx, z in zip(tree.leaves, field.row(player, T, T)):
+        values[idx] = z
         marks[idx] = True
     adj = own.process
     for t in range(T - 1, -1, -1):
-        for idx, cont in zip(tree.levels[t], tree.expect_next(values, t)):
+        conts = zip(tree.levels[t], field.row(player, t, t), tree.expect_next(values, t))
+        for idx, z, cont in conts:
             if mode == "sim":
-                tie = field.value(player, t, t, idx)
+                tie = z
             elif player == 1:
                 tie = alone[idx]
             else:

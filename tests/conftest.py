@@ -30,10 +30,37 @@ def three_node_tree(p: float = 0.5) -> sg.EventTree:
     )
 
 
+def field_from_function(tree: sg.EventTree, fn) -> sg.PayoffField:
+    """Build a payoff field from fn(player, s, t, node_index)."""
+    T = tree.horizon
+    slices = {}
+    for i in (1, 2):
+        for s in range(T + 1):
+            for t in range(T + 1):
+                level = max(s, t)
+                slices[(i, s, t)] = [fn(i, s, t, idx) for idx in tree.levels[level]]
+    return sg.PayoffField(tree, slices)
+
+
+class RewardRows:
+    """Per-level reward rows for ``snell`` and ``expected_at_stop``, built
+    from reward(u, node) when a level is first read; ``read`` records the
+    levels read."""
+
+    def __init__(self, tree: sg.EventTree, reward):
+        self.tree = tree
+        self.reward = reward
+        self.read: set[int] = set()
+
+    def __getitem__(self, u: int) -> tuple[float, ...]:
+        self.read.add(u)
+        return tuple(self.reward(u, idx) for idx in self.tree.levels[u])
+
+
 def matching_field(tree: sg.EventTree) -> sg.PayoffField:
     """One-period counterexample payoffs: player 1 wants matching stop
     times, player 2 wants a mismatch."""
-    return sg.PayoffField.from_function(
+    return field_from_function(
         tree, lambda i, s, t, n: (1.0 if s == t else 0.0) * (1.0 if i == 1 else -1.0)
     )
 

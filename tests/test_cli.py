@@ -275,6 +275,33 @@ class TestVerifyCommand:
         assert code == 0
 
 
+class TestEpsOption:
+    @pytest.mark.parametrize("eps", ["nan", "-1", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["solve-sim", "solve-seq", "solve-zs", "verify"])
+    def test_bad_eps_is_an_input_error(self, zs_file, tmp_path, capsys, command, eps):
+        # Exit 2 means a failed certificate; a bad tolerance is bad input.
+        argv = [command, zs_file, f"--eps={eps}"]
+        if command == "verify":
+            profile = tmp_path / "zs.json"
+            assert _run(["solve-zs", zs_file, "--profile-out", str(profile)])[0] == 0
+            argv += ["--profile", str(profile), "--mode", "zs"]
+        capsys.readouterr()
+        code, text = _run(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: --eps ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", ["0", "-0.0", "1e-12"])
+    def test_zero_or_positive_eps_is_accepted(self, zs_file, capsys, eps):
+        # Whether the certificate passes at eps = 0 depends on rounding; the
+        # tolerance itself must be taken as input, not rejected.
+        code, text = _run(["solve-zs", zs_file, f"--eps={eps}"])
+        assert code in (0, 2)
+        assert capsys.readouterr().err == ""
+        assert f"(eps={float(eps):g})" in text
+
+
 class TestEnumerateCommand:
     def test_matching_sim_table(self, matching_file):
         code, text = _run(["enumerate", matching_file, "--mode", "sim"])
@@ -333,6 +360,24 @@ class TestGenCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "payoff_range", ["0,inf", "-inf,0", "-1e308,1e308", "-inf,inf"]
+    )
+    def test_gen_rejects_infinite_range(self, tmp_path, capsys, payoff_range):
+        # A non-finite bound or width would write payoffs no reader accepts.
+        out = tmp_path / "x.json"
+        code, text = _run(
+            [
+                "gen", "--horizon", "1", "--branching", "2", "--seed", "1",
+                f"--range={payoff_range}", "-o", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: payoff range ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -7,6 +7,8 @@ from pathlib import Path
 import stopgames
 from stopgames import gamefile
 
+from conftest import RewardRows
+
 
 PUBLIC_NAMES = [
     "AdjustmentFamily",
@@ -111,5 +113,6 @@ def test_processes_are_node_indexed_tuples():
     shapes = {name: (type(x), len(x)) for name, x in processes.items()}
     assert shapes == {name: (tuple, tree.n_nodes) for name in processes}
     for t in range(tree.horizon + 1):
-        res = stopgames.snell(tree, lambda u, i: field.value(1, u, t, i), t, "strict", "max")
+        rows = RewardRows(tree, lambda u, i: field.value(1, u, t, i))
+        res = stopgames.snell(tree, rows, t, "strict", "max")
         assert type(res.value) is tuple and len(res.value) == len(tree.levels[t])

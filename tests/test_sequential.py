@@ -8,7 +8,12 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import canonical_signature, chain_tree, stopped_submartingale_ok
+from conftest import (
+    canonical_signature,
+    chain_tree,
+    field_from_function,
+    stopped_submartingale_ok,
+)
 
 
 def _corner_game():
@@ -22,7 +27,7 @@ def _corner_game():
         (1, 0, 0): 0.5, (1, 0, 1): 0.0, (1, 1, 0): 1.0, (1, 1, 1): 0.8,
         (2, 0, 0): 0.0, (2, 0, 1): 0.6, (2, 1, 0): 0.7, (2, 1, 1): 0.9,
     }
-    return tree, sg.PayoffField.from_function(tree, lambda i, s, t, n: vals[(i, s, t)])
+    return tree, field_from_function(tree, lambda i, s, t, n: vals[(i, s, t)])
 
 
 class TestSeqProcesses:
@@ -42,7 +47,7 @@ class TestSeqProcesses:
 
     def test_constant_payoffs(self):
         tree = chain_tree(2)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.7)
+        field = field_from_function(tree, lambda i, s, t, n: 0.7)
         bundle = sg.seq_processes(tree, field)
         for proc in (
             bundle.f1, bundle.g1, bundle.f2, bundle.g2,
@@ -95,7 +100,7 @@ class TestSeqEquilibrium:
 
     def test_constant_payoffs(self):
         tree = chain_tree(2)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.7)
+        field = field_from_function(tree, lambda i, s, t, n: 0.7)
         sol = sg.seq_equilibrium(tree, field)
         assert sol.values == approx((0.7, 0.7), abs=1e-12)
         report = sg.check_equilibrium(tree, field, "seq", (sol.rho_star, sol.tau_star))

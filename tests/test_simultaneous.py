@@ -8,7 +8,7 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import chain_tree, leaves_under
+from conftest import chain_tree, field_from_function, leaves_under
 
 
 class TestSimProcesses:
@@ -26,7 +26,7 @@ class TestSimProcesses:
 
     def test_constant_payoffs(self):
         tree = chain_tree(2)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.4)
+        field = field_from_function(tree, lambda i, s, t, n: 0.4)
         bundle = sg.sim_processes(tree, field)
         for proc in (bundle.x1, bundle.x2, bundle.y1, bundle.y2, bundle.z1, bundle.z2):
             assert all(v == approx(0.4, abs=1e-12) for v in proc)
@@ -141,7 +141,7 @@ class TestReducedEquilibrium:
 
     def test_constant_processes(self):
         tree = chain_tree(2)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: -0.25)
+        field = field_from_function(tree, lambda i, s, t, n: -0.25)
         bundle = sg.sim_processes(tree, field)
         reduced = sg.randomized_dynkin_equilibrium(tree, bundle)
         assert reduced.w1[0] == approx(-0.25, abs=1e-12)
@@ -176,7 +176,7 @@ class TestSimEquilibrium:
 
     def test_horizon_zero(self):
         tree = sg.build_tree({"horizon": 0, "nodes": [{"id": "r", "time": 0}]})
-        field = sg.PayoffField.from_function(
+        field = field_from_function(
             tree, lambda i, s, t, n: 1.5 if i == 1 else -2.5
         )
         sol = sg.sim_equilibrium(tree, field)

@@ -13,7 +13,7 @@ import random
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import canonical_signature
+from conftest import canonical_signature, field_from_function
 
 SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (2, 2)]
 
@@ -22,14 +22,14 @@ def _field_variant(tree, k: int):
     rng = random.Random(k)
     variant = k % 3
     if variant == 0:
-        return sg.PayoffField.from_function(
+        return field_from_function(
             tree, lambda i, s, t, n: rng.uniform(-1, 1)
         )
     if variant == 1:
-        return sg.PayoffField.from_function(
+        return field_from_function(
             tree, lambda i, s, t, n: float(rng.randint(-1, 1))
         )
-    return sg.PayoffField.from_function(
+    return field_from_function(
         tree, lambda i, s, t, n: rng.choice([0.0, 0.25, 1.0, -3.0])
     )
 

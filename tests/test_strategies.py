@@ -10,13 +10,15 @@ from pytest import approx
 
 import stopgames as sg
 from stopgames import gamefile
-from stopgames.strategies import expected_at_stop, stop_alone_values
+from stopgames.strategies import adjustment_floor, expected_at_stop, stop_alone_values
 
 from conftest import (
+    RewardRows,
     as_mixed,
     chain_tree,
     effective_times_seq,
     effective_times_sim,
+    field_from_function,
     matching_field,
     path_stop_expectation,
 )
@@ -69,6 +71,36 @@ class TestClassInvariants:
         with pytest.raises(sg.GameSpecError, match="stops before"):
             sg.AdjustmentFamily(rules, strict=False).validate(tree)
 
+    def test_floor_check_agrees_with_realized_times(self):
+        # The floor test reads marks below the floor; it must flag exactly the
+        # rules that some path's realized time puts below the floor.
+        for seed in range(40):
+            horizon, branching = 1 + seed % 4, 1 + (seed // 4) % 3
+            doc = gamefile.generate_random_game(horizon, branching, seed=seed)
+            tree, field = doc.tree, doc.payoff_field()
+            rng = random.Random(seed)
+            for strict in (True, False):
+                window = "strict" if strict else "inclusive"
+                base = sg.reaction_value(tree, field, 1, "first", window, "max").family
+                for t, rule in enumerate(base.rules):
+                    # Flip about one mark in seven; horizon nodes stay marked.
+                    marks = tuple(
+                        n.time == horizon or m != (rng.random() < 0.15)
+                        for m, n in zip(rule.marks, tree.nodes)
+                    )
+                    rules = list(base.rules)
+                    rules[t] = sg.StoppingTime(marks)
+                    family = sg.AdjustmentFamily(tuple(rules), strict)
+                    floor = adjustment_floor(horizon, t, strict)
+                    if min(rules[t].realized(tree)) >= floor:
+                        family.validate(tree)
+                        continue
+                    with pytest.raises(
+                        sg.GameSpecError,
+                        match=f"^adjustment rule for time {t} stops before time {floor}$",
+                    ):
+                        family.validate(tree)
+
 
 class TestEffectiveTimes:
     def test_sim_first_stopper_reveals(self):
@@ -118,7 +150,7 @@ class TestPayoffPure:
 
     def test_constant_field_any_profile(self):
         tree = chain_tree(2)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 3.25)
+        field = field_from_function(tree, lambda i, s, t, n: 3.25)
         for t0 in range(3):
             rho = sg.Strategy(
                 _stop_at(tree, t0),
@@ -165,7 +197,7 @@ class TestPayoffMixed:
 
     def test_constant_field(self):
         tree = chain_tree(1)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: -1.5)
+        field = field_from_function(tree, lambda i, s, t, n: -1.5)
         half = sg.Strategy(
             sg.RandomizedStoppingTime((0.3, 1.0)), _family_a(tree)
         )
@@ -194,10 +226,12 @@ class TestStopAloneValues:
     def test_expected_at_stop_reads_from_level_t(self):
         tree = chain_tree(2)
         rule = sg.StoppingTime((False, True, True))
-        reward = lambda m: float(m)  # the node index
-        assert expected_at_stop(tree, rule, reward, 0) == [1.0]
-        assert expected_at_stop(tree, rule, reward, 1) == [1.0]
+        reward = RewardRows(tree, lambda u, m: float(m))  # the node index
         assert expected_at_stop(tree, rule, reward, 2) == [2.0]
+        assert reward.read == {2}
+        assert expected_at_stop(tree, rule, reward, 1) == [1.0]
+        assert reward.read == {1, 2}
+        assert expected_at_stop(tree, rule, reward, 0) == [1.0]
 
     def test_matches_path_sum_oracle(self):
         for seed in range(30):
@@ -239,14 +273,14 @@ class TestPayoffField:
 
     def test_bound_tracks_max_abs(self):
         tree = chain_tree(1)
-        field = sg.PayoffField.from_function(
+        field = field_from_function(
             tree, lambda i, s, t, n: -2.0 if (s, t) == (0, 1) else 0.5
         )
         assert field.bound == 2.0
 
     def test_measurability_layout(self):
         tree = chain_tree(2)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: float(n))
+        field = field_from_function(tree, lambda i, s, t, n: float(n))
         # The (s, t) slice lives at level max(s, t): exactly one value per
         # node there, readable for every node of that level.
         for s in range(3):

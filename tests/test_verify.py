@@ -8,7 +8,7 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import as_mixed, chain_tree, matching_field
+from conftest import as_mixed, chain_tree, field_from_function, matching_field
 
 
 def _forced_family_a(tree):
@@ -27,7 +27,7 @@ class TestBestResponse:
 
     def test_constant_payoff_any_mode(self):
         tree = chain_tree(2)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.9)
+        field = field_from_function(tree, lambda i, s, t, n: 0.9)
         rho = sg.Strategy(
             sg.constant_stopping_time(tree, 0),
             sg.AdjustmentFamily(
@@ -165,7 +165,7 @@ class TestCheckEquilibrium:
 
     def test_constant_game_any_profile_passes(self):
         tree = chain_tree(1)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 0.1)
+        field = field_from_function(tree, lambda i, s, t, n: 0.1)
         sure = sg.Strategy(
             sg.RandomizedStoppingTime((1.0, 1.0)), _forced_family_a(tree)
         )
@@ -302,7 +302,7 @@ class TestEnumeration:
 
     def test_constant_game_everything_is_equilibrium(self):
         tree = chain_tree(1)
-        field = sg.PayoffField.from_function(tree, lambda i, s, t, n: 2.0)
+        field = field_from_function(tree, lambda i, s, t, n: 2.0)
         result = sg.enumerate_oracle(tree, field, "seq")
         assert len(result.equilibria) == len(result.strategies1) * len(
             result.strategies2
