@@ -10,8 +10,10 @@ Exit codes: 0 on success, 1 on input errors, 2 on certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
+from collections.abc import Sequence
 from typing import IO
 
 from . import gamefile
@@ -20,7 +22,7 @@ from .errors import EnumerationCapError, GameSpecError, SolverDefectError
 from .sequential import seq_equilibrium
 from .simultaneous import sim_equilibrium
 from .strategies import Strategy
-from .tree import EventTree, StoppingTime, canonical_stopping_time, constant_stopping_time
+from .tree import EventTree, Node, StoppingTime, constant_stopping_time
 from .verify import EquilibriumReport, check_equilibrium, enumerate_oracle
 
 
@@ -28,16 +30,22 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _first_stops(tree: EventTree, marks: Sequence[bool]) -> list[Node]:
+    """The nodes marked in `marks` below no marked node, in canonical order:
+    the first stop of every path through each of them."""
+    stopped = [False] * tree.n_nodes
+    first = []
+    for node in tree.nodes:
+        if node.parent is not None and stopped[node.parent]:
+            stopped[node.index] = True
+        elif marks[node.index]:
+            stopped[node.index] = True
+            first.append(node)
+    return first
+
+
 def _stop_set(tree: EventTree, st: StoppingTime) -> str:
-    canonical = canonical_stopping_time(tree, st)
-    prefix = tree.prefix_stopped(canonical.marks)
-    ids = []
-    for idx in range(tree.n_nodes):
-        if canonical.marks[idx]:
-            parent = tree.nodes[idx].parent
-            if parent is None or not prefix[parent]:
-                ids.append(tree.nodes[idx].id)
-    return "{" + ", ".join(ids) + "}"
+    return "{" + ", ".join(node.id for node in _first_stops(tree, st.marks)) + "}"
 
 
 def _print_strategy(out: IO[str], tree: EventTree, label: str, strategy: Strategy) -> None:
@@ -48,8 +56,7 @@ def _print_strategy(out: IO[str], tree: EventTree, label: str, strategy: Strateg
             print(f"  {node.id} t={node.time} p={fmt(p)}", file=out)
     else:
         print(f"{label} initial:", file=out)
-        realized = strategy.initial.realized(tree)
-        first_stops = {tree.paths[pos][realized[pos]] for pos in range(len(tree.leaves))}
+        first_stops = {node.index for node in _first_stops(tree, strategy.initial.marks)}
         for node in tree.nodes:
             decision = "stop" if node.index in first_stops else "continue"
             print(f"  {node.id} t={node.time} {decision}", file=out)
@@ -210,8 +217,19 @@ def _cmd_gen(args, out: IO[str]) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as a GameSpecError, so
+    it prints as one ``error:`` line and exits 1 like any other bad input."""
+
+    def error(self, message: str):
+        raise GameSpecError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI's argument parser, built on the first call and shared by every
+    later one in the process; parsing never changes it."""
+    parser = _Parser(
         prog="stopgames",
         description="Solve and verify two-player stopping games on event trees.",
     )
@@ -262,12 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str], out: IO[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         eps = getattr(args, "eps", 0.0)
         if not 0.0 <= eps < math.inf:
             raise GameSpecError(f"--eps must be finite and non-negative, got {eps:g}")
@@ -278,6 +292,8 @@ def run(argv: list[str], out: IO[str] | None = None) -> int:
     except SolverDefectError as exc:
         print(f"solver defect: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help; a usage error raises GameSpecError
+        return exc.code
 
 
 def main() -> None:

@@ -10,18 +10,22 @@ hitting times) reduce to sums and scans over the tree.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter, mul
+from typing import NamedTuple
 
 from .errors import GameSpecError
 
 PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Node:
-    """One atom of the time-`time` information."""
+class Node(NamedTuple):
+    """One atom of the time-`time` information.
+
+    A named tuple, so a node also compares equal to the plain tuple of its
+    fields in this order.
+    """
 
     index: int
     id: str
@@ -57,28 +61,27 @@ class EventTree:
         )
         self.leaves = self.levels[horizon]
 
-        node_prob = [0.0] * self.n_nodes
-        node_prob[0] = 1.0
+        # Parents precede their children in canonical order, so one top-down
+        # pass gives every node's probability and its path from the root.
+        node_prob = [1.0] * self.n_nodes
+        path_to = [(0,)] * self.n_nodes
         for node in self.nodes[1:]:
             node_prob[node.index] = node_prob[node.parent] * node.edge_prob
+            path_to[node.index] = path_to[node.parent] + (node.index,)
         self.node_prob = tuple(node_prob)
-        self.leaf_probs = tuple(node_prob[leaf] for leaf in self.leaves)
-
-        paths = []
-        for leaf in self.leaves:
-            path = [0] * (horizon + 1)
-            cur = leaf
-            while cur is not None:
-                path[self.nodes[cur].time] = cur
-                cur = self.nodes[cur].parent
-            paths.append(tuple(path))
-        self.paths = tuple(paths)
+        self.leaf_probs = self.node_prob[starts[horizon] :]
+        self.paths = tuple(path_to[starts[horizon] :])
 
         self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
         # Per level, each node's (child probabilities, child indices).
+        edges = tuple(
+            zip(
+                map(attrgetter("child_probs"), self.nodes),
+                map(attrgetter("children"), self.nodes),
+            )
+        )
         self._level_edges = tuple(
-            tuple((self.nodes[i].child_probs, self.nodes[i].children) for i in level)
-            for level in self.levels
+            edges[starts[t] : starts[t + 1]] for t in range(horizon + 1)
         )
 
     def expect_next(
@@ -201,7 +204,12 @@ def build_tree(spec: Mapping) -> EventTree:
     if horizon < 0:
         raise GameSpecError(f"horizon must be >= 0, got {horizon}")
 
+    # Checks run in a fixed order, so a spec with several faults always
+    # gets the same message: the nodes in input order, the root count, the
+    # nodes in canonical order, then each node's children.
     seen: dict[str, Mapping] = {}
+    times: dict[str, int] = {}
+    n_roots = 0
     for raw in raw_nodes:
         if not isinstance(raw, Mapping):
             raise GameSpecError("each node must be an object")
@@ -210,36 +218,38 @@ def build_tree(spec: Mapping) -> EventTree:
         nid = str(raw["id"])
         if nid in seen:
             raise GameSpecError(f"duplicate node id {nid}")
-        checked_int(raw.get("time"), f"time of node {nid}")
+        times[nid] = checked_int(raw.get("time"), f"time of node {nid}")
         seen[nid] = raw
+        if raw.get("parent") is None:
+            n_roots += 1
+    if n_roots != 1:
+        raise GameSpecError(f"expected exactly one root node, found {n_roots}")
 
-    roots = [nid for nid, raw in seen.items() if raw.get("parent") is None]
-    if len(roots) != 1:
-        raise GameSpecError(f"expected exactly one root node, found {len(roots)}")
+    # Canonical order: by time, then id (a stable sort by time of the ids).
+    order = sorted(seen)
+    order.sort(key=times.__getitem__)
+    n = len(order)
+    index_of = dict(zip(order, range(n)))
+    time_of = list(map(times.__getitem__, order))
 
-    order = sorted(seen, key=lambda nid: (seen[nid]["time"], nid))
-    index_of = {nid: i for i, nid in enumerate(order)}
-
-    times: dict[str, int] = {}
-    parents: dict[str, str | None] = {}
-    probs: dict[str, float] = {}
-    children: dict[str, list[str]] = {nid: [] for nid in order}
-    for nid in order:
+    parents: list[int | None] = [None] * n
+    probs = [1.0] * n
+    kids: list[list[int]] = [[] for _ in order]
+    for i, nid in enumerate(order):
         raw = seen[nid]
-        t = raw["time"]
+        t = time_of[i]
         parent = raw.get("parent")
         if parent is None:
             if t != 0:
                 raise GameSpecError(f"root node {nid} has time {t}, expected 0")
-            prob = 1.0
         else:
             parent = str(parent)
-            if parent not in seen:
+            p = index_of.get(parent)
+            if p is None:
                 raise GameSpecError(f"orphan node {nid}: unknown parent {parent}")
-            if t != seen[parent]["time"] + 1:
+            if t != time_of[p] + 1:
                 raise GameSpecError(
-                    f"time inconsistency at node {nid}: time {t}, parent at "
-                    f"{seen[parent]['time']}"
+                    f"time inconsistency at node {nid}: time {t}, parent at {time_of[p]}"
                 )
             prob = raw.get("prob")
             if isinstance(prob, bool) or not isinstance(prob, (int, float)):
@@ -254,42 +264,28 @@ def build_tree(spec: Mapping) -> EventTree:
                 raise GameSpecError(
                     f"transition probability {prob:g} at node {nid} outside (0, 1]"
                 )
-            children[parent].append(nid)
+            parents[i] = p
+            probs[i] = prob
+            # Appended in canonical order, so each child list is in id order.
+            kids[p].append(i)
         if not 0 <= t <= horizon:
             raise GameSpecError(f"node {nid} at time {t} outside 0..{horizon}")
-        times[nid] = t
-        parents[nid] = parent
-        probs[nid] = prob
 
-    for nid in order:
-        kids = children[nid]
-        if times[nid] < horizon:
-            if not kids:
+    child_probs = [()] * n
+    for i, nid in enumerate(order):
+        if time_of[i] < horizon:
+            if not kids[i]:
                 raise GameSpecError(
-                    f"leaf before horizon: node {nid} at time {times[nid]} < {horizon}"
+                    f"leaf before horizon: node {nid} at time {time_of[i]} < {horizon}"
                 )
-            total = sum(probs[c] for c in kids)
+            child_probs[i] = tuple(map(probs.__getitem__, kids[i]))
+            total = sum(child_probs[i])
             if abs(total - 1.0) > PROB_TOL:
-                raise GameSpecError(
-                    f"probabilities sum to {total:g} at {nid}"
-                )
-        elif kids:
+                raise GameSpecError(f"probabilities sum to {total:g} at {nid}")
+        elif kids[i]:
             raise GameSpecError(f"node {nid} at the horizon has children")
 
-    nodes = []
-    for nid in order:
-        kid_ids = sorted(children[nid])
-        nodes.append(
-            Node(
-                index=index_of[nid],
-                id=nid,
-                time=times[nid],
-                parent=None if parents[nid] is None else index_of[parents[nid]],
-                edge_prob=probs[nid],
-                children=tuple(index_of[c] for c in kid_ids),
-                child_probs=tuple(probs[c] for c in kid_ids),
-            )
-        )
+    nodes = map(Node, range(n), order, time_of, parents, probs, map(tuple, kids), child_probs)
     return EventTree(horizon, nodes)
 
 

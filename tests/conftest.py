@@ -30,6 +30,55 @@ def three_node_tree(p: float = 0.5) -> sg.EventTree:
     )
 
 
+def reference_tree(spec) -> dict:
+    """Every field `build_tree` derives, straight from a valid spec: nodes
+    sorted by (time, id), children by id, and each probability multiplied
+    from the root down its path.  Nodes are plain field tuples."""
+    horizon = spec["horizon"]
+    raw = sorted(spec["nodes"], key=lambda n: (n["time"], n["id"]))
+    ids = [n["id"] for n in raw]
+    index = {nid: i for i, nid in enumerate(ids)}
+    parent = [None if n.get("parent") is None else index[n["parent"]] for n in raw]
+    edge = [1.0 if p is None else float(n["prob"]) for n, p in zip(raw, parent)]
+    children = [
+        tuple(sorted((c for c in range(len(raw)) if parent[c] == i), key=ids.__getitem__))
+        for i in range(len(raw))
+    ]
+    nodes = tuple(
+        (i, n["id"], n["time"], parent[i], edge[i], children[i],
+         tuple(edge[c] for c in children[i]))
+        for i, n in enumerate(raw)
+    )
+    level_start = tuple(
+        sum(1 for n in raw if n["time"] < t) for t in range(horizon + 2)
+    )
+    levels = tuple(
+        tuple(range(level_start[t], level_start[t + 1])) for t in range(horizon + 1)
+    )
+    paths, node_prob = [], []
+    for i in range(len(raw)):
+        path = [i]
+        while parent[path[0]] is not None:
+            path.insert(0, parent[path[0]])
+        prob = 1.0
+        for j in path[1:]:
+            prob *= edge[j]
+        node_prob.append(prob)
+        if raw[i]["time"] == horizon:
+            paths.append(tuple(path))
+    return {
+        "nodes": nodes,
+        "levels": levels,
+        "level_start": level_start,
+        "node_prob": tuple(node_prob),
+        "leaf_probs": tuple(node_prob[i] for i in levels[horizon]),
+        "paths": tuple(paths),
+        "_level_edges": tuple(
+            tuple((nodes[i][6], nodes[i][5]) for i in level) for level in levels
+        ),
+    }
+
+
 def field_from_function(tree: sg.EventTree, fn) -> sg.PayoffField:
     """Build a payoff field from fn(player, s, t, node_index)."""
     T = tree.horizon

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
+import stopgames as sg
 from stopgames import gamefile
-from stopgames.cli import run
+from stopgames.cli import _stop_set, build_parser, run
 
 
 def _run(argv):
@@ -300,6 +302,85 @@ class TestEpsOption:
         assert code in (0, 2)
         assert capsys.readouterr().err == ""
         assert f"(eps={float(eps):g})" in text
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-sim", "{game}", "--eps", "abc"],
+            ["solve-zs", "{game}", "--sigma", "1.5"],
+            ["enumerate", "{game}", "--mode", "sim", "--cap", "1e3"],
+            ["gen", "--horizon", "x", "--branching", "1", "--seed", "1", "-o", "{out}"],
+            ["verify", "{game}", "--profile", "{out}"],
+            ["solve-sim", "{game}", "--bogus"],
+            ["solve-sim"],
+            ["bogus"],
+            [],
+        ],
+        ids=repr,
+    )
+    def test_usage_error_is_one_line(self, matching_file, tmp_path, capsys, argv):
+        argv = [a.format(game=matching_file, out=tmp_path / "x.json") for a in argv]
+        capsys.readouterr()
+        code, text = _run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert text == "" and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: stopgames")
+
+
+class TestSharedParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_sigma_returns_to_its_default(self, zs_file):
+        assert _report_value(_run(["solve-zs", zs_file, "--sigma", "1"])[1], "sigma") == "1"
+        assert _report_value(_run(["solve-zs", zs_file])[1], "sigma") == "0"
+
+    def test_eps_returns_to_its_default(self, zs_file, tmp_path):
+        profile = tmp_path / "zs_profile.json"
+        assert _run(["solve-zs", zs_file, "--profile-out", str(profile)])[0] == 0
+        argv = ["verify", zs_file, "--profile", str(profile), "--mode", "zs"]
+        assert "certified: PASS (eps=0.001)" in _run(argv + ["--eps", "1e-3"])[1]
+        assert "certified: PASS (eps=1e-09)" in _run(argv)[1]
+
+    @pytest.mark.parametrize(
+        "bad", [["--sigma", "x"], ["--eps", "1", "--sigma"], ["--bogus", "1"]], ids=repr
+    )
+    def test_failed_parse_leaves_the_parser_usable(self, zs_file, capsys, bad):
+        assert _run(["solve-zs", zs_file, "--eps", "0.5"] + bad)[0] == 1
+        code, text = _run(["solve-zs", zs_file])
+        assert code == 0
+        assert _report_value(text, "sigma") == "0"
+        assert "(eps=1e-09)" in text
+
+
+class TestStopSets:
+    def test_each_paths_first_stop(self):
+        # Random rules, with marks below earlier stops, against the set read
+        # off the canonical form: its marks with no marked ancestor.
+        for seed in range(30):
+            tree = gamefile.generate_random_game(1 + seed % 4, 1 + seed % 3, seed=seed).tree
+            rng = random.Random(seed)
+            for _ in range(5):
+                marks = [rng.random() < 0.3 for _ in range(tree.n_nodes)]
+                for leaf in tree.leaves:
+                    marks[leaf] = True
+                st = sg.StoppingTime(tuple(marks))
+                canonical = sg.canonical_stopping_time(tree, st).marks
+                prefix = tree.prefix_stopped(canonical)
+                ids = [
+                    n.id
+                    for n in tree.nodes
+                    if canonical[n.index] and (n.parent is None or not prefix[n.parent])
+                ]
+                assert _stop_set(tree, st) == "{" + ", ".join(ids) + "}"
 
 
 class TestEnumerateCommand:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     conditional_expectation,
     diagonal,
     path_expectation,
+    reference_tree,
     stopping_time_from_realized,
     three_node_tree,
 )
@@ -123,6 +125,118 @@ class TestBuildTree:
         for seed in range(5):
             tree = gamefile.generate_random_game(3, 3, seed=seed).tree
             assert sum(tree.leaf_probs) == approx(1.0, abs=1e-12)
+
+
+def _shuffled_gen_specs():
+    """30 `gen` trees read back from their files, each with its node list
+    shuffled; level ids such as ``5:10`` < ``5:2`` sort as strings."""
+    for seed in range(30):
+        horizon, branching = seed % 6, 1 + (seed // 6) % 3
+        raw = json.loads(gamefile.emit(gamefile.generate_random_game(horizon, branching, seed)))
+        random.Random(seed).shuffle(raw["nodes"])
+        yield {"horizon": raw["horizon"], "nodes": raw["nodes"]}
+
+
+def _spec(horizon, *nodes):
+    """A tree spec from (id, time, parent, prob) rows; parent None is a root."""
+    rows = []
+    for nid, t, parent, prob in nodes:
+        row = {"id": nid, "time": t}
+        if parent is not None:
+            row.update(parent=parent, prob=prob)
+        rows.append(row)
+    return {"horizon": horizon, "nodes": rows}
+
+
+class TestBuildTreeFields:
+    def test_every_field_matches_a_reference_built_from_the_spec(self):
+        for spec in _shuffled_gen_specs():
+            tree = sg.build_tree(spec)
+            ref = reference_tree(spec)
+            nodes = tuple(
+                (n.index, n.id, n.time, n.parent, n.edge_prob, n.children, n.child_probs)
+                for n in tree.nodes
+            )
+            assert nodes == ref["nodes"]
+            for name in (
+                "levels", "level_start", "node_prob", "leaf_probs", "paths", "_level_edges"
+            ):
+                assert getattr(tree, name) == ref[name], name
+            assert tree.leaves == ref["levels"][-1]
+            assert tree.by_id == {n[1]: n[0] for n in ref["nodes"]}
+
+    def test_nodes_are_immutable(self):
+        node = three_node_tree().nodes[0]
+        with pytest.raises(AttributeError):
+            node.parent = 1
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # The input-order loop: the first faulty node in input order.
+            (
+                {"horizon": 0, "nodes": [{"id": "a", "time": "0"}, {"id": "a", "time": 0}]},
+                "time of node a must be an integer",
+            ),
+            (
+                {"horizon": 0, "nodes": [{"id": "a", "time": 0}, {"id": "a", "time": "0"}]},
+                "duplicate node id a",
+            ),
+            # The whole input-order loop before the root count.
+            (
+                {
+                    "horizon": 1,
+                    "nodes": [
+                        {"id": "r", "time": 0},
+                        {"id": "s", "time": 0},
+                        {"id": "a", "time": 1.0, "parent": "r", "prob": 1.0},
+                    ],
+                },
+                "time of node a must be an integer",
+            ),
+            # The root count before the canonical-order checks.
+            (
+                _spec(1, ("r", 0, None, 0), ("s", 0, None, 0), ("a", 1, "ghost", 1.0)),
+                "expected exactly one root node, found 2",
+            ),
+            # Canonical order, not input order: `a` precedes `b`.
+            (
+                _spec(1, ("b", 1, "ghost", 1.0), ("a", 1, "r", 2.0), ("r", 0, None, 0)),
+                "transition probability 2 at node a outside (0, 1]",
+            ),
+            (
+                _spec(2, ("x", 2, "ghost", 1.0), ("r", 1, None, 0)),
+                "root node r has time 1, expected 0",
+            ),
+            # Each node's own checks in order: parent, time, prob, range.
+            (
+                _spec(1, ("r", 0, None, 0), ("a", 2, "r", 7.0)),
+                "time inconsistency at node a: time 2, parent at 0",
+            ),
+            # The canonical-order checks before the child-probability sums.
+            (
+                _spec(1, ("r", 0, None, 0), ("a", 1, "r", 0.6), ("b", 1, "r", 0.6),
+                      ("c", 2, "a", 1.0)),
+                "node c at time 2 outside 0..1",
+            ),
+            # The sums in canonical order: the root's sum before b's leaf.
+            (
+                _spec(2, ("r", 0, None, 0), ("a", 1, "r", 0.6), ("b", 1, "r", 0.6),
+                      ("c", 2, "a", 1.0)),
+                "probabilities sum to 1.2 at r",
+            ),
+            (
+                _spec(2, ("r", 0, None, 0), ("b", 1, "r", 0.5), ("a", 1, "r", 0.5),
+                      ("c", 2, "b", 0.5)),
+                "leaf before horizon: node a at time 1 < 2",
+            ),
+        ],
+        ids=repr,
+    )
+    def test_first_fault_wins(self, spec, message):
+        with pytest.raises(sg.GameSpecError) as info:
+            sg.build_tree(spec)
+        assert str(info.value) == message
 
 
 class TestConditionalExpectation:
