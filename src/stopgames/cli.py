@@ -10,6 +10,7 @@ Exit codes: 0 on success, 1 on input errors, 2 on certification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -277,11 +278,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attached_range(argv: list[str]) -> list[str]:
+    """`argv` with ``gen``'s ``--range LO,HI`` written ``--range=LO,HI``.
+
+    A range with a negative low end, such as ``-1,1``, starts with "-", and
+    argparse would read it as an option instead of the value.  The option
+    may be abbreviated (``--ran``); argparse still resolves the joined
+    token.  A token without a comma is left for argparse to judge.
+    """
+    if not argv or argv[0] != "gen":
+        return argv
+    attached = [argv[0]]
+    for token in argv[1:]:
+        option = attached[-1]
+        if "," in token and len(option) > 2 and "--range".startswith(option):
+            attached[-1] = f"{option}={token}"
+        else:
+            attached.append(token)
+    return attached
+
+
 def run(argv: list[str], out: IO[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments and dispatch; returns the process exit code.
+
+    Reports, and ``--help``, go to `out` (default: standard output).
+    """
     out = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(_attached_range(argv))
         eps = getattr(args, "eps", 0.0)
         if not 0.0 <= eps < math.inf:
             raise GameSpecError(f"--eps must be finite and non-negative, got {eps:g}")

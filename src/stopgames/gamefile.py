@@ -31,12 +31,19 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from math import isfinite
+from operator import eq, itemgetter, neg
 from typing import Mapping
 
 from .errors import GameSpecError
-from .strategies import AdjustmentFamily, PayoffField, RandomizedStoppingTime, Strategy
+from .strategies import (
+    AdjustmentFamily,
+    PayoffField,
+    RandomizedStoppingTime,
+    Strategy,
+    field_keys,
+)
 from .tree import EventTree, StoppingTime, build_tree, checked_int
 
 FORMAT_NAME = "stopping-game-v1"
@@ -110,12 +117,49 @@ def _level_ids(tree: EventTree) -> list[list[str]]:
     return [[tree.nodes[idx].id for idx in level] for level in tree.levels]
 
 
-def _slices(
+def _rows(tree: EventTree, sections: list[Mapping], exact: bool) -> list[tuple] | None:
+    """The blocks of the given payoff sections as value tuples, section by
+    section, each in canonical (s, t) order and each block in canonical node
+    order, whatever the order in the file.
+
+    None when a section's (s, t) entries are not exactly the horizon's, or a
+    block lacks a node of its level, or with `exact`, holds any other node;
+    ``_slices_by_block`` then words the fault.
+    """
+    pairs, levels = tree.stop_pairs, tree.stop_levels
+    level_ids = _level_ids(tree)
+    level_sizes = list(map(len, level_ids))
+    sizes = list(map(level_sizes.__getitem__, levels))
+    # Each level's getter reads its nodes in canonical order.  For a one-node
+    # level it returns the bare value.  Those levels come first, since no
+    # node before the horizon is a leaf, so in each row s < lone of the
+    # (s, t) grid the first `lone` values are wrapped into 1-tuples.
+    level_getters = [itemgetter(*ids) for ids in level_ids]
+    getters = list(map(level_getters.__getitem__, levels))
+    lone = level_sizes.count(1)
+    n = tree.horizon + 1
+    rows: list[tuple] = []
+    try:
+        for by_st in sections:
+            blocks = list(map(by_st.__getitem__, pairs))
+            if len(by_st) != len(pairs) or exact and list(map(len, blocks)) != sizes:
+                return None
+            values = list(map(itemgetter.__call__, getters, blocks))
+            for start in range(0, lone * n, n):
+                values[start : start + lone] = zip(values[start : start + lone])
+            rows += values
+    except KeyError:
+        return None
+    return rows
+
+
+def _slices_by_block(
     sections: Mapping[int, Mapping[tuple[int, int], Mapping[str, float]]],
     tree: EventTree,
     exact: bool,
 ) -> dict[tuple[int, int, int], tuple[float, ...]]:
-    """Each payoff block's values in canonical node order, keyed (player, s, t).
+    """Each payoff block's values in canonical node order, keyed (player, s, t),
+    read one block at a time to word the first fault ``_rows`` found.
 
     A node the block lacks is an error; with `exact`, so is a node off the
     block's level, which is reported first.
@@ -142,6 +186,38 @@ def _slices(
     return slices
 
 
+def _negates(u2: Mapping, u1: Mapping) -> bool:
+    """Whether every payoff of section `u2` is the negation of section `u1`'s
+    at the same (s, t) and node; ``_negation_by_block`` words a fault."""
+    # Section 1's payoff for each (s, t, node) of section 2, in its order.
+    bases = map(map, map(getattr, map(u1.__getitem__, u2), repeat("get")), u2.values())
+    try:
+        return all(
+            map(
+                eq,
+                chain.from_iterable(map(dict.values, u2.values())),
+                map(neg, chain.from_iterable(bases)),
+            )
+        )
+    except (KeyError, TypeError):  # an (s, t) or a node section 1 lacks
+        return False
+
+
+def _negation_by_block(
+    sections: Mapping[int, Mapping[tuple[int, int], Mapping[str, float]]]
+) -> None:
+    """Word the first payoff of section 2 that is not the negation of
+    section 1's."""
+    for st, per_node in sections[2].items():
+        for nid, val in per_node.items():
+            base = sections[1][st].get(nid)
+            if base is None or val != -base:
+                raise GameSpecError(
+                    f"payoff section 2 is not the negation of section 1 "
+                    f"at (s,t)={st}, node {nid}"
+                )
+
+
 @dataclass(frozen=True)
 class GameDocument:
     """A parsed game file: the tree plus raw per-player payoff sections."""
@@ -159,7 +235,11 @@ class GameDocument:
         """Two-player field; both payoff sections must be present."""
         if set(self.sections) != {1, 2}:
             raise GameSpecError("game file needs payoff sections for players 1 and 2")
-        return PayoffField(self.tree, _slices(self.sections, self.tree, exact=True))
+        tree = self.tree
+        rows = _rows(tree, [self.sections[1], self.sections[2]], exact=True)
+        if rows is None:
+            return PayoffField(tree, _slices_by_block(self.sections, tree, exact=True))
+        return PayoffField(tree, dict(zip(field_keys(tree.horizon), rows)))
 
     def zero_sum_field(self) -> PayoffField:
         """Field with player 2's payoffs the negation of player 1's.
@@ -168,19 +248,16 @@ class GameDocument:
         """
         if 1 not in self.sections:
             raise GameSpecError("game file needs a payoff section for player 1")
-        if 2 in self.sections:
-            for st, per_node in self.sections[2].items():
-                for nid, val in per_node.items():
-                    base = self.sections[1][st].get(nid)
-                    if base is None or val != -base:
-                        raise GameSpecError(
-                            f"payoff section 2 is not the negation of section 1 "
-                            f"at (s,t)={st}, node {nid}"
-                        )
-        slices = _slices({1: self.sections[1]}, self.tree, exact=False)
-        return PayoffField.zero_sum(
-            self.tree, {key[1:]: vals for key, vals in slices.items()}
-        )
+        u1 = self.sections[1]
+        if 2 in self.sections and not _negates(self.sections[2], u1):
+            _negation_by_block(self.sections)
+        rows = _rows(self.tree, [u1], exact=False)
+        if rows is None:
+            slices = _slices_by_block({1: u1}, self.tree, exact=False)
+            return PayoffField.zero_sum(
+                self.tree, {key[1:]: vals for key, vals in slices.items()}
+            )
+        return PayoffField.zero_sum(self.tree, dict(zip(self.tree.stop_pairs, rows)))
 
 
 def _st_key(st_key: str, horizon: int) -> tuple[int, int]:
@@ -233,7 +310,8 @@ def parse(text: str) -> GameDocument:
     tree = build_tree({"horizon": raw["horizon"], "nodes": raw["nodes"]})
 
     horizon = tree.horizon
-    keys = {f"{s},{t}": (s, t) for s in range(horizon + 1) for t in range(horizon + 1)}
+    pairs = tree.stop_pairs  # shared by the sections and fields on the tree
+    keys = dict(zip([f"{s},{t}" for s, t in pairs], pairs))
     sections: dict[int, dict[tuple[int, int], dict[str, float]]] = {}
     if not isinstance(raw["payoffs"], dict) or not raw["payoffs"]:
         raise GameSpecError("payoffs must map player ids to payoff sections")
@@ -366,16 +444,13 @@ def generate_random_game(
     tree = build_tree({"horizon": horizon, "nodes": nodes})
 
     players = (1,) if zero_sum else (1, 2)
+    level_ids = _level_ids(tree)
     sections: dict[int, dict[tuple[int, int], dict[str, float]]] = {}
     for player in players:
-        section = {}
-        for s in range(horizon + 1):
-            for t in range(horizon + 1):
-                section[(s, t)] = {
-                    tree.nodes[idx].id: lo + (hi - lo) * rng.random()
-                    for idx in tree.levels[max(s, t)]
-                }
-        sections[player] = section
+        sections[player] = {
+            st: {nid: lo + (hi - lo) * rng.random() for nid in level_ids[level]}
+            for st, level in zip(tree.stop_pairs, tree.stop_levels)
+        }
     return GameDocument(tree=tree, sections=sections, name=name, seed=seed)
 
 

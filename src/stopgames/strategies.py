@@ -14,10 +14,10 @@ initial rule only, with an independent stop probability per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import isfinite
 from operator import neg
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GameSpecError
 from .tree import EventTree, StoppingTime
@@ -114,63 +114,105 @@ def check_class(strategy, mixed: bool, strict: bool, message: str) -> None:
         raise GameSpecError(message)
 
 
+def field_keys(horizon: int) -> Iterator[tuple[int, int, int]]:
+    """Every (player, s, t) of a two-player payoff field in canonical order:
+    player 1's (s, t) row-major, then player 2's.  A fresh iterator on each
+    call, so no key outlives its use."""
+    n = horizon + 1
+    return product((1, 2), range(n), range(n))
+
+
+def _float_rows(rows: Iterable[Sequence[float]]) -> list[tuple[float, ...]]:
+    """`rows` as tuples of floats; a tuple that holds only floats is kept."""
+    rows = list(map(tuple, rows))
+    if set(map(type, chain.from_iterable(rows))) <= {float}:
+        return rows
+    return list(map(tuple, map(map, repeat(float), rows)))
+
+
+def _first_row_fault(tree: EventTree, slices: Mapping) -> None:
+    """Raise the first fault of a payoff field's slices, checking one slice
+    at a time in (player, s, t) order: a missing slice, a value ``float``
+    rejects, a wrong size, then a non-finite value."""
+    for key in field_keys(tree.horizon):
+        if key not in slices:
+            raise GameSpecError(f"payoff field missing slice {key}")
+        size = len(tree.levels[max(key[1], key[2])])
+        vals = tuple(map(float, slices[key]))
+        if len(vals) != size:
+            raise GameSpecError(f"payoff slice {key} needs {size} values, got {len(vals)}")
+        if not all(map(isfinite, vals)):
+            raise GameSpecError(f"non-finite payoff in slice {key}")
+
+
 class PayoffField:
     """The two per-player payoff families U^i(s, t, .), one value per node.
 
     The payoff for player i when the effective stop times are (s, t) is read
     at the node of level max(s, t) on the realized path, which is exactly the
     information available once both players have stopped.  Values are stored
-    per (player, s, t) as a tuple aligned with the canonical node ordering of
-    level max(s, t).
+    as one tuple per (player, s, t), in :func:`field_keys` order, aligned with
+    the canonical node ordering of level max(s, t).
 
     A field also memoizes the one-sided tables computed from it
     (:func:`~stopgames.snell.reaction_value` and :func:`stop_alone_values`),
-    keyed by their arguments, so the solvers and the certificate share each
-    table for as long as the field lives.
+    keyed by their arguments, and the mixed payoffs of
+    :func:`payoff_mixed_sim`, keyed by the strategy objects, so the solvers
+    and the certificate share each result for as long as the field lives.
     """
 
     def __init__(self, tree: EventTree, slices: Mapping[tuple[int, int, int], Sequence[float]]):
-        T = tree.horizon
         self.tree = tree
-        self._data: dict[tuple[int, int, int], tuple[float, ...]] = {}
-        for key in product((1, 2), range(T + 1), range(T + 1)):
-            if key not in slices:
-                raise GameSpecError(f"payoff field missing slice {key}")
-            size = len(tree.levels[max(key[1], key[2])])
-            vals = tuple(map(float, slices[key]))
-            if len(vals) != size:
-                raise GameSpecError(
-                    f"payoff slice {key} needs {size} values, got {len(vals)}"
-                )
-            if not all(map(isfinite, vals)):
-                raise GameSpecError(f"non-finite payoff in slice {key}")
-            self._data[key] = vals
-        self.bound = max(map(abs, chain.from_iterable(self._data.values())), default=0.0)
+        level_sizes = list(map(len, tree.levels))
+        sizes = list(map(level_sizes.__getitem__, tree.stop_levels)) * 2
+        try:
+            rows = _float_rows(map(slices.__getitem__, field_keys(tree.horizon)))
+            valid = list(map(len, rows)) == sizes and all(
+                map(isfinite, chain.from_iterable(rows))
+            )
+        except (KeyError, TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            _first_row_fault(tree, slices)
+        self._data: list[tuple[float, ...]] = rows
+        self._width = tree.horizon + 1
+        self.bound = max(map(abs, chain.from_iterable(rows)), default=0.0)
         self._tables: dict[tuple, object] = {}
+        self._mixed_payoffs: dict[tuple, tuple] = {}
 
     @classmethod
     def zero_sum(
         cls, tree: EventTree, u1: Mapping[tuple[int, int], Sequence[float]]
     ) -> "PayoffField":
         """Build a field with player 2's payoffs the negation of player 1's."""
-        slices: dict[tuple[int, int, int], Sequence[float]] = {}
-        T = tree.horizon
-        for s in range(T + 1):
-            for t in range(T + 1):
+        pairs = tree.stop_pairs
+        try:
+            rows = _float_rows(map(u1.__getitem__, pairs))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            rows = None
+        if rows is None:  # word the first fault, one slice at a time
+            for s, t in pairs:
                 if (s, t) not in u1:
                     raise GameSpecError(f"payoff field missing slice (1, {s}, {t})")
-                vals = tuple(map(float, u1[(s, t)]))
-                slices[(1, s, t)] = vals
-                slices[(2, s, t)] = tuple(map(neg, vals))
-        return cls(tree, slices)
+                tuple(map(float, u1[(s, t)]))
+        negated = map(tuple, map(map, repeat(neg), rows))
+        return cls(tree, dict(zip(field_keys(tree.horizon), chain(rows, negated))))
 
     def value(self, player: int, s: int, t: int, node: int) -> float:
-        vals = self._data[(player, s, t)]
+        """U^player(s, t, node) for a node of level max(s, t); see row()."""
+        n = self._width
+        vals = self._data[((player - 1) * n + s) * n + t]
         return vals[node - self.tree.level_start[max(s, t)]]
 
     def row(self, player: int, s: int, t: int) -> tuple[float, ...]:
-        """U^player(s, t, .) over the nodes of level max(s, t), in level order."""
-        return self._data[(player, s, t)]
+        """U^player(s, t, .) over the nodes of level max(s, t), in level order.
+
+        `player` must be 1 or 2 and s, t in 0..horizon: the row is read by
+        its position in :func:`field_keys` order, so other arguments are not
+        rejected.
+        """
+        n = self._width
+        return self._data[((player - 1) * n + s) * n + t]
 
 
 def _payoff_pure_core(
@@ -295,12 +337,31 @@ def payoff_mixed_sim(
     Backward recursion over nodes while both players are still active,
     weighting the four stage outcomes (both stop, one stops, none stops) by
     the independent per-node stop probabilities.  Once a single player has
-    stopped, the other's deterministic adjustment rule takes over.
+    stopped, the other's deterministic adjustment rule takes over.  The
+    strategies are validated on every call; the payoffs are memoized on the
+    field.
     """
     for strategy in (rho, tau):
         check_class(strategy, True, True, "mixed payoffs need two mixed type-A strategies")
     rho.validate(tree)
     tau.validate(tree)
+    # Keyed on the strategy objects, not on equality: two equal profiles may
+    # differ in the sign of a zero probability.  The entry holds both
+    # objects, so their ids stay unique for as long as it lives.
+    key = (tree, id(rho), id(tau))
+    cached = field._mixed_payoffs.get(key)
+    if cached is None:
+        cached = field._mixed_payoffs[key] = (rho, tau, _mixed_values(tree, field, rho, tau))
+    return cached[2]
+
+
+def _mixed_values(
+    tree: EventTree,
+    field: PayoffField,
+    rho: Strategy,
+    tau: Strategy,
+) -> tuple[float, float]:
+    """The backward recursion of payoff_mixed_sim, on validated strategies."""
     x1 = stop_alone_values(tree, field, 1, 1, tau.adjust)
     x2 = stop_alone_values(tree, field, 2, 1, tau.adjust)
     y1 = stop_alone_values(tree, field, 1, 2, rho.adjust)

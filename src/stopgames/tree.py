@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, product, repeat
 from operator import attrgetter, mul
 from typing import NamedTuple
 
@@ -120,6 +122,22 @@ class EventTree:
         result = tuple(out)
         self._realized_cache[marks] = result
         return result
+
+    # The canonical order of payoff blocks on the tree.  Each is built on
+    # first use and kept with the tree, so every payoff section on it shares
+    # these tuples, and none outlives it.
+
+    @cached_property
+    def stop_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every pair (s, t) of stop times in 0..horizon, row-major."""
+        return tuple(product(range(self.horizon + 1), repeat=2))
+
+    @cached_property
+    def stop_levels(self) -> tuple[int, ...]:
+        """For each of ``stop_pairs``, the level max(s, t) its payoffs live on."""
+        n = self.horizon + 1
+        # Row s of the grid is s repeated s times, then s..horizon.
+        return tuple(chain.from_iterable(chain(repeat(s, s), range(s, n)) for s in range(n)))
 
     def prefix_stopped(self, marks: Sequence[bool]) -> tuple[bool, ...]:
         """Per node, whether a mark occurs at the node or one of its ancestors."""

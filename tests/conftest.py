@@ -79,6 +79,29 @@ def reference_tree(spec) -> dict:
     }
 
 
+def reference_payoff_rows(obj: dict, zero_sum: bool) -> dict:
+    """Every payoff row of a decoded game object, entry by entry, without
+    ``gamefile``: each level's node ids sorted by (time, id), each value read
+    as a float, and in a zero-sum game player 2's row the negation of player
+    1's."""
+    horizon = obj["horizon"]
+    ids: dict[int, list[str]] = {}
+    for node in sorted(obj["nodes"], key=lambda n: (n["time"], n["id"])):
+        ids.setdefault(node["time"], []).append(node["id"])
+    rows = {}
+    for s in range(horizon + 1):
+        for t in range(horizon + 1):
+            level = ids[max(s, t)]
+            for player in (1, 2):
+                source = "1" if zero_sum else str(player)
+                block = obj["payoffs"][source][f"{s},{t}"]
+                row = tuple(float(block[nid]) for nid in level)
+                if zero_sum and player == 2:
+                    row = tuple(-v for v in row)
+                rows[(player, s, t)] = row
+    return rows
+
+
 def field_from_function(tree: sg.EventTree, fn) -> sg.PayoffField:
     """Build a payoff field from fn(player, s, t, node_index)."""
     T = tree.horizon

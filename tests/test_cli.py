@@ -334,6 +334,13 @@ class TestUsageErrors:
         assert run(argv) == 0
         assert capsys.readouterr().out.startswith("usage: stopgames")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+    def test_help_goes_to_the_callers_stream(self, capsys, argv):
+        code, text = _run(argv)
+        assert code == 0
+        assert text.startswith("usage: stopgames")
+        assert capsys.readouterr() == ("", "")
+
 
 class TestSharedParser:
     def test_built_once_per_process(self):
@@ -441,6 +448,47 @@ class TestGenCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "range_args, bounds",
+        [
+            (["--range", "-1,1"], (-1.0, 1.0)),
+            (["--range", "-1e9,1e9"], (-1e9, 1e9)),
+            (["--range=-1,1"], (-1.0, 1.0)),
+            (["--range", "-0.5,-0.25"], (-0.5, -0.25)),
+            (["--ran", "-1,1"], (-1.0, 1.0)),
+            (["--r", "-1e9,1e9"], (-1e9, 1e9)),
+        ],
+        ids=repr,
+    )
+    def test_gen_negative_range(self, tmp_path, capsys, range_args, bounds):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--horizon", "2", "--branching", "2", "--seed", "1"]
+        code, text = _run(argv + range_args + ["-o", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert text.startswith(f"wrote {out} ")
+        values = [
+            v
+            for section in gamefile.load(str(out)).sections.values()
+            for block in section.values()
+            for v in block.values()
+        ]
+        lo, hi = bounds
+        assert all(lo <= v <= hi for v in values)
+        assert max(values) - min(values) > (hi - lo) / 4
+        seeded = tmp_path / "seeded.json"
+        argv += [f"--range={lo!r},{hi!r}", "-o", str(seeded)]
+        assert _run(argv)[0] == 0
+        assert seeded.read_bytes() == out.read_bytes()
+
+    def test_gen_range_as_last_token(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--horizon", "1", "--branching", "1", "--seed", "1", "-o", str(out)]
+        code, text = _run(argv + ["--range"])
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err == "error: argument --range: expected one argument\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "payoff_range", ["0,inf", "-inf,0", "-1e308,1e308", "-inf,inf"]

@@ -6,11 +6,14 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 
 import pytest
 
 import stopgames as sg
-from stopgames import gamefile
+from stopgames import gamefile, strategies
+
+from conftest import reference_payoff_rows
 
 
 def _reference_game_text(doc: gamefile.GameDocument) -> str:
@@ -202,7 +205,7 @@ class TestPayoffField:
     def test_int_payoffs_read_as_floats(self):
         doc = _map_payoffs(gamefile.generate_random_game(2, 2, seed=1), lambda k, v: round(v))
         field = doc.payoff_field()
-        assert all(type(v) is float for vals in field._data.values() for v in vals)
+        assert all(type(v) is float for vals in field._data for v in vals)
         parsed = gamefile.parse(gamefile.emit(doc))
         assert all(
             type(v) is float
@@ -246,6 +249,266 @@ class TestPayoffField:
         doc = gamefile.parse(json.dumps(obj))
         with pytest.raises(sg.GameSpecError, match=message):
             doc.payoff_field()
+
+
+def _game_object(horizon: int, branching: int, seed: int, zero_sum: bool = False) -> dict:
+    doc = gamefile.generate_random_game(horizon, branching, seed=seed, zero_sum=zero_sum)
+    return json.loads(gamefile.emit(doc))
+
+
+def _irregular_object(seed: int, zero_sum: bool) -> dict:
+    """A horizon-3 game whose levels hold 1, 1, 2 and 3 nodes."""
+    rng = random.Random(seed)
+    nodes = [
+        {"id": "r", "time": 0},
+        {"id": "a", "time": 1, "parent": "r", "prob": 1.0},
+        {"id": "c", "time": 2, "parent": "a", "prob": 0.75},
+        {"id": "b", "time": 2, "parent": "a", "prob": 0.25},
+        {"id": "f", "time": 3, "parent": "c", "prob": 1.0},
+        {"id": "e", "time": 3, "parent": "b", "prob": 0.5},
+        {"id": "d", "time": 3, "parent": "b", "prob": 0.5},
+    ]
+    ids = [["r"], ["a"], ["b", "c"], ["d", "e", "f"]]
+    payoffs = {
+        str(player): {
+            f"{s},{t}": {nid: rng.uniform(-1, 1) for nid in ids[max(s, t)]}
+            for s in range(4)
+            for t in range(4)
+        }
+        for player in ((1,) if zero_sum else (1, 2))
+    }
+    return {"horizon": 3, "nodes": nodes, "payoffs": payoffs}
+
+
+def _odd_document(shape, seed: int, zero_sum: bool, section_2: bool) -> dict:
+    """A game object with int payoffs and signed zeros, its payoff blocks in
+    shuffled (s, t) order and each block's nodes shuffled; `shape` is a
+    (horizon, branching) for ``gen``, or "irregular".  With `zero_sum` and
+    `section_2`, section 2 is written out as the exact negation of section
+    1, and listed first."""
+    rng = random.Random(seed)
+    if shape == "irregular":
+        obj = _irregular_object(seed, zero_sum)
+    else:
+        obj = _game_object(*shape, seed, zero_sum)
+    for section in obj["payoffs"].values():
+        for block in section.values():
+            for nid, val in block.items():
+                block[nid] = rng.choice([val, round(5 * val), 0, -0.0, 0.0, -3, val])
+    if zero_sum and section_2:
+        negated = {
+            st: {nid: -val for nid, val in block.items()}
+            for st, block in obj["payoffs"]["1"].items()
+        }
+        obj["payoffs"] = {"2": negated, "1": obj["payoffs"]["1"]}
+    for key, section in obj["payoffs"].items():
+        blocks = list(section.items())
+        rng.shuffle(blocks)
+        shuffled = {}
+        for st, block in blocks:
+            nodes = list(block.items())
+            rng.shuffle(nodes)
+            shuffled[st] = dict(nodes)
+        obj["payoffs"][key] = shuffled
+    return obj
+
+
+#: (shape, seed, zero_sum, section 2 written out)
+_ODD_DOCUMENTS = [
+    ((3, 2), 1, False, False),
+    ((6, 1), 2, False, False),
+    ((2, 3), 3, False, False),
+    ((0, 2), 4, False, False),
+    ("irregular", 5, False, False),
+    ((3, 2), 5, True, False),
+    ((5, 1), 6, True, True),
+    ((2, 3), 7, True, True),
+    ("irregular", 8, True, True),
+]
+
+
+def _hex_field(field: sg.PayoffField) -> dict:
+    horizon = field.tree.horizon
+    rows = {
+        key: tuple(map(float.hex, field.row(*key)))
+        for key in itertools.product((1, 2), range(horizon + 1), range(horizon + 1))
+    }
+    return {"rows": rows, "bound": float.hex(field.bound)}
+
+
+def _hex_reference(obj: dict, zero_sum: bool) -> dict:
+    rows = reference_payoff_rows(obj, zero_sum)
+    return {
+        "rows": {key: tuple(map(float.hex, row)) for key, row in rows.items()},
+        "bound": float.hex(max((abs(v) for row in rows.values() for v in row), default=0.0)),
+    }
+
+
+class TestBulkRead:
+    @pytest.mark.parametrize("case", _ODD_DOCUMENTS, ids=repr)
+    def test_fields_match_a_reference_read_entry_by_entry(self, case):
+        shape, seed, zero_sum, section_2 = case
+        obj = _odd_document(*case)
+        doc = gamefile.parse(json.dumps(obj))
+        if not zero_sum or section_2:
+            assert _hex_field(doc.payoff_field()) == _hex_reference(obj, zero_sum=False)
+        if zero_sum:
+            assert _hex_field(doc.zero_sum_field()) == _hex_reference(obj, zero_sum=True)
+
+    @pytest.mark.parametrize("case", _ODD_DOCUMENTS, ids=repr)
+    def test_sections_keep_the_file_order(self, case):
+        obj = _odd_document(*case)
+        doc = gamefile.parse(json.dumps(obj))
+        assert list(doc.sections) == list(map(int, obj["payoffs"]))
+        for key, section in obj["payoffs"].items():
+            parsed = doc.sections[int(key)]
+            assert [f"{s},{t}" for s, t in parsed] == list(section)
+            for (s, t), block in parsed.items():
+                want = section[f"{s},{t}"]
+                assert list(block) == list(want)
+                assert list(map(float.hex, block.values())) == [
+                    float.hex(float(v)) for v in want.values()
+                ]
+
+    def test_valid_documents_never_enter_the_per_block_loops(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid document entered a per-block loop")
+
+        for module, name in (
+            (gamefile, "_slices_by_block"),
+            (gamefile, "_negation_by_block"),
+            (strategies, "_first_row_fault"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        for horizon, branching, seed in ((4, 2, 1), (30, 1, 2), (2, 3, 3), (0, 1, 4)):
+            doc = gamefile.parse(json.dumps(_game_object(horizon, branching, seed)))
+            doc.payoff_field()
+            zs = gamefile.parse(json.dumps(_game_object(horizon, branching, seed, True)))
+            zs.zero_sum_field()
+        for case in _ODD_DOCUMENTS:
+            doc = gamefile.parse(json.dumps(_odd_document(*case)))
+            if 2 in doc.sections:
+                doc.payoff_field()
+            if case[2]:
+                doc.zero_sum_field()
+
+
+def _pop(block: dict, nid: str) -> None:
+    del block[nid]
+
+
+def _first(payoffs: dict, key: str) -> None:
+    """List section `key` first."""
+    for other in [k for k in payoffs if k != key]:
+        payoffs[other] = payoffs.pop(other)
+
+
+#: Documents with two faults: the edit of the payoff object of a ``gen`` h2 b2
+#: game (general, zero-sum, or zero-sum with section 2 written out as the
+#: negation of section 1), the call that raises and the message that wins.
+_TWO_FAULTS = {
+    "nan-early-missing-node-later": (
+        lambda p: (
+            p["1"]["0,0"].update({"0:0": float("nan")}),
+            _pop(p["2"]["2,1"], "2:3"),
+        ),
+        "general",
+        "payoff_field",
+        "payoff missing for node 2:3 at (s,t)=(2, 1)",
+    ),
+    "nan-early-missing-node-later-same-section": (
+        lambda p: (
+            p["1"]["0,0"].update({"0:0": float("nan")}),
+            _pop(p["1"]["1,2"], "2:0"),
+        ),
+        "general",
+        "payoff_field",
+        "payoff missing for node 2:0 at (s,t)=(1, 2)",
+    ),
+    "off-level-and-missing-node-in-one-block": (
+        lambda p: (_pop(p["1"]["1,1"], "1:0"), p["1"]["1,1"].update({"2:0": 1.0})),
+        "general",
+        "payoff_field",
+        "payoff for unknown or off-level node 2:0 at (s,t)=(1, 1)",
+    ),
+    "unknown-and-missing-node-in-one-block": (
+        lambda p: (_pop(p["2"]["2,2"], "2:2"), p["2"]["2,2"].update({"zz": 1.0})),
+        "general",
+        "payoff_field",
+        "payoff for unknown or off-level node zz at (s,t)=(2, 2)",
+    ),
+    "missing-entry-and-non-object-block": (
+        lambda p: (p["1"].pop("2,2"), p["1"].update({"0,1": [1.0]})),
+        "general",
+        "parse",
+        "payoff entry '0,1' must be an object",
+    ),
+    "missing-entry-before-a-later-sections-non-object-block": (
+        lambda p: (p["1"].pop("0,0"), p["2"].update({"2,2": 5})),
+        "general",
+        "parse",
+        "payoff section 1 missing entry (0,0)",
+    ),
+    "non-object-block-before-a-bad-key": (
+        lambda p: (p["1"].update({"0,0": "x"}), p["1"].update({"9,9": {}})),
+        "general",
+        "parse",
+        "payoff entry '0,0' must be an object",
+    ),
+    "missing-nodes-in-both-sections-section-2-first": (
+        lambda p: (_pop(p["1"]["0,0"], "0:0"), _pop(p["2"]["2,2"], "2:1"), _first(p, "2")),
+        "general",
+        "payoff_field",
+        "payoff missing for node 2:1 at (s,t)=(2, 2)",
+    ),
+    "non-finite-in-both-sections": (
+        lambda p: (
+            p["2"]["0,0"].update({"0:0": float("inf")}),
+            p["1"]["2,2"].update({"2:1": float("nan")}),
+        ),
+        "general",
+        "payoff_field",
+        "non-finite payoff in slice (1, 2, 2)",
+    ),
+    "not-negated-and-missing-node-in-section-1": (
+        lambda p: (
+            p["2"]["2,0"].update({"2:1": p["2"]["2,0"]["2:1"] + 1.0}),
+            _pop(p["1"]["0,1"], "1:1"),
+        ),
+        "zero-sum+2",
+        "zero_sum_field",
+        "payoff section 2 is not the negation of section 1 at (s,t)=(0, 1), node 1:1",
+    ),
+    "missing-node-in-section-1-and-nan": (
+        lambda p: (_pop(p["1"]["1,0"], "1:1"), p["1"]["0,0"].update({"0:0": float("nan")})),
+        "zero-sum",
+        "zero_sum_field",
+        "payoff missing for node 1:1 at (s,t)=(1, 0)",
+    ),
+}
+
+
+class TestFirstFaultWins:
+    @pytest.mark.parametrize("case", sorted(_TWO_FAULTS))
+    def test_message(self, case):
+        edit, kind, call, message = _TWO_FAULTS[case]
+        obj = _game_object(2, 2, seed=3, zero_sum=kind != "general")
+        payoffs = obj["payoffs"]
+        if kind == "zero-sum+2":
+            payoffs["2"] = {
+                st: {nid: -val for nid, val in block.items()}
+                for st, block in payoffs["1"].items()
+            }
+        edit(payoffs)
+        text = json.dumps(obj)
+        if call == "parse":
+            with pytest.raises(sg.GameSpecError) as exc:
+                gamefile.parse(text)
+        else:
+            doc = gamefile.parse(text)
+            with pytest.raises(sg.GameSpecError) as exc:
+                getattr(doc, call)()
+        assert str(exc.value) == message
 
 
 class TestParsing:

@@ -1,6 +1,6 @@
-"""The payoff field's table memo: each reaction and lone-stopper table is
-computed once per field, and a cached table is the table a fresh field
-computes."""
+"""The payoff field's memos: each reaction and lone-stopper table, and each
+mixed profile's payoff, is computed once per field, and a cached result is
+the one a fresh field computes."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 import stopgames as sg
-from stopgames import gamefile
+from stopgames import gamefile, strategies
 from stopgames.cli import run
 from stopgames.strategies import stop_alone_values
 
@@ -121,3 +121,80 @@ def test_each_tree_gets_its_own_entry(calls):
     alone = stop_alone_values(doc.tree, field, 2, 2, first.family)
     assert stop_alone_values(twin, field, 2, 2, first.family) is not alone
     assert calls["expected_at_stop"] == 2 * (HORIZON + 1)
+
+
+@pytest.fixture()
+def mixed_calls(monkeypatch):
+    """Count payoff_mixed_sim calls through every module that binds it, and
+    the backward recursions behind them."""
+    counts: Counter = Counter()
+    original = strategies.payoff_mixed_sim
+    recursion = strategies._mixed_values
+
+    def counted(*args, **kwargs):
+        counts["payoff_mixed_sim"] += 1
+        return original(*args, **kwargs)
+
+    def counted_recursion(*args, **kwargs):
+        counts["recursion"] += 1
+        return recursion(*args, **kwargs)
+
+    for module in ("stopgames.strategies", "stopgames.simultaneous", "stopgames.verify"):
+        monkeypatch.setattr(sys.modules[module], "payoff_mixed_sim", counted)
+    monkeypatch.setattr(strategies, "_mixed_values", counted_recursion)
+    return counts
+
+
+def test_solve_sim_computes_its_mixed_payoff_once(games, mixed_calls):
+    assert run(["solve-sim", games["general"]], io.StringIO()) == 0
+    assert mixed_calls == {"payoff_mixed_sim": 2, "recursion": 1}
+
+
+def _sim_profile():
+    doc = gamefile.generate_random_game(HORIZON, 2, seed=11)
+    sol = sg.sim_equilibrium(doc.tree, doc.payoff_field())
+    return doc, sol.rho, sol.tau
+
+
+def test_cached_mixed_payoff_matches_a_fresh_field():
+    doc, rho, tau = _sim_profile()
+    field = doc.payoff_field()
+    first = sg.payoff_mixed_sim(doc.tree, field, rho, tau)
+    assert sg.payoff_mixed_sim(doc.tree, field, rho, tau) is first
+    assert _hex(first) == _hex(sg.payoff_mixed_sim(doc.tree, doc.payoff_field(), rho, tau))
+
+
+def test_equal_profiles_with_a_zero_of_other_sign_are_not_shared(mixed_calls):
+    doc, rho, tau = _sim_profile()
+    probs = list(rho.initial.probs)
+    zero = probs.index(0.0)
+    probs[zero] = -0.0
+    twin = sg.Strategy(sg.RandomizedStoppingTime(tuple(probs)), rho.adjust)
+    assert twin == rho and twin is not rho
+    field = doc.payoff_field()
+    mixed_calls.clear()
+    values = sg.payoff_mixed_sim(doc.tree, field, rho, tau)
+    twin_values = sg.payoff_mixed_sim(doc.tree, field, twin, tau)
+    assert mixed_calls["recursion"] == 2
+    fresh = sg.payoff_mixed_sim(doc.tree, doc.payoff_field(), twin, tau)
+    assert _hex(twin_values) == _hex(fresh)
+    assert _hex(values) == _hex(sg.payoff_mixed_sim(doc.tree, doc.payoff_field(), rho, tau))
+
+
+def test_every_call_validates_the_profile(monkeypatch):
+    doc, rho, tau = _sim_profile()
+    field = doc.payoff_field()
+    validated = Counter()
+    original = sg.Strategy.validate
+
+    def counted(self, tree):
+        validated[id(self)] += 1
+        return original(self, tree)
+
+    monkeypatch.setattr(sg.Strategy, "validate", counted)
+    for _ in range(3):
+        sg.payoff_mixed_sim(doc.tree, field, rho, tau)
+    assert validated == {id(rho): 3, id(tau): 3}
+    other = gamefile.generate_random_game(HORIZON + 1, 2, seed=11).tree
+    with pytest.raises(sg.GameSpecError):
+        sg.payoff_mixed_sim(other, field, rho, tau)

@@ -21,6 +21,7 @@ from conftest import (
     field_from_function,
     matching_field,
     path_stop_expectation,
+    three_node_tree,
 )
 
 
@@ -287,6 +288,69 @@ class TestPayoffField:
             for t in range(3):
                 for idx in tree.levels[max(s, t)]:
                     assert field.value(1, s, t, idx) == float(idx)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda sl: sl.update({(1, 0, 1): [0.5]}),
+                "payoff slice (1, 0, 1) needs 2 values, got 1",
+            ),
+            (
+                lambda sl: sl.update({(1, 0, 0): [float("nan")], (1, 1, 1): [0.5]}),
+                "non-finite payoff in slice (1, 0, 0)",
+            ),
+            (
+                lambda sl: (sl.update({(1, 0, 1): [0.5] * 3}), sl.pop((2, 0, 0))),
+                "payoff slice (1, 0, 1) needs 2 values, got 3",
+            ),
+            (
+                lambda sl: (sl.pop((1, 1, 0)), sl.update({(2, 0, 0): [float("inf")]})),
+                "payoff field missing slice (1, 1, 0)",
+            ),
+            (
+                lambda sl: sl.update({(2, 1, 0): (1, -0.0), (2, 0, 1): [0.5, float("-inf")]}),
+                "non-finite payoff in slice (2, 0, 1)",
+            ),
+        ],
+        ids=["size", "nan-before-size", "size-before-missing", "missing-before-inf", "ints-ok"],
+    )
+    def test_first_fault_wins(self, edit, message):
+        tree = three_node_tree()
+        slices = {
+            key: [0.5] * len(tree.levels[max(key[1:])])
+            for key in product((1, 2), range(2), range(2))
+        }
+        edit(slices)
+        with pytest.raises(sg.GameSpecError) as exc:
+            sg.PayoffField(tree, slices)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda u1: (u1.pop((1, 1)), u1.update({(0, 0): [float("nan")]})),
+            lambda u1: (u1.pop((1, 1)), u1.update({(0, 1): [0.5]})),
+        ],
+        ids=["missing-before-nan", "missing-before-size"],
+    )
+    def test_zero_sum_reports_a_missing_slice_first(self, edit):
+        tree = three_node_tree()
+        u1 = {
+            (s, t): [0.5] * len(tree.levels[max(s, t)]) for s in range(2) for t in range(2)
+        }
+        edit(u1)
+        with pytest.raises(sg.GameSpecError) as exc:
+            sg.PayoffField.zero_sum(tree, u1)
+        assert str(exc.value) == "payoff field missing slice (1, 1, 1)"
+
+    def test_bound_of_signed_zeros_is_positive_zero(self):
+        tree = three_node_tree()
+        assert field_from_function(tree, lambda i, s, t, n: -0.0).bound.hex() == "0x0.0p+0"
+        u1 = {(s, t): [0] * len(tree.levels[max(s, t)]) for s in range(2) for t in range(2)}
+        field = sg.PayoffField.zero_sum(tree, u1)
+        assert field.row(2, 1, 1) == (-0.0, -0.0)
+        assert field.bound.hex() == "0x0.0p+0"
 
     def test_zero_sum_negation(self):
         tree = chain_tree(1)
