@@ -41,7 +41,6 @@ from .tree import (
     Node,
     StoppingTime,
     build_tree,
-    canonical_stopping_time,
     constant_stopping_time,
     hitting_time,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ZeroSumSaddle",
     "best_response",
     "build_tree",
-    "canonical_stopping_time",
     "check_equilibrium",
     "constant_stopping_time",
     "count_stopping_times",

@@ -24,10 +24,6 @@ from .tree import (
     hitting_time,
 )
 
-#: Absolute tolerance for "process equals boundary" in hitting sets.
-HITTING_TOL = 1e-9
-
-
 def _median(a: float, b: float, c: float) -> float:
     return max(min(a, b), min(max(a, b), c))
 
@@ -51,8 +47,10 @@ def dynkin_hitting_saddle(
     f: Sequence[float],
     g: Sequence[float],
     sigma: StoppingTime,
+    tol: float,
 ) -> tuple[StoppingTime, HittingResult]:
-    """First times >= sigma at which v meets F (maximizer) and G (minimizer).
+    """First times >= sigma at which v comes within ``tol`` of F (maximizer)
+    and of G (minimizer).
 
     The F-hit never clamps because the terminal value is F; the G-hit may
     never fire before the horizon, in which case the path is clamped there
@@ -61,14 +59,14 @@ def dynkin_hitting_saddle(
     """
     rho = hitting_time(
         tree,
-        lambda idx: abs(v[idx] - f[idx]) <= HITTING_TOL,
+        lambda idx: abs(v[idx] - f[idx]) <= tol,
         sigma,
     )
     if rho.clamped:
         raise GameSpecError("value process does not meet its terminal boundary")
     tau = hitting_time(
         tree,
-        lambda idx: abs(v[idx] - g[idx]) <= HITTING_TOL,
+        lambda idx: abs(v[idx] - g[idx]) <= tol,
         sigma,
     )
     return rho.stop, tau
@@ -115,7 +113,7 @@ def zero_sum_saddle(
     f = f_side.process
     g = tuple(map(max, g_side.process, f))
     v = dynkin_value(tree, f, g)
-    rho, tau = dynkin_hitting_saddle(tree, v, f, g, sigma)
+    rho, tau = dynkin_hitting_saddle(tree, v, f, g, sigma, field.tol)
     sigma_times = sigma.realized(tree)
     value = sum(
         prob * v[tree.paths[pos][sigma_times[pos]]]

@@ -38,11 +38,6 @@ from .tree import (
     hitting_time,
 )
 
-#: Threshold comparisons tolerate this much rounding so that exact terminal
-#: identities (value = boundary at the horizon) always fire in floats.
-THRESHOLD_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class SeqProcessBundle:
     """Boundary, value, and settle processes for both players.
@@ -186,18 +181,15 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
     h1, h2 = bundle.h1, bundle.h2
     f1, f2 = bundle.f1, bundle.f2
     g1, g1_raw = bundle.g1, bundle.g1_uncapped
+    # Threshold tests tolerate the field's rounding slack, so exact terminal
+    # identities (value = boundary at the horizon) always fire in floats.
+    tol = field.tol
 
-    settle1 = hitting_time(tree, lambda i: v1[i] <= h1[i] + THRESHOLD_TOL, zero)
-    settle2 = hitting_time(
-        tree, lambda i: v2[i] <= min(h2[i], f2[i]) + THRESHOLD_TOL, zero
-    )
-    reply2 = hitting_time(
-        tree, lambda i: abs(v1[i] - g1[i]) <= THRESHOLD_TOL, settle1.stop
-    )
-    reply1 = hitting_time(
-        tree, lambda i: abs(v2[i] - f2[i]) <= THRESHOLD_TOL, settle2.stop
-    )
-    floor1 = hitting_time(tree, lambda i: abs(v1[i] - f1[i]) <= THRESHOLD_TOL, zero)
+    settle1 = hitting_time(tree, lambda i: v1[i] <= h1[i] + tol, zero)
+    settle2 = hitting_time(tree, lambda i: v2[i] <= min(h2[i], f2[i]) + tol, zero)
+    reply2 = hitting_time(tree, lambda i: abs(v1[i] - g1[i]) <= tol, settle1.stop)
+    reply1 = hitting_time(tree, lambda i: abs(v2[i] - f2[i]) <= tol, settle2.stop)
+    floor1 = hitting_time(tree, lambda i: abs(v1[i] - f1[i]) <= tol, zero)
 
     m1 = settle1.stop.realized(tree)
     fl = floor1.stop.realized(tree)
@@ -241,7 +233,7 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
     rho_star = Strategy(StoppingTime(tuple(rho_marks)), bundle.later_max1)
     tau_star = Strategy(StoppingTime(tuple(tau_marks)), bundle.reply_max2)
     values = payoff_pure(tree, field, "seq", rho_star, tau_star)
-    if max(abs(values[0] - w1[0]), abs(values[1] - w2[0])) > 1e-9:
+    if max(abs(values[0] - w1[0]), abs(values[1] - w2[0])) > tol:
         raise SolverDefectError(
             "profile payoff disagrees with the stage values: "
             f"{values} vs {(w1[0], w2[0])}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import isfinite
 
 from .errors import SolverDefectError
 from .snell import reaction_value
@@ -27,14 +28,6 @@ from .strategies import (
 )
 from .tree import EventTree
 from .verify import EquilibriumReport, check_equilibrium
-
-#: Mixed stage solutions with an indifference denominator below this are
-#: treated as degenerate and resolved by the pure-profile priority rule.
-DEGENERATE_TOL = 1e-12
-
-#: Slack allowed when clamping a nearly-interior mixed probability to [0, 1].
-CLAMP_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SimProcessBundle:
@@ -79,7 +72,7 @@ def sim_processes(tree: EventTree, field: PayoffField) -> SimProcessBundle:
 @dataclass(frozen=True)
 class StageSolution:
     """One 2x2 stage equilibrium: stop probabilities, values, and how it
-    was selected ("pure:<row><col>", "mixed", or "degenerate")."""
+    was selected ("pure:<row><col>" or "mixed")."""
 
     p: float
     q: float
@@ -98,6 +91,28 @@ def _bilinear(m: tuple[tuple[float, float], tuple[float, float]], p: float, q: f
 _PURE_PRIORITY = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _indifference(s0: float, s1: float, c0: float, c1: float) -> float:
+    """The opponent's stop probability x, clamped to [0, 1], at which a
+    player's stop payoffs (s0 if the opponent stops too, s1 if not) and
+    continue payoffs (c0, c1) have the same expectation.
+
+    Called with s0 - c0 and s1 - c1 nonzero and of opposite signs, so the
+    exact x lies in (0, 1) and its denominator is nonzero.  In floats the
+    four-term denominator can still cancel to 0 on near-tie stages, for
+    example (s0, s1, c0, c1) = (-1, 3 + 6u, -1 - u, 3 + 8u) with u = 2**-52;
+    the difference of the two opposite-sign differences cannot.  With
+    payoffs near the float limit the sums can overflow; x is scale-free, and
+    a quarter of each payoff keeps them finite, so this recurses at most once.
+    """
+    num = c1 - s1
+    denom = s0 - s1 - c0 + c1
+    if not (isfinite(num) and isfinite(denom)):
+        return _indifference(s0 / 4, s1 / 4, c0 / 4, c1 / 4)
+    if not denom:
+        denom = (s0 - c0) - (s1 - c1)
+    return min(max(num / denom, 0.0), 1.0)
+
+
 def stage_nash_2x2(
     a: tuple[tuple[float, float], tuple[float, float]],
     b: tuple[tuple[float, float], tuple[float, float]],
@@ -107,9 +122,11 @@ def stage_nash_2x2(
     Rows are player 1's actions (stop, continue), columns player 2's.
     Pure profiles are tried in the priority order (stop,stop), (stop,cont),
     (cont,stop), (cont,cont); if none is an equilibrium the interior mixed
-    solution from the indifference equations is returned.  Degenerate games
-    in which that solution is undefined fall back to the priority-first
-    profile minimizing the largest unilateral gain.
+    solution from the indifference equations is returned.  That solution
+    always exists: with no pure equilibrium, a[0][c] - a[1][c] are nonzero
+    and of opposite signs for c = 0, 1 (were both >= 0, row 0 with the
+    column player's best reply to it would pass the pure test, and likewise
+    row 1 were both <= 0), and so are b[r][0] - b[r][1] for r = 0, 1.
     """
     for row, col in _PURE_PRIORITY:
         if a[1 - row][col] <= a[row][col] and b[row][1 - col] <= b[row][col]:
@@ -121,37 +138,14 @@ def stage_nash_2x2(
                 rule=f"pure:{row}{col}",
             )
 
-    denom_q = a[0][0] - a[0][1] - a[1][0] + a[1][1]
-    denom_p = b[0][0] - b[1][0] - b[0][1] + b[1][1]
-    if abs(denom_q) >= DEGENERATE_TOL and abs(denom_p) >= DEGENERATE_TOL:
-        q = (a[1][1] - a[0][1]) / denom_q
-        p = (b[1][1] - b[1][0]) / denom_p
-        if -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL and -CLAMP_TOL <= q <= 1.0 + CLAMP_TOL:
-            p = min(max(p, 0.0), 1.0)
-            q = min(max(q, 0.0), 1.0)
-            return StageSolution(
-                p=p,
-                q=q,
-                value1=_bilinear(a, p, q),
-                value2=_bilinear(b, p, q),
-                rule="mixed",
-            )
-
-    best = None
-    for row, col in _PURE_PRIORITY:
-        regret = max(
-            a[1 - row][col] - a[row][col],
-            b[row][1 - col] - b[row][col],
-        )
-        if best is None or regret < best[0]:
-            best = (regret, row, col)
-    _, row, col = best
+    q = _indifference(a[0][0], a[0][1], a[1][0], a[1][1])
+    p = _indifference(b[0][0], b[1][0], b[0][1], b[1][1])
     return StageSolution(
-        p=1.0 - row,
-        q=1.0 - col,
-        value1=a[row][col],
-        value2=b[row][col],
-        rule="degenerate",
+        p=p,
+        q=q,
+        value1=_bilinear(a, p, q),
+        value2=_bilinear(b, p, q),
+        rule="mixed",
     )
 
 
@@ -246,7 +240,7 @@ def sim_equilibrium(
     tau = Strategy(reduced.beta, bundle.tau1_star)
     values = payoff_mixed_sim(tree, field, rho, tau)
     expected = (reduced.w1[0], reduced.w2[0])
-    if max(abs(values[0] - expected[0]), abs(values[1] - expected[1])) > 1e-9:
+    if max(abs(values[0] - expected[0]), abs(values[1] - expected[1])) > field.tol:
         raise SolverDefectError(
             "profile payoff disagrees with the backward-induction values: "
             f"{values} vs {expected}"

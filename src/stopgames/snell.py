@@ -20,12 +20,6 @@ from .tree import EventTree, StoppingTime
 Window = Literal["inclusive", "strict"]
 Direction = Literal["max", "min"]
 
-#: Absolute tolerance for "reward equals envelope" when extracting the
-#: earliest optimizer.  Loose enough for accumulated rounding on deep trees,
-#: tight enough not to produce false stops for well-separated payoffs.
-OPTIMIZER_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class SnellResult:
     """Value, earliest optimizer, and envelope of one stopping problem.
@@ -45,6 +39,7 @@ def snell(
     t: int,
     window: Window,
     direction: Direction,
+    tol: float,
 ) -> SnellResult:
     """Solve one optimal stopping problem rooted at level t.
 
@@ -73,7 +68,7 @@ def snell(
         for idx, w, cont in zip(tree.levels[u], rows[u], tree.expect_next(env, u)):
             s = max(w, cont) if use_max else min(w, cont)
             env[idx] = s
-            if abs(w - s) <= OPTIMIZER_TOL:
+            if abs(w - s) <= tol:
                 marks[idx] = True
     for leaf in tree.leaves:
         marks[leaf] = True
@@ -135,7 +130,7 @@ def reaction_value(
             rows = [None] * t + [field.row(player, u, t) for u in range(t, T + 1)]
         else:
             rows = [None] * t + [field.row(player, t, u) for u in range(t, T + 1)]
-        res = snell(tree, rows, t, window, direction)
+        res = snell(tree, rows, t, window, direction, field.tol)
         process += res.value
         rules.append(res.optimizer)
     table = field._tables[key] = ReactionValue(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product, repeat
-from math import isfinite
+from math import frexp, isfinite, ldexp
 from operator import neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -159,6 +159,12 @@ class PayoffField:
     keyed by their arguments, and the mixed payoffs of
     :func:`payoff_mixed_sim`, keyed by the strategy objects, so the solvers
     and the certificate share each result for as long as the field lives.
+
+    ``unit`` is the least power of two >= ``bound``, the largest payoff
+    magnitude (1.0 for an all-zero field; 2**1023, the largest finite power
+    of two, caps it).  Every payoff equality test and certificate slack is
+    ``tol = 1e-9 * unit``, so scaling all payoffs by 2**k scales each
+    comparison exactly and leaves every decision as it was.
     """
 
     def __init__(self, tree: EventTree, slices: Mapping[tuple[int, int, int], Sequence[float]]):
@@ -177,6 +183,9 @@ class PayoffField:
         self._data: list[tuple[float, ...]] = rows
         self._width = tree.horizon + 1
         self.bound = max(map(abs, chain.from_iterable(rows)), default=0.0)
+        mantissa, exponent = frexp(self.bound)  # 0 or in [0.5, 1)
+        self.unit = ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
+        self.tol = 1e-9 * self.unit
         self._tables: dict[tuple, object] = {}
         self._mixed_payoffs: dict[tuple, tuple] = {}
 

@@ -155,8 +155,8 @@ class StoppingTime:
     """Adapted stop/continue decision per node; every horizon node stops.
 
     The realized time of a path is the time of its first stop node.
-    Decisions below the first stop never affect realized times; see
-    :func:`canonical_stopping_time` for the normal form.
+    Decisions below the first stop never affect realized times, so two
+    rules with different marks may realize the same times.
     """
 
     marks: tuple[bool, ...]
@@ -172,17 +172,6 @@ class StoppingTime:
 
     def realized(self, tree: EventTree) -> tuple[int, ...]:
         return tree.realized_times(self.marks)
-
-
-def canonical_stopping_time(tree: EventTree, st: StoppingTime) -> StoppingTime:
-    """Normal form: stop exactly at each path's first stop, plus the horizon."""
-    realized = st.realized(tree)
-    marks = [False] * tree.n_nodes
-    for leaf in tree.leaves:
-        marks[leaf] = True
-    for pos, path in enumerate(tree.paths):
-        marks[path[realized[pos]]] = True
-    return StoppingTime(tuple(marks))
 
 
 def constant_stopping_time(tree: EventTree, t: int) -> StoppingTime:

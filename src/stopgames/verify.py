@@ -50,10 +50,6 @@ from .strategies import (
 )
 from .tree import EventTree, StoppingTime
 
-#: A best response may fall short of the candidate's own value only by noise.
-ORACLE_SLACK = 1e-9
-
-
 def best_response(
     tree: EventTree,
     field: PayoffField,
@@ -135,7 +131,10 @@ def best_response(
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Certification of a candidate profile by exact best responses."""
+    """Certification of a candidate profile by exact best responses.
+
+    ``eps`` is the tolerance as given, in units of the field's ``unit``.
+    """
 
     mode: str
     values: tuple[float, float]
@@ -155,7 +154,9 @@ def check_equilibrium(
 ) -> EquilibriumReport:
     """Run both players' best responses against a candidate profile.
 
-    The profile passes when neither player can improve by more than ``eps``.
+    The profile passes when neither player can improve by more than
+    ``eps * field.unit``; the report keeps ``eps`` as given.  A best response
+    may fall short of the candidate's own value only by ``field.tol``.
     Mode ``"zs"`` checks a zero-sum sequential profile, restricting initial
     rules by ``not_before``.
     """
@@ -172,18 +173,19 @@ def check_equilibrium(
     br2, _ = best_response(tree, field, br_mode, 2, rho, not_before)
     gaps = (br1 - values[0], br2 - values[1])
     for player, gap in enumerate(gaps, start=1):
-        if gap < -ORACLE_SLACK:
+        if gap < -field.tol:
             raise SolverDefectError(
                 f"best response for player {player} fell {-gap:g} below the "
                 "candidate value"
             )
+    limit = eps * field.unit
     return EquilibriumReport(
         mode=mode,
         values=values,
         br_values=(br1, br2),
         gaps=gaps,
         eps=eps,
-        passed=gaps[0] <= eps and gaps[1] <= eps,
+        passed=gaps[0] <= limit and gaps[1] <= limit,
     )
 
 
@@ -282,13 +284,12 @@ def enumerate_oracle(
     mode: str,
     cap: int = 1_000_000,
     min_initial_time: int = 0,
-    deviation_tol: float = 1e-9,
 ) -> EnumerationResult:
     """Tabulate every pure profile and mark the pure Nash equilibria.
 
     Refuses to run when the profile count exceeds ``cap``, reporting the
     count.  A profile is marked Nash when neither player's best unilateral
-    deviation gains more than ``deviation_tol``.
+    deviation gains more than ``field.tol``, recorded as ``deviation_tol``.
     """
     if mode not in ("sim", "seq"):
         raise GameSpecError(f"unknown mode {mode!r}")
@@ -308,6 +309,7 @@ def enumerate_oracle(
     ]
     best1 = [max(payoffs[i][j][0] for i in range(n1)) for j in range(n2)]
     best2 = [max(payoffs[i][j][1] for j in range(n2)) for i in range(n1)]
+    deviation_tol = field.tol
     equilibria = [
         (i, j)
         for i in range(n1)

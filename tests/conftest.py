@@ -296,6 +296,11 @@ def stopping_time_from_realized(tree: sg.EventTree, realized) -> sg.StoppingTime
     return st
 
 
+def canonical_stopping_time(tree: sg.EventTree, st: sg.StoppingTime) -> sg.StoppingTime:
+    """Normal form: stop exactly at each path's first stop, plus the horizon."""
+    return stopping_time_from_realized(tree, st.realized(tree))
+
+
 def as_mixed(strategy: sg.Strategy) -> sg.Strategy:
     """Embed a pure strategy as a degenerate mixed one."""
     probs = tuple(1.0 if m else 0.0 for m in strategy.initial.marks)
@@ -307,9 +312,9 @@ def canonical_signature(tree: sg.EventTree, strategy: sg.Strategy) -> tuple:
     if strategy.mixed:
         head: tuple = strategy.initial.probs
     else:
-        head = sg.canonical_stopping_time(tree, strategy.initial).marks
+        head = canonical_stopping_time(tree, strategy.initial).marks
     return (head,) + tuple(
-        sg.canonical_stopping_time(tree, rule).marks for rule in strategy.adjust.rules
+        canonical_stopping_time(tree, rule).marks for rule in strategy.adjust.rules
     )
 
 

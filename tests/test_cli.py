@@ -12,6 +12,8 @@ import stopgames as sg
 from stopgames import gamefile
 from stopgames.cli import _stop_set, build_parser, run
 
+from conftest import canonical_stopping_time
+
 
 def _run(argv):
     out = io.StringIO()
@@ -380,7 +382,7 @@ class TestStopSets:
                 for leaf in tree.leaves:
                     marks[leaf] = True
                 st = sg.StoppingTime(tuple(marks))
-                canonical = sg.canonical_stopping_time(tree, st).marks
+                canonical = canonical_stopping_time(tree, st).marks
                 prefix = tree.prefix_stopped(canonical)
                 ids = [
                     n.id

@@ -108,7 +108,7 @@ class TestHittingSaddle:
         g = _chain_values(tree, [2.0, 1.0])
         v = sg.dynkin_value(tree, f, g)
         sigma = sg.constant_stopping_time(tree, 0)
-        rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, sigma)
+        rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, sigma, 1e-9)
         assert rho.realized(tree) == (1,)
         assert tau.stop.realized(tree) == (1,)
         assert tau.clamped == frozenset()
@@ -119,7 +119,7 @@ class TestHittingSaddle:
         g = _chain_values(tree, [2.0, 2.0])
         v = sg.dynkin_value(tree, f, g)
         sigma = sg.constant_stopping_time(tree, 0)
-        rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, sigma)
+        rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, sigma, 1e-9)
         assert rho.realized(tree) == (0,)
         assert tau.clamped == frozenset({0})
         assert tau.stop.realized(tree) == (1,)
@@ -130,7 +130,7 @@ class TestHittingSaddle:
         g = _chain_values(tree, [2.0, 2.5, 1.0])
         v = sg.dynkin_value(tree, f, g)
         sigma = sg.constant_stopping_time(tree, 2)
-        rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, sigma)
+        rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, sigma, 1e-9)
         assert rho.realized(tree) == (2,)
         assert tau.stop.realized(tree) == (2,)
 
@@ -142,7 +142,7 @@ class TestHittingSaddle:
             g = [f[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)]
             v = sg.dynkin_value(tree, f, g)
             zero = sg.constant_stopping_time(tree, 0)
-            rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, zero)
+            rho, tau = sg.dynkin_hitting_saddle(tree, v, f, g, zero, 1e-9)
             rho_real = rho.realized(tree)
             tau_real = tau.stop.realized(tree)
 
@@ -171,7 +171,7 @@ class TestHittingSaddle:
             g = [f[i] + rng.uniform(0, 1) for i in range(tree.n_nodes)]
             v = sg.dynkin_value(tree, f, g)
             zero = sg.constant_stopping_time(tree, 0)
-            rho, _ = sg.dynkin_hitting_saddle(tree, v, f, g, zero)
+            rho, _ = sg.dynkin_hitting_saddle(tree, v, f, g, zero, 1e-9)
             assert stopped_submartingale_ok(tree, v, rho)
 
 

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "ZeroSumSaddle",
     "best_response",
     "build_tree",
-    "canonical_stopping_time",
     "check_equilibrium",
     "constant_stopping_time",
     "count_stopping_times",
@@ -114,5 +113,5 @@ def test_processes_are_node_indexed_tuples():
     assert shapes == {name: (tuple, tree.n_nodes) for name in processes}
     for t in range(tree.horizon + 1):
         rows = RewardRows(tree, lambda u, i: field.value(1, u, t, i))
-        res = stopgames.snell(tree, rows, t, "strict", "max")
+        res = stopgames.snell(tree, rows, t, "strict", "max", field.tol)
         assert type(res.value) is tuple and len(res.value) == len(tree.levels[t])

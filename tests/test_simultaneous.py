@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from pytest import approx
 
@@ -64,6 +67,41 @@ class TestSimProcesses:
                         assert total <= bundle.x2[idx] * weight + 1e-9
 
 
+def _has_pure(a, b) -> bool:
+    return any(
+        a[1 - r][c] <= a[r][c] and b[r][1 - c] <= b[r][c] for r in (0, 1) for c in (0, 1)
+    )
+
+
+def _stage_gaps(a, b, sol) -> tuple[float, float]:
+    """How much each player gains by her better pure reply to the other's
+    mix, over the solution's value."""
+    p, q = sol.p, sol.q
+    stop1 = q * a[0][0] + (1 - q) * a[0][1]
+    cont1 = q * a[1][0] + (1 - q) * a[1][1]
+    stop2 = p * b[0][0] + (1 - p) * b[1][0]
+    cont2 = p * b[0][1] + (1 - p) * b[1][1]
+    return max(stop1, cont1) - sol.value1, max(stop2, cont2) - sol.value2
+
+
+def _random_stage(rng, scale, near, by_column):
+    """A 2x2 payoff matrix at `scale`: uniform entries, or with `near`
+    entries a few ulps around one base per column (`by_column`) or row."""
+    if not near:
+        return tuple(tuple(rng.uniform(-scale, scale) for _ in range(2)) for _ in range(2))
+    bases = [rng.uniform(-scale, scale) for _ in range(2)]
+    grid = [
+        [b + rng.randint(-4, 4) * math.ulp(b) for b in bases] for _ in range(2)
+    ]
+    if not by_column:
+        grid = [list(col) for col in zip(*grid)]
+    return tuple(map(tuple, grid))
+
+
+def _rescaled(m, k):
+    return tuple(tuple(math.ldexp(x, k) for x in row) for row in m)
+
+
 class TestStageNash:
     def test_mixed_coordination(self):
         a = ((1.0, 0.0), (0.0, 1.0))
@@ -90,19 +128,69 @@ class TestStageNash:
         assert (sol.p, sol.q) == (1.0, 1.0)
         assert (sol.value1, sol.value2) == (0.7, 0.7)
 
-    def test_degenerate_cycle_falls_back(self):
-        # A cyclic preference pattern at rounding scale: no pure profile
-        # passes, and the indifference denominators are below tolerance.
+    def test_rounding_scale_cycle_is_mixed(self):
+        # A cyclic preference pattern at rounding scale has no pure profile,
+        # so its exact interior equilibrium p = q = 1/2 is returned.
         eps = 1e-13
         a = ((eps, 0.0), (0.0, eps))
         b = ((-eps, 0.0), (0.0, -eps))
         sol = sg.stage_nash_2x2(a, b)
-        assert sol.rule == "degenerate"
-        assert sol.p in (0.0, 1.0) and sol.q in (0.0, 1.0)
+        assert sol.rule == "mixed"
+        assert (sol.p, sol.q) == (0.5, 0.5)
+        assert _stage_gaps(a, b, sol) == (0.0, 0.0)
+
+    def test_cancelled_denominator_still_mixes(self):
+        # The four-term denominator of player 1 rounds to 0.0 here although
+        # d_0 = u and d_1 = -2u; the exact indifference point is q = 2/3.
+        u = 2.0**-52
+        a = ((-1.0, 3.0 + 6 * u), (-1.0 - u, 3.0 + 8 * u))
+        b = ((-1.0, 1.0), (1.0, -1.0))
+        assert a[0][0] - a[0][1] - a[1][0] + a[1][1] == 0.0
+        sol = sg.stage_nash_2x2(a, b)
+        assert sol.rule == "mixed"
+        assert sol.q == 2.0 / 3.0
+        assert max(_stage_gaps(a, b, sol)) <= 4 * u * 3.0
+
+    def test_no_pure_stages_mix_at_every_scale(self):
+        # Stages with no pure equilibrium, drawn uniformly or as near-tie
+        # cycles (each column of a, each row of b, a few ulps around its own
+        # base), at scales from 1e-300 to 1e300.  The mixed solution must be
+        # a probability pair and an equilibrium up to a few ulps.
+        rng = random.Random(2024)
+        seen = 0
+        while seen < 4000:
+            scale = 10.0 ** rng.uniform(-300, 300)
+            near = rng.random() < 0.5
+            a = _random_stage(rng, scale, near, by_column=True)
+            b = _random_stage(rng, scale, near, by_column=False)
+            if _has_pure(a, b):
+                continue
+            seen += 1
+            sol = sg.stage_nash_2x2(a, b)
+            assert sol.rule == "mixed"
+            assert 0.0 <= sol.p <= 1.0 and 0.0 <= sol.q <= 1.0
+            top = max(abs(x) for row in a + b for x in row)
+            assert max(_stage_gaps(a, b, sol)) <= 8 * 2.0**-52 * top
+
+    def test_mix_is_scale_free_up_to_the_float_limit(self):
+        # At 2**1023 the indifference sums overflow; the mix must not change.
+        rng = random.Random(5)
+        checked = 0
+        while checked < 200:
+            a = _random_stage(rng, 1.0, False, by_column=True)
+            b = _random_stage(rng, 1.0, False, by_column=False)
+            if _has_pure(a, b):
+                continue
+            checked += 1
+            sol = sg.stage_nash_2x2(a, b)
+            big = sg.stage_nash_2x2(*(_rescaled(m, 1023) for m in (a, b)))
+            assert (big.p, big.q) == (sol.p, sol.q)
+            assert (big.value1, big.value2) == (
+                math.ldexp(sol.value1, 1023),
+                math.ldexp(sol.value2, 1023),
+            )
 
     def test_stage_solution_is_equilibrium(self):
-        import random
-
         rng = random.Random(7)
         for _ in range(200):
             a = tuple(
@@ -112,13 +200,7 @@ class TestStageNash:
                 tuple(rng.uniform(-1, 1) for _ in range(2)) for _ in range(2)
             )
             sol = sg.stage_nash_2x2(a, b)
-            p, q = sol.p, sol.q
-            stop1 = q * a[0][0] + (1 - q) * a[0][1]
-            cont1 = q * a[1][0] + (1 - q) * a[1][1]
-            stop2 = p * b[0][0] + (1 - p) * b[1][0]
-            cont2 = p * b[0][1] + (1 - p) * b[1][1]
-            assert max(stop1, cont1) <= sol.value1 + 1e-9
-            assert max(stop2, cont2) <= sol.value2 + 1e-9
+            assert max(_stage_gaps(a, b, sol)) <= 1e-9
 
 
 class TestReducedEquilibrium:

@@ -10,6 +10,9 @@ from stopgames import gamefile
 
 from conftest import RewardRows, field_from_function, matching_field, three_node_tree
 
+#: The optimizer's equality tolerance: every reward here is of order 1.
+TOL = 1e-9
+
 
 def _reward_from_map(values: dict[int, float]):
     return lambda u, idx: values[idx]
@@ -37,37 +40,37 @@ class TestWorkedExamples:
     def test_strict_max_is_expectation_of_level_one(self):
         tree = three_node_tree()
         reward = _reward_from_map({0: 0.0, 1: 2.0, 2: 4.0})
-        res = sg.snell(tree, RewardRows(tree, reward), 0, "strict", "max")
+        res = sg.snell(tree, RewardRows(tree, reward), 0, "strict", "max", TOL)
         assert res.value[0] == approx(3.0, abs=1e-12)
         assert res.optimizer.realized(tree) == (1, 1)
 
     def test_inclusive_max_picks_immediate_reward(self):
         tree = three_node_tree()
         reward = _reward_from_map({0: 5.0, 1: 2.0, 2: 4.0})
-        res = sg.snell(tree, RewardRows(tree, reward), 0, "inclusive", "max")
+        res = sg.snell(tree, RewardRows(tree, reward), 0, "inclusive", "max", TOL)
         assert res.value[0] == approx(5.0, abs=1e-12)
         assert res.optimizer.realized(tree) == (0, 0)
 
     def test_inclusive_min_waits(self):
         tree = three_node_tree()
         reward = _reward_from_map({0: 5.0, 1: 2.0, 2: 4.0})
-        res = sg.snell(tree, RewardRows(tree, reward), 0, "inclusive", "min")
+        res = sg.snell(tree, RewardRows(tree, reward), 0, "inclusive", "min", TOL)
         assert res.value[0] == approx(3.0, abs=1e-12)
         assert res.optimizer.realized(tree) == (1, 1)
 
     def test_strict_window_at_horizon_is_forced(self):
         tree = three_node_tree()
         reward = _reward_from_map({0: 5.0, 1: 2.0, 2: 4.0})
-        res = sg.snell(tree, RewardRows(tree, reward), 1, "strict", "max")
+        res = sg.snell(tree, RewardRows(tree, reward), 1, "strict", "max", TOL)
         assert res.value[0] == 2.0
         assert res.value[1] == 4.0
 
     def test_constant_reward_stops_at_window_start(self):
         tree = three_node_tree()
-        res = sg.snell(tree, RewardRows(tree, lambda u, i: 1.25), 0, "inclusive", "max")
+        res = sg.snell(tree, RewardRows(tree, lambda u, i: 1.25), 0, "inclusive", "max", TOL)
         assert res.value[0] == 1.25
         assert res.optimizer.realized(tree) == (0, 0)
-        res_strict = sg.snell(tree, RewardRows(tree, lambda u, i: 1.25), 0, "strict", "min")
+        res_strict = sg.snell(tree, RewardRows(tree, lambda u, i: 1.25), 0, "strict", "min", TOL)
         assert res_strict.optimizer.realized(tree) == (1, 1)
 
     @pytest.mark.parametrize("direction", ["max", "min"])
@@ -80,7 +83,7 @@ class TestWorkedExamples:
         tree = gamefile.generate_random_game(3, 2, seed=1).tree
         reward = lambda u, i: float("nan") if i in nan_nodes else float(i)
         with pytest.raises(sg.GameSpecError, match=f"reward missing at node {named}$"):
-            sg.snell(tree, RewardRows(tree, reward), 0, "inclusive", direction)
+            sg.snell(tree, RewardRows(tree, reward), 0, "inclusive", direction, TOL)
 
 
 class TestRewardRows:
@@ -97,7 +100,7 @@ class TestRewardRows:
     def test_reads_rows_from_the_window_start(self, t, window, first_read):
         tree = gamefile.generate_random_game(3, 2, seed=4).tree
         rows = RewardRows(tree, lambda u, i: float(i % 5))
-        sg.snell(tree, rows, t, window, "max")
+        sg.snell(tree, rows, t, window, "max", TOL)
         assert rows.read == set(range(first_read, tree.horizon + 1))
 
 
@@ -111,7 +114,7 @@ class TestProperties:
             field = doc.payoff_field()
             reward = lambda u, idx: field.value(1, u, 0, idx)
             for t in range(tree.horizon + 1):
-                res = sg.snell(tree, RewardRows(tree, reward), t, window, direction)
+                res = sg.snell(tree, RewardRows(tree, reward), t, window, direction, TOL)
                 if t == 0:
                     oracle = _brute_force(tree, reward, t, window, direction)
                     assert res.value[0] == approx(oracle, abs=1e-12)
@@ -121,7 +124,7 @@ class TestProperties:
         tree = doc.tree
         field = doc.payoff_field()
         reward = lambda u, idx: field.value(1, u, 1, idx)
-        res = sg.snell(tree, RewardRows(tree, reward), 1, "inclusive", "max")
+        res = sg.snell(tree, RewardRows(tree, reward), 1, "inclusive", "max", TOL)
         env = res.envelope
         for t in range(1, tree.horizon):
             for idx in tree.levels[t]:
@@ -137,7 +140,7 @@ class TestProperties:
             tree = doc.tree
             field = doc.payoff_field()
             reward = lambda u, idx: field.value(2, 0, u, idx)
-            res = sg.snell(tree, RewardRows(tree, reward), 0, "strict", "max")
+            res = sg.snell(tree, RewardRows(tree, reward), 0, "strict", "max", TOL)
             realized = res.optimizer.realized(tree)
             total = 0.0
             for pos, prob in enumerate(tree.leaf_probs):
@@ -152,12 +155,12 @@ class TestProperties:
             field = doc.payoff_field()
             reward = lambda u, idx: field.value(1, u, 2, idx)
             for t in range(tree.horizon + 1):
-                strict = sg.snell(tree, RewardRows(tree, reward), t, "strict", "max")
-                inclusive = sg.snell(tree, RewardRows(tree, reward), t, "inclusive", "max")
+                strict = sg.snell(tree, RewardRows(tree, reward), t, "strict", "max", TOL)
+                inclusive = sg.snell(tree, RewardRows(tree, reward), t, "inclusive", "max", TOL)
                 for pos in range(len(tree.levels[t])):
                     assert inclusive.value[pos] >= strict.value[pos] - 1e-12
-                strict_min = sg.snell(tree, RewardRows(tree, reward), t, "strict", "min")
-                incl_min = sg.snell(tree, RewardRows(tree, reward), t, "inclusive", "min")
+                strict_min = sg.snell(tree, RewardRows(tree, reward), t, "strict", "min", TOL)
+                incl_min = sg.snell(tree, RewardRows(tree, reward), t, "inclusive", "min", TOL)
                 for pos in range(len(tree.levels[t])):
                     assert incl_min.value[pos] <= strict_min.value[pos] + 1e-12
 
@@ -167,9 +170,9 @@ class TestProperties:
         field = doc.payoff_field()
         for t in range(tree.horizon + 1):
             reward = lambda u, idx: field.value(1, u, t, idx)
-            strict = sg.snell(tree, RewardRows(tree, reward), t, "strict", "max")
+            strict = sg.snell(tree, RewardRows(tree, reward), t, "strict", "max", TOL)
             assert min(strict.optimizer.realized(tree)) >= min(t + 1, tree.horizon)
-            inclusive = sg.snell(tree, RewardRows(tree, reward), t, "inclusive", "min")
+            inclusive = sg.snell(tree, RewardRows(tree, reward), t, "inclusive", "min", TOL)
             assert min(inclusive.optimizer.realized(tree)) >= 0
 
 

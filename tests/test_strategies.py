@@ -279,6 +279,25 @@ class TestPayoffField:
         )
         assert field.bound == 2.0
 
+    @pytest.mark.parametrize(
+        "bound, unit",
+        [
+            (0.0, 1.0),
+            (0.375, 0.5),
+            (0.5, 0.5),
+            (0.75, 1.0),
+            (1.0, 1.0),
+            (3.0, 4.0),
+            (1e9, 2.0**30),
+            (2.0**-1074, 2.0**-1074),
+            (1.7e308, 2.0**1023),
+        ],
+    )
+    def test_unit_is_least_power_of_two_at_or_above_bound(self, bound, unit):
+        tree = chain_tree(1)
+        field = field_from_function(tree, lambda i, s, t, n: -bound if s else bound)
+        assert (field.bound, field.unit, field.tol) == (bound, unit, 1e-9 * unit)
+
     def test_measurability_layout(self):
         tree = chain_tree(2)
         field = field_from_function(tree, lambda i, s, t, n: float(n))

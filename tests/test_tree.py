@@ -12,6 +12,7 @@ import stopgames as sg
 from stopgames import gamefile
 
 from conftest import (
+    canonical_stopping_time,
     chain_tree,
     conditional_expectation,
     diagonal,
@@ -374,9 +375,9 @@ class TestStoppingTimeUtilities:
     def test_canonical_form_idempotent(self):
         tree = chain_tree(2)
         st = sg.StoppingTime((True, True, True))
-        canonical = sg.canonical_stopping_time(tree, st)
+        canonical = canonical_stopping_time(tree, st)
         assert canonical.marks == (True, False, True)
-        assert sg.canonical_stopping_time(tree, canonical) == canonical
+        assert canonical_stopping_time(tree, canonical) == canonical
 
     def test_from_realized_rejects_non_adapted(self):
         tree = three_node_tree()

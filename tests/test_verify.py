@@ -8,7 +8,13 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import as_mixed, chain_tree, field_from_function, matching_field
+from conftest import (
+    as_mixed,
+    canonical_stopping_time,
+    chain_tree,
+    field_from_function,
+    matching_field,
+)
 
 
 def _forced_family_a(tree):
@@ -277,7 +283,7 @@ class TestEnumeration:
         sts = sg.enumerate_stopping_times(tree)
         assert len({st.marks for st in sts}) == len(sts)
         for st in sts:
-            assert sg.canonical_stopping_time(tree, st) == st
+            assert canonical_stopping_time(tree, st) == st
 
     def test_strategy_counts_match_materialization(self, matching_tree):
         assert sg.count_strategies(matching_tree, "a") == 2
@@ -307,6 +313,20 @@ class TestEnumeration:
         assert len(result.equilibria) == len(result.strategies1) * len(
             result.strategies2
         )
+
+    def test_nash_marks_use_the_field_tolerance(self):
+        # Player 1 gains 3e-9 by stopping at time 1 instead of time 0: a
+        # real gain at unit 1, rounding noise at unit 4.
+        tree = chain_tree(1)
+        for scale, unit in ((0.5, 1.0), (3.0, 4.0)):
+            def payoff(i, s, t, n):
+                return scale + (3e-9 if (i, s) == (1, 1) else 0.0)
+
+            field = field_from_function(tree, payoff)
+            result = sg.enumerate_oracle(tree, field, "seq")
+            assert (field.unit, result.deviation_tol) == (unit, 1e-9 * unit)
+            everything = len(result.strategies1) * len(result.strategies2)
+            assert (len(result.equilibria) == everything) == (unit == 4.0)
 
     def test_cap_exceeded_reports_count(self, matching_tree, matching_payoffs):
         with pytest.raises(sg.EnumerationCapError) as info:
