@@ -24,7 +24,7 @@ from .sequential import seq_equilibrium
 from .simultaneous import sim_equilibrium
 from .strategies import Strategy
 from .tree import EventTree, Node, StoppingTime, constant_stopping_time
-from .verify import EquilibriumReport, check_equilibrium, enumerate_oracle
+from .verify import DEFAULT_EPS, EquilibriumReport, check_equilibrium, enumerate_oracle
 
 
 def fmt(x: float) -> str:
@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solve(name: str, helptext: str):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("file", help="game file (JSON)")
-        p.add_argument("--eps", type=float, default=1e-9, help="certification tolerance")
+        p.add_argument(
+            "--eps", type=float, default=DEFAULT_EPS, help="certification tolerance"
+        )
         p.add_argument("--profile-out", help="write the solved profile to this file")
         return p
 
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("file", help="game file (JSON)")
     ver.add_argument("--profile", required=True, help="profile file (JSON)")
     ver.add_argument("--mode", required=True, choices=("sim", "seq", "zs"))
-    ver.add_argument("--eps", type=float, default=1e-9)
+    ver.add_argument("--eps", type=float, default=DEFAULT_EPS)
     ver.add_argument("--sigma", type=int, default=0)
     ver.set_defaults(func=_cmd_verify)
 

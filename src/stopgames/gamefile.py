@@ -31,19 +31,13 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain
 from math import isfinite
 from operator import eq, itemgetter, neg
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import GameSpecError
-from .strategies import (
-    AdjustmentFamily,
-    PayoffField,
-    RandomizedStoppingTime,
-    Strategy,
-    field_keys,
-)
+from .strategies import AdjustmentFamily, PayoffField, RandomizedStoppingTime, Strategy
 from .tree import EventTree, StoppingTime, build_tree, checked_int
 
 FORMAT_NAME = "stopping-game-v1"
@@ -117,14 +111,14 @@ def _level_ids(tree: EventTree) -> list[list[str]]:
     return [[tree.nodes[idx].id for idx in level] for level in tree.levels]
 
 
-def _rows(tree: EventTree, sections: list[Mapping], exact: bool) -> list[tuple] | None:
-    """The blocks of the given payoff sections as value tuples, section by
-    section, each in canonical (s, t) order and each block in canonical node
-    order, whatever the order in the file.
+def _rows(tree: EventTree, sections: list[Mapping]) -> list[tuple] | None:
+    """The blocks of the given payoff sections as value tuples, in field
+    order: section by section, each in canonical (s, t) order and each block
+    in canonical node order, whatever the order in the file.
 
     None when a section's (s, t) entries are not exactly the horizon's, or a
-    block lacks a node of its level, or with `exact`, holds any other node;
-    ``_slices_by_block`` then words the fault.
+    block does not hold exactly the nodes of its level; ``_slices_by_block``
+    then words the fault.
     """
     pairs, levels = tree.stop_pairs, tree.stop_levels
     level_ids = _level_ids(tree)
@@ -142,7 +136,7 @@ def _rows(tree: EventTree, sections: list[Mapping], exact: bool) -> list[tuple] 
     try:
         for by_st in sections:
             blocks = list(map(by_st.__getitem__, pairs))
-            if len(by_st) != len(pairs) or exact and list(map(len, blocks)) != sizes:
+            if len(by_st) != len(pairs) or list(map(len, blocks)) != sizes:
                 return None
             values = list(map(itemgetter.__call__, getters, blocks))
             for start in range(0, lone * n, n):
@@ -153,65 +147,36 @@ def _rows(tree: EventTree, sections: list[Mapping], exact: bool) -> list[tuple] 
     return rows
 
 
-def _slices_by_block(
-    sections: Mapping[int, Mapping[tuple[int, int], Mapping[str, float]]],
-    tree: EventTree,
-    exact: bool,
-) -> dict[tuple[int, int, int], tuple[float, ...]]:
-    """Each payoff block's values in canonical node order, keyed (player, s, t),
-    read one block at a time to word the first fault ``_rows`` found.
-
-    A node the block lacks is an error; with `exact`, so is a node off the
-    block's level, which is reported first.
-    """
+def _slices_by_block(sections: Iterable[Mapping], tree: EventTree) -> None:
+    """Word the first fault ``_rows`` found, one block at a time in file
+    order: a node off the block's level, else a node of the level that the
+    block lacks."""
     level_ids = _level_ids(tree)
-    slices = {}
-    for player, by_st in sections.items():
+    for by_st in sections:
         for st, per_node in by_st.items():
             ids = level_ids[max(st)]
-            try:
-                vals = tuple(map(per_node.__getitem__, ids))
-            except KeyError:
-                vals = None
-            if vals is None or exact and len(per_node) != len(ids):
-                extra = per_node.keys() - set(ids) if exact else ()
-                if extra:
-                    raise GameSpecError(
-                        f"payoff for unknown or off-level node {sorted(extra)[0]} "
-                        f"at (s,t)={st}"
-                    )
+            extra = per_node.keys() - set(ids)
+            if extra:
+                raise GameSpecError(
+                    f"payoff for unknown or off-level node {sorted(extra)[0]} "
+                    f"at (s,t)={st}"
+                )
+            if len(per_node) != len(ids):
                 missing = next(nid for nid in ids if nid not in per_node)
                 raise GameSpecError(f"payoff missing for node {missing} at (s,t)={st}")
-            slices[(player, *st)] = vals
-    return slices
-
-
-def _negates(u2: Mapping, u1: Mapping) -> bool:
-    """Whether every payoff of section `u2` is the negation of section `u1`'s
-    at the same (s, t) and node; ``_negation_by_block`` words a fault."""
-    # Section 1's payoff for each (s, t, node) of section 2, in its order.
-    bases = map(map, map(getattr, map(u1.__getitem__, u2), repeat("get")), u2.values())
-    try:
-        return all(
-            map(
-                eq,
-                chain.from_iterable(map(dict.values, u2.values())),
-                map(neg, chain.from_iterable(bases)),
-            )
-        )
-    except (KeyError, TypeError):  # an (s, t) or a node section 1 lacks
-        return False
 
 
 def _negation_by_block(
-    sections: Mapping[int, Mapping[tuple[int, int], Mapping[str, float]]]
+    sections: Mapping[int, Mapping[tuple[int, int], Mapping[str, float]]], tree: EventTree
 ) -> None:
     """Word the first payoff of section 2 that is not the negation of
-    section 1's."""
+    section 1's, one block at a time in file order: the block's own nodes
+    first, then the nodes of its level that it lacks."""
+    level_ids = _level_ids(tree)
     for st, per_node in sections[2].items():
-        for nid, val in per_node.items():
-            base = sections[1][st].get(nid)
-            if base is None or val != -base:
+        base = sections[1][st]
+        for nid in chain(per_node, level_ids[max(st)]):
+            if nid not in per_node or nid not in base or per_node[nid] != -base[nid]:
                 raise GameSpecError(
                     f"payoff section 2 is not the negation of section 1 "
                     f"at (s,t)={st}, node {nid}"
@@ -235,29 +200,30 @@ class GameDocument:
         """Two-player field; both payoff sections must be present."""
         if set(self.sections) != {1, 2}:
             raise GameSpecError("game file needs payoff sections for players 1 and 2")
-        tree = self.tree
-        rows = _rows(tree, [self.sections[1], self.sections[2]], exact=True)
+        rows = _rows(self.tree, [self.sections[1], self.sections[2]])
         if rows is None:
-            return PayoffField(tree, _slices_by_block(self.sections, tree, exact=True))
-        return PayoffField(tree, dict(zip(field_keys(tree.horizon), rows)))
+            _slices_by_block(self.sections.values(), self.tree)
+        return PayoffField(self.tree, rows)
 
     def zero_sum_field(self) -> PayoffField:
         """Field with player 2's payoffs the negation of player 1's.
 
-        A present section 2 must already equal the negation exactly.
+        A present section 2 must already equal the negation exactly.  Its
+        faults are named before section 1's.
         """
         if 1 not in self.sections:
             raise GameSpecError("game file needs a payoff section for player 1")
-        u1 = self.sections[1]
-        if 2 in self.sections and not _negates(self.sections[2], u1):
-            _negation_by_block(self.sections)
-        rows = _rows(self.tree, [u1], exact=False)
-        if rows is None:
-            slices = _slices_by_block({1: u1}, self.tree, exact=False)
-            return PayoffField.zero_sum(
-                self.tree, {key[1:]: vals for key, vals in slices.items()}
-            )
-        return PayoffField.zero_sum(self.tree, dict(zip(self.tree.stop_pairs, rows)))
+        tree = self.tree
+        rows = _rows(tree, [self.sections[p] for p in (1, 2) if p in self.sections])
+        n = len(tree.stop_pairs)
+        # Section 2's rows, if any, follow section 1's and must negate them.
+        if rows is None or not all(
+            map(eq, chain.from_iterable(rows[n:]), map(neg, chain.from_iterable(rows[:n])))
+        ):
+            if 2 in self.sections:
+                _negation_by_block(self.sections, tree)
+            _slices_by_block([self.sections[1]], tree)
+        return PayoffField.zero_sum(tree, rows[:n])
 
 
 def _st_key(st_key: str, horizon: int) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from .strategies import (
     stop_alone_values,
 )
 from .tree import EventTree
-from .verify import EquilibriumReport, check_equilibrium
+from .verify import DEFAULT_EPS, EquilibriumReport, check_equilibrium
 
 @dataclass(frozen=True)
 class SimProcessBundle:
@@ -224,7 +224,7 @@ class SimEquilibrium:
 
 
 def sim_equilibrium(
-    tree: EventTree, field: PayoffField, eps: float = 1e-9
+    tree: EventTree, field: PayoffField, eps: float = DEFAULT_EPS
 ) -> SimEquilibrium:
     """Solve the simultaneous-move game in mixed type-A strategies.
 

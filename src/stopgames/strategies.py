@@ -13,11 +13,11 @@ initial rule only, with an independent stop probability per node.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from math import frexp, isfinite, ldexp
 from operator import neg
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GameSpecError
 from .tree import EventTree, StoppingTime
@@ -114,31 +114,33 @@ def check_class(strategy, mixed: bool, strict: bool, message: str) -> None:
         raise GameSpecError(message)
 
 
-def field_keys(horizon: int) -> Iterator[tuple[int, int, int]]:
-    """Every (player, s, t) of a two-player payoff field in canonical order:
-    player 1's (s, t) row-major, then player 2's.  A fresh iterator on each
-    call, so no key outlives its use."""
-    n = horizon + 1
-    return product((1, 2), range(n), range(n))
+def _float_rows(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]] | None:
+    """`rows` as tuples of floats, or None when a row or a value is not one
+    ``float`` accepts; a tuple that holds only floats is kept.  Anything but
+    a sequence is refused: a mapping's keys are not payoff rows."""
+    if not isinstance(rows, Sequence):
+        raise GameSpecError(f"payoff rows must be a sequence, not {type(rows).__name__}")
+    try:
+        rows = list(map(tuple, rows))
+        if set(map(type, chain.from_iterable(rows))) <= {float}:
+            return rows
+        return list(map(tuple, map(map, repeat(float), rows)))
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
-def _float_rows(rows: Iterable[Sequence[float]]) -> list[tuple[float, ...]]:
-    """`rows` as tuples of floats; a tuple that holds only floats is kept."""
-    rows = list(map(tuple, rows))
-    if set(map(type, chain.from_iterable(rows))) <= {float}:
-        return rows
-    return list(map(tuple, map(map, repeat(float), rows)))
-
-
-def _first_row_fault(tree: EventTree, slices: Mapping) -> None:
-    """Raise the first fault of a payoff field's slices, checking one slice
-    at a time in (player, s, t) order: a missing slice, a value ``float``
-    rejects, a wrong size, then a non-finite value."""
-    for key in field_keys(tree.horizon):
-        if key not in slices:
-            raise GameSpecError(f"payoff field missing slice {key}")
-        size = len(tree.levels[max(key[1], key[2])])
-        vals = tuple(map(float, slices[key]))
+def _first_row_fault(tree: EventTree, rows: Sequence[Sequence[float]]) -> None:
+    """Raise the first fault of a payoff field's rows: a wrong number of
+    rows, then, one row at a time in field order, a value ``float``
+    rejects, a wrong size, then a non-finite value.  A row is named by its
+    position, shown as (player, s, t)."""
+    pairs = tree.stop_pairs
+    if len(rows) != 2 * len(pairs):
+        raise GameSpecError(f"payoff field needs {2 * len(pairs)} rows, got {len(rows)}")
+    for (player, (s, t)), row in zip(product((1, 2), pairs), rows):
+        key = (player, s, t)
+        size = len(tree.levels[max(s, t)])
+        vals = tuple(map(float, row))
         if len(vals) != size:
             raise GameSpecError(f"payoff slice {key} needs {size} values, got {len(vals)}")
         if not all(map(isfinite, vals)):
@@ -150,9 +152,11 @@ class PayoffField:
 
     The payoff for player i when the effective stop times are (s, t) is read
     at the node of level max(s, t) on the realized path, which is exactly the
-    information available once both players have stopped.  Values are stored
-    as one tuple per (player, s, t), in :func:`field_keys` order, aligned with
-    the canonical node ordering of level max(s, t).
+    information available once both players have stopped.  A field is built
+    from its rows in field order: player 1's, then player 2's, each in
+    ``tree.stop_pairs`` order (row-major (s, t)), and each row the values of
+    the nodes of level max(s, t) in canonical order.  It stores them as one
+    tuple of floats per row.
 
     A field also memoizes the one-sided tables computed from it
     (:func:`~stopgames.snell.reaction_value` and :func:`stop_alone_values`),
@@ -167,22 +171,20 @@ class PayoffField:
     comparison exactly and leaves every decision as it was.
     """
 
-    def __init__(self, tree: EventTree, slices: Mapping[tuple[int, int, int], Sequence[float]]):
+    def __init__(self, tree: EventTree, rows: Sequence[Sequence[float]]):
         self.tree = tree
         level_sizes = list(map(len, tree.levels))
         sizes = list(map(level_sizes.__getitem__, tree.stop_levels)) * 2
-        try:
-            rows = _float_rows(map(slices.__getitem__, field_keys(tree.horizon)))
-            valid = list(map(len, rows)) == sizes and all(
-                map(isfinite, chain.from_iterable(rows))
-            )
-        except (KeyError, TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            _first_row_fault(tree, slices)
-        self._data: list[tuple[float, ...]] = rows
+        data = _float_rows(rows)
+        if (
+            data is None
+            or list(map(len, data)) != sizes
+            or not all(map(isfinite, chain.from_iterable(data)))
+        ):
+            _first_row_fault(tree, rows)
+        self._data: list[tuple[float, ...]] = data
         self._width = tree.horizon + 1
-        self.bound = max(map(abs, chain.from_iterable(rows)), default=0.0)
+        self.bound = max(map(abs, chain.from_iterable(data)), default=0.0)
         mantissa, exponent = frexp(self.bound)  # 0 or in [0.5, 1)
         self.unit = ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
         self.tol = 1e-9 * self.unit
@@ -190,22 +192,15 @@ class PayoffField:
         self._mixed_payoffs: dict[tuple, tuple] = {}
 
     @classmethod
-    def zero_sum(
-        cls, tree: EventTree, u1: Mapping[tuple[int, int], Sequence[float]]
-    ) -> "PayoffField":
-        """Build a field with player 2's payoffs the negation of player 1's."""
-        pairs = tree.stop_pairs
-        try:
-            rows = _float_rows(map(u1.__getitem__, pairs))
-        except (KeyError, TypeError, ValueError, OverflowError):
-            rows = None
-        if rows is None:  # word the first fault, one slice at a time
-            for s, t in pairs:
-                if (s, t) not in u1:
-                    raise GameSpecError(f"payoff field missing slice (1, {s}, {t})")
-                tuple(map(float, u1[(s, t)]))
-        negated = map(tuple, map(map, repeat(neg), rows))
-        return cls(tree, dict(zip(field_keys(tree.horizon), chain(rows, negated))))
+    def zero_sum(cls, tree: EventTree, rows1: Sequence[Sequence[float]]) -> "PayoffField":
+        """Build a field from player 1's rows, in field order, with player 2's
+        rows their negation.  A fault is named as in that field."""
+        rows = _float_rows(rows1)
+        if rows is None:
+            # Negation keeps each row's size and finiteness, so player 1's
+            # rows twice have the same first fault.
+            _first_row_fault(tree, [*rows1, *rows1])
+        return cls(tree, [*rows, *map(tuple, map(map, repeat(neg), rows))])
 
     def value(self, player: int, s: int, t: int, node: int) -> float:
         """U^player(s, t, node) for a node of level max(s, t); see row()."""
@@ -217,8 +212,7 @@ class PayoffField:
         """U^player(s, t, .) over the nodes of level max(s, t), in level order.
 
         `player` must be 1 or 2 and s, t in 0..horizon: the row is read by
-        its position in :func:`field_keys` order, so other arguments are not
-        rejected.
+        its position in field order, so other arguments are not rejected.
         """
         n = self._width
         return self._data[((player - 1) * n + s) * n + t]

@@ -311,18 +311,15 @@ class HittingResult:
 
 def hitting_time(
     tree: EventTree,
-    flag: Callable[[int], bool] | Sequence[bool],
+    flag: Callable[[int], bool],
     start: StoppingTime,
 ) -> HittingResult:
-    """First time >= `start` at which `flag` holds, per path.
+    """First time >= `start` at which `flag(node index)` holds, per path.
 
     Paths with no eligible flagged node are clamped to the horizon and
     recorded in the clamped set.
     """
-    if callable(flag):
-        flagged = tuple(bool(flag(i)) for i in range(tree.n_nodes))
-    else:
-        flagged = tuple(bool(v) for v in flag)
+    flagged = tuple(bool(flag(i)) for i in range(tree.n_nodes))
     eligible = tree.prefix_stopped(start.marks)
     marks = [False] * tree.n_nodes
     for idx in range(tree.n_nodes):

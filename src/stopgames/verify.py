@@ -129,6 +129,11 @@ def best_response(
     return values[0], Strategy(StoppingTime(tuple(marks)), own.family)
 
 
+#: The default certification tolerance ``eps``, in units of the field's
+#: ``unit``.
+DEFAULT_EPS = 1e-9
+
+
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Certification of a candidate profile by exact best responses.
@@ -149,7 +154,7 @@ def check_equilibrium(
     field: PayoffField,
     mode: str,
     profile: tuple,
-    eps: float = 1e-9,
+    eps: float = DEFAULT_EPS,
     not_before: StoppingTime | None = None,
 ) -> EquilibriumReport:
     """Run both players' best responses against a candidate profile.

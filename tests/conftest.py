@@ -105,13 +105,13 @@ def reference_payoff_rows(obj: dict, zero_sum: bool) -> dict:
 def field_from_function(tree: sg.EventTree, fn) -> sg.PayoffField:
     """Build a payoff field from fn(player, s, t, node_index)."""
     T = tree.horizon
-    slices = {}
+    rows = []
     for i in (1, 2):
         for s in range(T + 1):
             for t in range(T + 1):
                 level = max(s, t)
-                slices[(i, s, t)] = [fn(i, s, t, idx) for idx in tree.levels[level]]
-    return sg.PayoffField(tree, slices)
+                rows.append([fn(i, s, t, idx) for idx in tree.levels[level]])
+    return sg.PayoffField(tree, rows)
 
 
 class RewardRows:

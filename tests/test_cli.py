@@ -48,6 +48,15 @@ def _report_value(text, key):
     raise AssertionError(f"missing report line {key!r}:\n{text}")
 
 
+def _negate_first_nodes_only(payoffs):
+    """Write section 2 as the negation of the first node of each block of
+    section 1, and of no other node."""
+    payoffs["2"] = {
+        st: {nid: -val for nid, val in list(block.items())[:1]}
+        for st, block in payoffs["1"].items()
+    }
+
+
 class TestSolveCommands:
     def test_solve_sim_matching(self, matching_file):
         code, text = _run(["solve-sim", matching_file])
@@ -134,6 +143,31 @@ class TestSolveCommands:
         assert text == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda p: p["1"]["1,1"].update({"zz": 5.0}),
+                "payoff for unknown or off-level node zz at (s,t)=(1, 1)",
+            ),
+            (
+                _negate_first_nodes_only,
+                "payoff section 2 is not the negation of section 1 at (s,t)=(0, 1), node 1:1",
+            ),
+        ],
+        ids=["unknown-node", "partial-section-2"],
+    )
+    def test_zero_sum_blocks_hold_exactly_their_level(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "zs.json"
+        gen = ["gen", "--horizon", "2", "--branching", "2", "--seed", "3", "--zero-sum"]
+        assert _run(gen + ["-o", str(path)])[0] == 0
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj["payoffs"])
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        code, text = _run(["solve-zs", str(path)])
+        assert (code, text, capsys.readouterr().err) == (1, "", f"error: {message}\n")
 
     def test_input_validation_error(self, tmp_path):
         doc = {

@@ -179,11 +179,7 @@ class TestZeroSumSaddle:
     def test_matching_game(self, matching_tree):
         field = sg.PayoffField.zero_sum(
             matching_tree,
-            {
-                (s, t): [1.0 if s == t else 0.0]
-                for s in range(2)
-                for t in range(2)
-            },
+            [[1.0 if s == t else 0.0] for s in range(2) for t in range(2)],
         )
         saddle = sg.zero_sum_saddle(matching_tree, field)
         assert [saddle.f[i] for i in range(2)] == [0.0, 1.0]
@@ -214,7 +210,7 @@ class TestZeroSumSaddle:
     def test_constant_payoff(self):
         tree = chain_tree(2)
         field = sg.PayoffField.zero_sum(
-            tree, {(s, t): [0.5] for s in range(3) for t in range(3)}
+            tree, [[0.5] for s in range(3) for t in range(3)]
         )
         saddle = sg.zero_sum_saddle(tree, field)
         assert saddle.value == approx(0.5, abs=1e-12)
@@ -280,7 +276,7 @@ class TestZeroSumSaddle:
         tree = chain_tree(1)
         field = sg.PayoffField.zero_sum(
             tree,
-            {(0, 0): [1.0], (0, 1): [2.0], (1, 0): [-2.0], (1, 1): [0.0]},
+            [[1.0], [2.0], [-2.0], [0.0]],  # (s, t) = (0, 0), (0, 1), (1, 0), (1, 1)
         )
         saddle = sg.zero_sum_saddle(tree, field)
         rho_real = saddle.rho_star.initial.realized(tree)

@@ -128,6 +128,59 @@ class TestGameReader:
         _read_game(text)
 
 
+def _with_section_2(doc: gamefile.GameDocument) -> dict:
+    """The game object of a zero-sum game with section 2 written out as the
+    negation of section 1."""
+    obj = json.loads(gamefile.emit(doc))
+    obj["payoffs"]["2"] = {
+        st: {nid: -val for nid, val in block.items()}
+        for st, block in obj["payoffs"]["1"].items()
+    }
+    return obj
+
+
+_ZS2 = _with_section_2(_ZS_GAME)
+_NODE_IDS = [node["id"] for node in _ZS2["nodes"]] + ["zz"]
+
+
+@st.composite
+def _edited_blocks(draw):
+    """`_ZS2` after one to three edits of payoff blocks: a node deleted from,
+    or set in, one block of section 1, of section 2, or of both, where
+    "both" keeps section 2 the negation of section 1."""
+    obj = json.loads(json.dumps(_ZS2))
+    payoffs = obj["payoffs"]
+    for _ in range(draw(st.integers(1, 3))):
+        sections = draw(st.sampled_from([("1",), ("2",), ("1", "2")]))
+        key = draw(st.sampled_from(sorted(payoffs["1"])))
+        nid = draw(st.sampled_from(_NODE_IDS))
+        value = draw(st.none() | st.sampled_from([0.0, -0.0, 0.5, -1.25]))
+        for section in sections:
+            block = payoffs[section][key]
+            if value is None:
+                block.pop(nid, None)
+            else:
+                block[nid] = value if section == "1" else -value
+    return obj
+
+
+class TestZeroSumBlocks:
+    @FUZZ
+    @given(_edited_blocks())
+    def test_an_accepted_field_has_exact_blocks_and_negation(self, obj):
+        doc = gamefile.parse(json.dumps(obj))
+        try:
+            doc.zero_sum_field()
+        except sg.GameSpecError:
+            return
+        tree = doc.tree
+        u1, u2 = doc.sections[1], doc.sections[2]
+        for (s, t), block in u1.items():
+            ids = {tree.nodes[idx].id for idx in tree.levels[max(s, t)]}
+            assert set(block) == set(u2[(s, t)]) == ids
+            assert all(u2[(s, t)][nid] == -val for nid, val in block.items())
+
+
 class TestProfileReader:
     @pytest.mark.parametrize("mode", sorted(_PROFILES))
     def test_edited_profile(self, mode):

@@ -370,6 +370,14 @@ class TestBulkRead:
                     float.hex(float(v)) for v in want.values()
                 ]
 
+    @pytest.mark.parametrize("case", _ODD_DOCUMENTS, ids=repr)
+    def test_a_field_rebuilds_from_its_own_rows(self, case):
+        doc = gamefile.parse(json.dumps(_odd_document(*case)))
+        field = doc.zero_sum_field() if case[2] else doc.payoff_field()
+        rebuilt = sg.PayoffField(doc.tree, field._data)
+        assert _hex_field(rebuilt) == _hex_field(field)
+        assert (rebuilt.unit.hex(), rebuilt.tol.hex()) == (field.unit.hex(), field.tol.hex())
+
     def test_valid_documents_never_enter_the_per_block_loops(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a valid document entered a per-block loop")
@@ -475,6 +483,21 @@ _TWO_FAULTS = {
             p["2"]["2,0"].update({"2:1": p["2"]["2,0"]["2:1"] + 1.0}),
             _pop(p["1"]["0,1"], "1:1"),
         ),
+        "zero-sum+2",
+        "zero_sum_field",
+        "payoff section 2 is not the negation of section 1 at (s,t)=(0, 1), node 1:1",
+    ),
+    "unknown-node-in-section-1-and-nan": (
+        lambda p: (
+            p["1"]["1,1"].update({"zz": 5.0}),
+            p["1"]["2,2"].update({"2:0": float("nan")}),
+        ),
+        "zero-sum",
+        "zero_sum_field",
+        "payoff for unknown or off-level node zz at (s,t)=(1, 1)",
+    ),
+    "section-2-lacks-a-node-and-nan": (
+        lambda p: (_pop(p["2"]["0,1"], "1:1"), p["1"]["2,2"].update({"2:0": float("nan")})),
         "zero-sum+2",
         "zero_sum_field",
         "payoff section 2 is not the negation of section 1 at (s,t)=(0, 1), node 1:1",

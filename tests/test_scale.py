@@ -16,7 +16,6 @@ import pytest
 import stopgames as sg
 from stopgames import gamefile
 from stopgames.cli import run
-from stopgames.strategies import field_keys
 
 from conftest import canonical_signature
 
@@ -24,8 +23,7 @@ EXPONENTS = (-40, -20, 20, 40)
 
 
 def _scaled(field: sg.PayoffField, k: int) -> sg.PayoffField:
-    keys = field_keys(field.tree.horizon)
-    scaled = {key: [ldexp(x, k) for x in field.row(*key)] for key in keys}
+    scaled = [[ldexp(x, k) for x in row] for row in field._data]
     return sg.PayoffField(field.tree, scaled)
 
 

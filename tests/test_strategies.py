@@ -269,8 +269,17 @@ class TestStopAloneValues:
 class TestPayoffField:
     def test_missing_slice(self):
         tree = chain_tree(1)
-        with pytest.raises(sg.GameSpecError, match="missing slice"):
-            sg.PayoffField(tree, {})
+        with pytest.raises(sg.GameSpecError, match="payoff field needs 8 rows, got 0"):
+            sg.PayoffField(tree, [])
+
+    @pytest.mark.parametrize("build", [sg.PayoffField, sg.PayoffField.zero_sum])
+    def test_mapping_is_refused(self, build):
+        # An old-style mapping keyed by (player, s, t) or (s, t): its keys
+        # must not be read as payoff rows.
+        tree = chain_tree(1)
+        for keys in (product((1, 2), range(2), range(2)), product(range(2), range(2))):
+            with pytest.raises(sg.GameSpecError, match="must be a sequence, not dict"):
+                build(tree, {key: [0.5] for key in keys})
 
     def test_bound_tracks_max_abs(self):
         tree = chain_tree(1)
@@ -321,18 +330,18 @@ class TestPayoffField:
             ),
             (
                 lambda sl: (sl.update({(1, 0, 1): [0.5] * 3}), sl.pop((2, 0, 0))),
-                "payoff slice (1, 0, 1) needs 2 values, got 3",
+                "payoff field needs 8 rows, got 7",
             ),
             (
                 lambda sl: (sl.pop((1, 1, 0)), sl.update({(2, 0, 0): [float("inf")]})),
-                "payoff field missing slice (1, 1, 0)",
+                "payoff field needs 8 rows, got 7",
             ),
             (
                 lambda sl: sl.update({(2, 1, 0): (1, -0.0), (2, 0, 1): [0.5, float("-inf")]}),
                 "non-finite payoff in slice (2, 0, 1)",
             ),
         ],
-        ids=["size", "nan-before-size", "size-before-missing", "missing-before-inf", "ints-ok"],
+        ids=["size", "nan-before-size", "too-few-before-size", "too-few-before-inf", "ints-ok"],
     )
     def test_first_fault_wins(self, edit, message):
         tree = three_node_tree()
@@ -342,7 +351,7 @@ class TestPayoffField:
         }
         edit(slices)
         with pytest.raises(sg.GameSpecError) as exc:
-            sg.PayoffField(tree, slices)
+            sg.PayoffField(tree, [slices[key] for key in sorted(slices)])
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
@@ -351,29 +360,29 @@ class TestPayoffField:
             lambda u1: (u1.pop((1, 1)), u1.update({(0, 0): [float("nan")]})),
             lambda u1: (u1.pop((1, 1)), u1.update({(0, 1): [0.5]})),
         ],
-        ids=["missing-before-nan", "missing-before-size"],
+        ids=["too-few-before-nan", "too-few-before-size"],
     )
-    def test_zero_sum_reports_a_missing_slice_first(self, edit):
+    def test_zero_sum_reports_too_few_rows_first(self, edit):
         tree = three_node_tree()
         u1 = {
             (s, t): [0.5] * len(tree.levels[max(s, t)]) for s in range(2) for t in range(2)
         }
         edit(u1)
         with pytest.raises(sg.GameSpecError) as exc:
-            sg.PayoffField.zero_sum(tree, u1)
-        assert str(exc.value) == "payoff field missing slice (1, 1, 1)"
+            sg.PayoffField.zero_sum(tree, [u1[st] for st in sorted(u1)])
+        # Player 1's three rows and their negations.
+        assert str(exc.value) == "payoff field needs 8 rows, got 6"
 
     def test_bound_of_signed_zeros_is_positive_zero(self):
         tree = three_node_tree()
         assert field_from_function(tree, lambda i, s, t, n: -0.0).bound.hex() == "0x0.0p+0"
-        u1 = {(s, t): [0] * len(tree.levels[max(s, t)]) for s in range(2) for t in range(2)}
+        u1 = [[0] * len(tree.levels[max(s, t)]) for s in range(2) for t in range(2)]
         field = sg.PayoffField.zero_sum(tree, u1)
         assert field.row(2, 1, 1) == (-0.0, -0.0)
         assert field.bound.hex() == "0x0.0p+0"
 
     def test_zero_sum_negation(self):
         tree = chain_tree(1)
-        u1 = {(s, t): [0.25] for s in range(2) for t in range(2)}
-        field = sg.PayoffField.zero_sum(tree, u1)
+        field = sg.PayoffField.zero_sum(tree, [[0.25]] * 4)
         assert field.value(1, 0, 1, 1) == 0.25
         assert field.value(2, 0, 1, 1) == -0.25

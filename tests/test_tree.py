@@ -352,12 +352,6 @@ class TestHittingTime:
         res = sg.hitting_time(tree, lambda i: True, start)
         assert res.stop.realized(tree) == (2,)
 
-    def test_accepts_flag_sequence(self):
-        tree = chain_tree(2)
-        zero = sg.constant_stopping_time(tree, 0)
-        res = sg.hitting_time(tree, [False, True, False], zero)
-        assert res.stop.realized(tree) == (1,)
-
     def test_adapted_and_not_earlier_than_start(self):
         doc = gamefile.generate_random_game(4, 2, seed=3)
         tree = doc.tree
