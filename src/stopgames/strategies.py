@@ -13,11 +13,13 @@ initial rule only, with an independent stop probability per node.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product, repeat
 from math import frexp, isfinite, ldexp
-from operator import neg
+from operator import getitem, neg
 
 from .errors import GameSpecError
 from .tree import EventTree, StoppingTime
@@ -129,18 +131,27 @@ def _float_rows(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]] | No
         return None
 
 
-def _first_row_fault(tree: EventTree, rows: Sequence[Sequence[float]]) -> None:
-    """Raise the first fault of a payoff field's rows: a wrong number of
-    rows, then, one row at a time in field order, a value ``float``
-    rejects, a wrong size, then a non-finite value.  A row is named by its
-    position, shown as (player, s, t)."""
+def _first_row_fault(
+    tree: EventTree, rows: Sequence[Sequence[float]], players: tuple[int, ...] = (1, 2)
+) -> None:
+    """Raise the first fault of the given players' payoff rows: a wrong
+    number of rows, then, one row at a time in field order, a row that is
+    not a sequence of values ``float`` accepts, a wrong size, then a
+    non-finite value.  A row is named by its position, shown as
+    (player, s, t)."""
     pairs = tree.stop_pairs
-    if len(rows) != 2 * len(pairs):
-        raise GameSpecError(f"payoff field needs {2 * len(pairs)} rows, got {len(rows)}")
-    for (player, (s, t)), row in zip(product((1, 2), pairs), rows):
+    if len(rows) != len(players) * len(pairs):
+        whose = "" if len(players) == 2 else f" for player {players[0]}"
+        raise GameSpecError(
+            f"payoff field needs {len(players) * len(pairs)} rows{whose}, got {len(rows)}"
+        )
+    for (player, (s, t)), row in zip(product(players, pairs), rows):
         key = (player, s, t)
         size = len(tree.levels[max(s, t)])
-        vals = tuple(map(float, row))
+        try:
+            vals = tuple(map(float, row))
+        except (TypeError, ValueError, OverflowError):
+            raise GameSpecError(f"payoff slice {key} must be a sequence of numbers") from None
         if len(vals) != size:
             raise GameSpecError(f"payoff slice {key} needs {size} values, got {len(vals)}")
         if not all(map(isfinite, vals)):
@@ -196,10 +207,10 @@ class PayoffField:
         """Build a field from player 1's rows, in field order, with player 2's
         rows their negation.  A fault is named as in that field."""
         rows = _float_rows(rows1)
-        if rows is None:
-            # Negation keeps each row's size and finiteness, so player 1's
-            # rows twice have the same first fault.
-            _first_row_fault(tree, [*rows1, *rows1])
+        if rows is None or len(rows) != len(tree.stop_pairs):
+            _first_row_fault(tree, rows1, players=(1,))
+        # Negation keeps each row's size and finiteness, so any other fault
+        # is first found among player 1's rows.
         return cls(tree, [*rows, *map(tuple, map(map, repeat(neg), rows))])
 
     def value(self, player: int, s: int, t: int, node: int) -> float:
@@ -216,6 +227,22 @@ class PayoffField:
         """
         n = self._width
         return self._data[((player - 1) * n + s) * n + t]
+
+    def rows_at(
+        self, player: int, side: str, level: int, count: int
+    ) -> list[tuple[float, ...]]:
+        """The rows U^player(level, t) (``side="first"``) or U^player(t, level)
+        (``side="second"``) for t = 0..count-1, with count <= level + 1 or
+        level the horizon, so that each row lives at `level`.  Rows of one
+        player are stored row-major in (s, t), so these are one slice: a
+        contiguous one for the first side, one of stride horizon + 1 for the
+        second.
+        """
+        n = self._width
+        base = (player - 1) * n * n
+        if side == "first":
+            return self._data[base + level * n : base + level * n + count]
+        return self._data[base + level : base + level + count * n : n]
 
 
 def _payoff_pure_core(
@@ -275,6 +302,44 @@ def payoff_pure(
     return _payoff_pure_core(tree, field, mode, rho, tau)
 
 
+def _alone_sweep(
+    tree: EventTree,
+    rewards: Callable[[int, int], Sequence[Sequence[float]]],
+    roots: Sequence[int],
+    rules: Sequence[StoppingTime],
+) -> list[list[float]]:
+    """For each rule and its root level (`roots` increasing), the expected
+    reward at the rule's first stop at or after the root, per root-level node.
+
+    ``rewards(u, count)`` gives the level-u reward rows of the first `count`
+    problems.  One backward sweep carries every problem whose root is at or
+    above the current level, as one flat list with problem k's level-u nodes
+    at k * size + i.  Each keeps the operations of a one-problem induction:
+    at the horizon the reward where the rule stops and 0.0 elsewhere, then
+    the reward where the rule stops and E_u of the level below elsewhere.
+    A rule's marks are bools, used as the index of that choice.
+    """
+    T = tree.horizon
+    starts = tree.level_start
+    values: list[list[float]] = [[]] * len(roots)
+    # At the horizon a rule that does not stop collects 0.0.
+    cont: Iterable[float] = repeat(0.0)
+    out: list[float] = []
+    for u in range(T, roots[0] - 1, -1):
+        active = bisect_right(roots, u)
+        if u < T:
+            cont = tree.expect_batch(out, u, active)
+        here = slice(starts[u], starts[u + 1])
+        marks = chain.from_iterable([rule.marks[here] for rule in rules[:active]])
+        w = chain.from_iterable(rewards(u, active))
+        # (cont, w)[mark] is w where the rule stops and cont elsewhere.
+        out = list(map(getitem, zip(cont, w), marks))
+        k = active - 1
+        if roots[k] == u:
+            values[k] = out[k * (starts[u + 1] - starts[u]) :]
+    return values
+
+
 def expected_at_stop(
     tree: EventTree, rule: StoppingTime, rows: Sequence[Sequence[float]], t: int
 ) -> list[float]:
@@ -285,17 +350,10 @@ def expected_at_stop(
     order; only levels t..T are read.  Entry n is the expectation, over
     paths through node n, of the reward at the node where the rule first
     stops.  The induction runs backward from the horizon to level t and no
-    further.
+    further; it is the one-problem run of the sweep behind
+    :func:`stop_alone_values`.
     """
-    marks = rule.marks
-    out = [0.0] * tree.n_nodes
-    for idx, w in zip(tree.leaves, rows[tree.horizon]):
-        if marks[idx]:
-            out[idx] = w
-    for u in range(tree.horizon - 1, t - 1, -1):
-        for idx, w, cont in zip(tree.levels[u], rows[u], tree.expect_next(out, u)):
-            out[idx] = w if marks[idx] else cont
-    return out[tree.level_start[t] : tree.level_start[t + 1]]
+    return _alone_sweep(tree, lambda u, k: (rows[u],), (t,), (rule,))[0]
 
 
 def stop_alone_values(
@@ -310,22 +368,22 @@ def stop_alone_values(
     rule ``family.rules[t]``.
 
     The stopper's time goes in her own payoff argument, the follower's
-    realized time in the other.  The table is memoized on the field.
+    realized time in the other.  All T+1 problems are solved by one
+    backward sweep.  The table is memoized on the field.
     """
     key = (tree, player, stopper, family)
     cached = field._tables.get(key)
     if cached is not None:
         return cached
-    T = tree.horizon
-    out: list[float] = []
-    for t, rule in enumerate(family.rules):
-        # Levels below t are never read.
-        if stopper == 1:
-            rows = [None] * t + [field.row(player, t, u) for u in range(t, T + 1)]
-        else:
-            rows = [None] * t + [field.row(player, u, t) for u in range(t, T + 1)]
-        out += expected_at_stop(tree, rule, rows, t)
-    table = field._tables[key] = tuple(out)
+    # Stopper 1 stops at t and the follower at u: rows U(t, u).
+    side = "second" if stopper == 1 else "first"
+    values = _alone_sweep(
+        tree,
+        partial(field.rows_at, player, side),
+        tuple(range(tree.horizon + 1)),
+        family.rules,
+    )
+    table = field._tables[key] = tuple(chain.from_iterable(values))
     return table
 
 

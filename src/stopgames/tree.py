@@ -14,7 +14,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from typing import NamedTuple
 
 from .errors import GameSpecError
@@ -85,24 +85,71 @@ class EventTree:
         self._level_edges = tuple(
             edges[starts[t] : starts[t + 1]] for t in range(horizon + 1)
         )
+        self._layouts: dict[tuple[int, int], tuple] = {}
 
     def expect_next(
         self, values: Sequence[float] | Mapping[int, float], t: int
     ) -> list[float]:
         """E_t[X_{t+1}] for each level-t node, in level order.
 
-        ``values`` is indexed by node and must cover level t+1.  Children are
-        summed in id order by ``sum``; every backward induction takes its
-        continuation values from here, so this order fixes the report bytes.
+        ``values`` is indexed by node and must cover level t+1.  This is the
+        one-process case of :meth:`expect_batch`, so every backward induction
+        takes its continuation values from one primitive, whose summation
+        order fixes the report bytes.
         """
-        # A loop, not a comprehension: this runs once per level of every
-        # induction, and a comprehension's own frame dominates on the
-        # one-node levels of a chain.
-        get = values.__getitem__
-        out = []
-        for probs, kids in self._level_edges[t]:
-            out.append(sum(map(mul, probs, map(get, kids))))
-        return out
+        return self.expect_batch(list(map(values.__getitem__, self.levels[t + 1])), t, 1)
+
+    def expect_batch(self, values: list[float], t: int, count: int) -> list[float]:
+        """E_t[X_{t+1}] for `count` processes at once, level by level.
+
+        ``values`` holds level t+1 of each process in turn: entry k*M + j is
+        process k at the j-th node of level t+1, which has M nodes; entries
+        past count*M are not read.  The result holds level t of each process
+        the same way.  Each node's children are summed in id order, left to
+        right from 0.0, one C-level pass per child slot: the operations of
+        ``sum`` over the products on Python 3.11.  A node with fewer children
+        than the widest node of its level is padded at the end with
+        0.0 * 0.0: a running sum that starts from 0.0 is never -0.0, so
+        adding +0.0 leaves its bits as they were, where 0.0 times a child
+        value could be NaN.
+        """
+        size, slots = self._layouts.get((t, count)) or self._layout(t, count)
+        src = values[: count * size]
+        src.append(0.0)  # every pad reads src[-1]
+        get = src.__getitem__
+        total = repeat(0.0)
+        for positions, probs in slots:
+            total = map(add, total, map(mul, probs, map(get, positions)))
+        return list(total)
+
+    def _layout(self, t: int, count: int) -> tuple[int, list[tuple[list[int], list[float]]]]:
+        """Level t's ``expect_batch`` gather for `count` processes: the size
+        of level t+1 and, per child slot j, the input position of each node's
+        j-th child (-1 for a pad), per process and per node, with the
+        matching probabilities (0.0 for a pad).  Kept with the tree,
+        together with the gathers for one process and for t + 1, the most
+        that the stopping problems rooted at or above t ever batch."""
+        edges = self._level_edges[t]
+        width = max([len(kids) for _, kids in edges])
+        first = self.level_start[t + 1]
+        size = self.level_start[t + 2] - first
+        ranks: list[int] = []
+        probs: list[float] = []
+        for node_probs, kids in edges:
+            pad = width - len(kids)
+            ranks += [c - first for c in kids] + [-1] * pad
+            probs += node_probs + (0.0,) * pad
+        for n in {1, t + 1, count}:
+            # Process k reads its block at k * size; a pad stays at -1.
+            positions = ranks + [
+                r + offset if r >= 0 else -1
+                for offset in range(size, n * size, size)
+                for r in ranks
+            ]
+            every = probs * n
+            slots = [(positions[j::width], every[j::width]) for j in range(width)]
+            self._layouts[t, n] = (size, slots)
+        return self._layouts[t, count]
 
     def realized_times(self, marks: tuple[bool, ...]) -> tuple[int, ...]:
         """Per path, the time of the first node marked stop (cached)."""

@@ -129,6 +129,83 @@ class RewardRows:
         return tuple(self.reward(u, idx) for idx in self.tree.levels[u])
 
 
+def child_sum(tree: sg.EventTree, node: int, values) -> float:
+    """E at `node` of the node-indexed `values` one level down: its children's
+    products summed in id order, left to right from 0.0 (what ``sum`` does
+    on Python 3.11; later versions compensate its rounding)."""
+    total = 0.0
+    for child, prob in zip(tree.nodes[node].children, tree.nodes[node].child_probs):
+        total += prob * values[child]
+    return total
+
+
+def reference_snell(tree: sg.EventTree, rows, t: int, window: str, direction: str, tol: float):
+    """One stopping problem by a per-node backward induction, as the
+    package solved each problem before its tables were batched: the value at
+    level t, the optimizer's marks and the envelope, all lists."""
+    T = tree.horizon
+    start = min(t + 1, T) if window == "strict" else t
+    env = [0.0] * tree.n_nodes
+    for idx, w in zip(tree.leaves, rows[T]):
+        env[idx] = w
+    marks = [False] * tree.n_nodes
+    for u in range(T - 1, start - 1, -1):
+        for idx, w in zip(tree.levels[u], rows[u]):
+            cont = child_sum(tree, idx, env)
+            s = max(w, cont) if direction == "max" else min(w, cont)
+            env[idx] = s
+            if abs(w - s) <= tol:
+                marks[idx] = True
+    for leaf in tree.leaves:
+        marks[leaf] = True
+    if window == "inclusive" or t == T:
+        value = [env[idx] for idx in tree.levels[t]]
+    else:
+        value = [child_sum(tree, idx, env) for idx in tree.levels[t]]
+    return value, marks, env
+
+
+def reference_expected_at_stop(tree: sg.EventTree, marks, rows, t: int) -> list[float]:
+    """The expected reward at the first node marked in `marks` at or after
+    level t, per level-t node, by a per-node backward induction."""
+    out = [0.0] * tree.n_nodes
+    for idx, w in zip(tree.leaves, rows[tree.horizon]):
+        if marks[idx]:
+            out[idx] = w
+    for u in range(tree.horizon - 1, t - 1, -1):
+        for idx, w in zip(tree.levels[u], rows[u]):
+            out[idx] = w if marks[idx] else child_sum(tree, idx, out)
+    return [out[idx] for idx in tree.levels[t]]
+
+
+def reference_reaction_value(tree, field, player: int, side: str, window: str, direction: str):
+    """``reaction_value``'s process and optimizer marks, one problem per t."""
+    T = tree.horizon
+    process, rules = [], []
+    for t in range(T + 1):
+        if side == "first":
+            rows = [None] * t + [field.row(player, u, t) for u in range(t, T + 1)]
+        else:
+            rows = [None] * t + [field.row(player, t, u) for u in range(t, T + 1)]
+        value, marks, _ = reference_snell(tree, rows, t, window, direction, field.tol)
+        process += value
+        rules.append(tuple(marks))
+    return process, rules
+
+
+def reference_stop_alone_values(tree, field, player: int, stopper: int, rules) -> list[float]:
+    """``stop_alone_values``'s table, one problem per t."""
+    T = tree.horizon
+    out = []
+    for t, marks in enumerate(rules):
+        if stopper == 1:
+            rows = [None] * t + [field.row(player, t, u) for u in range(t, T + 1)]
+        else:
+            rows = [None] * t + [field.row(player, u, t) for u in range(t, T + 1)]
+        out += reference_expected_at_stop(tree, marks, rows, t)
+    return out
+
+
 def matching_field(tree: sg.EventTree) -> sg.PayoffField:
     """One-period counterexample payoffs: player 1 wants matching stop
     times, player 2 wants a mismatch."""

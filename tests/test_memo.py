@@ -17,7 +17,7 @@ from stopgames.strategies import stop_alone_values
 
 HORIZON = 4
 
-#: Calls per command to snell and expected_at_stop, per T + 1 levels.
+#: Tables computed per command: reaction tables, then lone-stopper tables.
 EXPECTED = {
     ("solve-sim",): (2, 4),
     ("solve-seq",): (4, 2),
@@ -39,25 +39,35 @@ def games(tmp_path):
     return paths
 
 
+class _CountingTables(dict):
+    """A field's table memo that counts the tables stored in it, one store
+    per miss: ``reaction`` and ``alone`` (lone-stopper) tables."""
+
+    def __init__(self, counts: Counter):
+        super().__init__()
+        self.counts = counts
+
+    def __setitem__(self, key, table):
+        self.counts["reaction" if isinstance(table, sg.ReactionValue) else "alone"] += 1
+        super().__setitem__(key, table)
+
+
 @pytest.fixture()
-def calls(monkeypatch):
-    """Count calls to snell and expected_at_stop through their modules."""
+def computed(monkeypatch):
+    """Count the tables every payoff field computes, that is its memo's misses."""
     counts: Counter = Counter()
-    # The package attribute stopgames.snell is the function; patch the module.
-    targets = (("stopgames.snell", "snell"), ("stopgames.strategies", "expected_at_stop"))
-    for module, name in targets:
-        original = getattr(sys.modules[module], name)
+    original = sg.PayoffField.__init__
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self._tables = _CountingTables(counts)
 
-        monkeypatch.setattr(sys.modules[module], name, counted)
+    monkeypatch.setattr(sg.PayoffField, "__init__", init)
     return counts
 
 
 @pytest.mark.parametrize("command", list(EXPECTED), ids=" ".join)
-def test_each_table_is_computed_once_per_field(games, calls, tmp_path, command):
+def test_each_table_is_computed_once_per_field(games, computed, tmp_path, command):
     mode = command[-1].removeprefix("solve-")
     game = games["zs" if mode == "zs" else "general"]
     if command[0] == "verify":
@@ -67,13 +77,9 @@ def test_each_table_is_computed_once_per_field(games, calls, tmp_path, command):
         argv = ["verify", game, "--mode", mode, "--profile", profile]
     else:
         argv = [command[0], game]
-    calls.clear()
+    computed.clear()
     assert run(argv, io.StringIO()) == 0
-    snell_tables, alone_tables = EXPECTED[command]
-    assert (calls["snell"], calls["expected_at_stop"]) == (
-        snell_tables * (HORIZON + 1),
-        alone_tables * (HORIZON + 1),
-    )
+    assert (computed["reaction"], computed["alone"]) == EXPECTED[command]
 
 
 def _hex(values) -> list[str]:
@@ -106,21 +112,21 @@ def test_cached_tables_match_a_fresh_field():
             assert stop_alone_values(tree, field, *key[1:]) is cached
 
 
-def test_each_tree_gets_its_own_entry(calls):
+def test_each_tree_gets_its_own_entry(computed):
     doc = gamefile.generate_random_game(HORIZON, 2, seed=5)
     twin = gamefile.parse(gamefile.emit(doc)).tree
     field = doc.payoff_field()
     args = (1, "first", "strict", "max")
     first = sg.reaction_value(doc.tree, field, *args)
     assert sg.reaction_value(doc.tree, field, *args) is first
-    assert calls["snell"] == HORIZON + 1
+    assert computed["reaction"] == 1
     second = sg.reaction_value(twin, field, *args)
     assert second is not first
-    assert calls["snell"] == 2 * (HORIZON + 1)
+    assert computed["reaction"] == 2
     assert _hex(second.process) == _hex(first.process)
     alone = stop_alone_values(doc.tree, field, 2, 2, first.family)
     assert stop_alone_values(twin, field, 2, 2, first.family) is not alone
-    assert calls["expected_at_stop"] == 2 * (HORIZON + 1)
+    assert computed["alone"] == 2
 
 
 @pytest.fixture()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
+import types
 from pathlib import Path
 
 import stopgames
@@ -115,3 +118,26 @@ def test_processes_are_node_indexed_tuples():
         rows = RewardRows(tree, lambda u, i: field.value(1, u, t, i))
         res = stopgames.snell(tree, rows, t, "strict", "max", field.tol)
         assert type(res.value) is tuple and len(res.value) == len(tree.levels[t])
+
+
+def test_every_traced_boundary_exists():
+    # The benchmark's tracer wraps these functions by name; a renamed or
+    # deleted one would otherwise first show up as an absent boundary in the
+    # tracer's self-check.
+    # Compiled from its source, so nothing is written under bench/.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tracer = types.ModuleType("_bench_tracer")
+    sys.modules[tracer.__name__] = tracer  # dataclasses resolve the module by name
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(tracer))
+    finally:
+        del sys.modules[tracer.__name__]
+    missing = []
+    for boundary in tracer.BOUNDARIES:
+        target = importlib.import_module(boundary.module)
+        for part in boundary.attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{boundary.module}.{boundary.attr}")
+    assert tracer.BOUNDARIES
+    assert missing == []

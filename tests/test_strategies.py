@@ -370,8 +370,37 @@ class TestPayoffField:
         edit(u1)
         with pytest.raises(sg.GameSpecError) as exc:
             sg.PayoffField.zero_sum(tree, [u1[st] for st in sorted(u1)])
-        # Player 1's three rows and their negations.
-        assert str(exc.value) == "payoff field needs 8 rows, got 6"
+        # Counted in player 1's rows, the only ones given.
+        assert str(exc.value) == "payoff field needs 4 rows for player 1, got 3"
+
+    @pytest.mark.parametrize(
+        "row", [["x"], 0.5, [None]], ids=["string-value", "bare-number", "none-value"]
+    )
+    @pytest.mark.parametrize("build", ["field", "zero_sum"])
+    def test_row_float_rejects_is_a_spec_error(self, build, row):
+        tree = chain_tree(1)
+        with pytest.raises(sg.GameSpecError) as exc:
+            if build == "field":
+                sg.PayoffField(tree, [row] * 8)
+            else:
+                sg.PayoffField.zero_sum(tree, [row] * 4)
+        assert str(exc.value) == "payoff slice (1, 0, 0) must be a sequence of numbers"
+
+    @pytest.mark.parametrize("build", ["field", "zero_sum"])
+    def test_row_float_rejects_keeps_first_fault_order(self, build):
+        # A short row before a bad value is named first, and a bad value
+        # before a non-finite one.
+        tree = chain_tree(1)
+        rows = [[0.5], [0.5, 0.5], [0.5], ["x"]]
+        rows_inf = [[0.5], ["x"], [float("inf")], [0.5]]
+        if build == "field":
+            make = lambda r: sg.PayoffField(tree, r + [[0.5]] * 4)
+        else:
+            make = lambda r: sg.PayoffField.zero_sum(tree, r)
+        with pytest.raises(sg.GameSpecError, match=r"^payoff slice \(1, 0, 1\) needs 1 values"):
+            make(rows)
+        with pytest.raises(sg.GameSpecError, match=r"^payoff slice \(1, 0, 1\) must be a seq"):
+            make(rows_inf)
 
     def test_bound_of_signed_zeros_is_positive_zero(self):
         tree = three_node_tree()

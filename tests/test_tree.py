@@ -14,6 +14,7 @@ from stopgames import gamefile
 from conftest import (
     canonical_stopping_time,
     chain_tree,
+    child_sum,
     conditional_expectation,
     diagonal,
     path_expectation,
@@ -302,10 +303,7 @@ class TestExpectNext:
         for seed, tree in self._random_trees():
             values = _random_values(random.Random(seed), tree.n_nodes)
             for t in range(tree.horizon):
-                expected = [
-                    float.hex(sum(p * values[c] for c, p in zip(n.children, n.child_probs)))
-                    for n in (tree.nodes[idx] for idx in tree.levels[t])
-                ]
+                expected = [float.hex(child_sum(tree, idx, values)) for idx in tree.levels[t]]
                 nxt = {idx: values[idx] for idx in tree.levels[t + 1]}
                 for given in (values, nxt):
                     got = tree.expect_next(given, t)
