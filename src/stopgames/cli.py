@@ -93,31 +93,30 @@ def _write_profile(tree: EventTree, mode: str, profile, path: str | None) -> Non
 def _cmd_solve_sim(args, out: IO[str]) -> int:
     doc = gamefile.load(args.file)
     field = doc.payoff_field()
-    solution = sim_equilibrium(doc.tree, field, eps=args.eps)
+    solution = sim_equilibrium(field)
+    profile = (solution.rho, solution.tau)
+    report = check_equilibrium(field, "sim", profile, eps=args.eps)
     _print_header(out, doc, "sim")
-    _print_certification(out, solution.report)
+    _print_certification(out, report)
     _print_strategy(out, doc.tree, "player 1", solution.rho)
     _print_strategy(out, doc.tree, "player 2", solution.tau)
-    _write_profile(doc.tree, "sim", (solution.rho, solution.tau), args.profile_out)
-    return 0 if solution.report.passed else 2
+    _write_profile(doc.tree, "sim", profile, args.profile_out)
+    return 0 if report.passed else 2
 
 
 def _cmd_solve_seq(args, out: IO[str]) -> int:
     doc = gamefile.load(args.file)
     field = doc.payoff_field()
-    solution = seq_equilibrium(doc.tree, field)
-    report = check_equilibrium(
-        doc.tree, field, "seq", (solution.rho_star, solution.tau_star), eps=args.eps
-    )
+    solution = seq_equilibrium(field)
+    profile = (solution.rho_star, solution.tau_star)
+    report = check_equilibrium(field, "seq", profile, eps=args.eps)
     _print_header(out, doc, "seq")
     _print_certification(out, report)
     defects = solution.diagnostics.defects
     print(f"diagnostics: {'clean' if not defects else '; '.join(defects)}", file=out)
     _print_strategy(out, doc.tree, "player 1", solution.rho_star)
     _print_strategy(out, doc.tree, "player 2", solution.tau_star)
-    _write_profile(
-        doc.tree, "seq", (solution.rho_star, solution.tau_star), args.profile_out
-    )
+    _write_profile(doc.tree, "seq", profile, args.profile_out)
     return 0 if report.passed and not defects else 2
 
 
@@ -125,24 +124,16 @@ def _cmd_solve_zs(args, out: IO[str]) -> int:
     doc = gamefile.load(args.file)
     field = doc.zero_sum_field()
     sigma = _sigma(doc.tree, args.sigma)
-    saddle = zero_sum_saddle(doc.tree, field, sigma)
-    report = check_equilibrium(
-        doc.tree,
-        field,
-        "zs",
-        (saddle.rho_star, saddle.tau_star),
-        eps=args.eps,
-        not_before=sigma,
-    )
+    saddle = zero_sum_saddle(field, sigma)
+    profile = (saddle.rho_star, saddle.tau_star)
+    report = check_equilibrium(field, "zs", profile, eps=args.eps, not_before=sigma)
     _print_header(out, doc, "zs")
     print(f"sigma: {args.sigma}", file=out)
     print(f"saddle value: {fmt(saddle.value)}", file=out)
     _print_certification(out, report)
     _print_strategy(out, doc.tree, "player 1", saddle.rho_star)
     _print_strategy(out, doc.tree, "player 2", saddle.tau_star)
-    _write_profile(
-        doc.tree, "zs", (saddle.rho_star, saddle.tau_star), args.profile_out
-    )
+    _write_profile(doc.tree, "zs", profile, args.profile_out)
     return 0 if report.passed else 2
 
 
@@ -158,12 +149,10 @@ def _cmd_verify(args, out: IO[str]) -> int:
         field = doc.zero_sum_field()
     else:
         field = doc.payoff_field()
-    with open(args.profile, encoding="utf-8") as fh:
-        profile = gamefile.profile_from_json(doc.tree, fh.read(), args.mode)
+    text = gamefile.read_text(args.profile, "profile")
+    profile = gamefile.profile_from_json(doc.tree, text, args.mode)
     not_before = _sigma(doc.tree, args.sigma) if args.mode == "zs" else None
-    report = check_equilibrium(
-        doc.tree, field, args.mode, profile, eps=args.eps, not_before=not_before
-    )
+    report = check_equilibrium(field, args.mode, profile, eps=args.eps, not_before=not_before)
     _print_header(out, doc, args.mode)
     _print_certification(out, report)
     return 0 if report.passed else 2
@@ -172,7 +161,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
 def _cmd_enumerate(args, out: IO[str]) -> int:
     doc = gamefile.load(args.file)
     field = doc.payoff_field()
-    result = enumerate_oracle(doc.tree, field, args.mode, cap=args.cap)
+    result = enumerate_oracle(field, args.mode, cap=args.cap)
     _print_header(out, doc, args.mode)
     n1 = len(result.strategies1)
     n2 = len(result.strategies2)

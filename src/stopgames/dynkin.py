@@ -93,11 +93,7 @@ class ZeroSumSaddle:
     sigma: StoppingTime
 
 
-def zero_sum_saddle(
-    tree: EventTree,
-    field: PayoffField,
-    sigma: StoppingTime | None = None,
-) -> ZeroSumSaddle:
+def zero_sum_saddle(field: PayoffField, sigma: StoppingTime | None = None) -> ZeroSumSaddle:
     """Construct a saddle point for the zero-sum game with payoff U^1.
 
     F is the best (smallest) payoff player 2 can force once player 1 stops;
@@ -105,11 +101,12 @@ def zero_sum_saddle(
     The Dynkin value of (F, G) with its hitting times gives the initial
     stopping rules; the one-sided optimizer families give the adjustments.
     """
+    tree = field.tree
     if sigma is None:
         sigma = constant_stopping_time(tree, 0)
     sigma.validate(tree)
-    f_side = reaction_value(tree, field, 1, "second", "inclusive", "min")
-    g_side = reaction_value(tree, field, 1, "first", "strict", "max")
+    f_side = reaction_value(field, 1, "second", "inclusive", "min")
+    g_side = reaction_value(field, 1, "first", "strict", "max")
     f = f_side.process
     g = tuple(map(max, g_side.process, f))
     v = dynkin_value(tree, f, g)

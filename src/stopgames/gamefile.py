@@ -307,9 +307,17 @@ def parse(text: str) -> GameDocument:
     )
 
 
+def read_text(path: str, document: str) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 is a GameSpecError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise GameSpecError(f"{document} {path} is not UTF-8 text") from None
+
+
 def load(path: str) -> GameDocument:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(path, "game file"))
 
 
 def load_bundled(name: str) -> GameDocument:
@@ -490,11 +498,15 @@ def _strategy_from_json(
     else:
         initial = StoppingTime(_per_node(tree, data[key], key, "boolean"))
     adjust = _object(data["adjust"], "profile adjustment")
+    times = [str(t) for t in range(tree.horizon + 1)]
+    if not adjust.keys() <= set(times):
+        key = next(key for key in adjust if key not in times)
+        raise GameSpecError(f"profile adjustment key {key!r} outside 0..{tree.horizon}")
     rules = []
-    for t in range(tree.horizon + 1):
-        if str(t) not in adjust:
+    for t in times:
+        if t not in adjust:
             raise GameSpecError(f"profile adjustment missing rule for time {t}")
-        marks = _per_node(tree, adjust[str(t)], "adjustment rule", "boolean")
+        marks = _per_node(tree, adjust[t], "adjustment rule", "boolean")
         rules.append(StoppingTime(marks))
     strategy = Strategy(initial, AdjustmentFamily(tuple(rules), strict))
     strategy.validate(tree)

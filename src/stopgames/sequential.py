@@ -31,12 +31,7 @@ from .strategies import (
     payoff_pure,
     stop_alone_values,
 )
-from .tree import (
-    EventTree,
-    StoppingTime,
-    constant_stopping_time,
-    hitting_time,
-)
+from .tree import StoppingTime, constant_stopping_time, hitting_time
 
 @dataclass(frozen=True)
 class SeqProcessBundle:
@@ -72,12 +67,13 @@ class SeqProcessBundle:
     later_min2: AdjustmentFamily
 
 
-def seq_processes(tree: EventTree, field: PayoffField) -> SeqProcessBundle:
+def seq_processes(field: PayoffField) -> SeqProcessBundle:
     """Build both players' boundary/value/settle processes."""
-    f1_side = reaction_value(tree, field, 1, "second", "inclusive", "min")
-    g1_side = reaction_value(tree, field, 1, "first", "strict", "max")
-    f2_side = reaction_value(tree, field, 2, "second", "inclusive", "max")
-    g2_side = reaction_value(tree, field, 2, "first", "strict", "min")
+    tree = field.tree
+    f1_side = reaction_value(field, 1, "second", "inclusive", "min")
+    g1_side = reaction_value(field, 1, "first", "strict", "max")
+    f2_side = reaction_value(field, 2, "second", "inclusive", "max")
+    g2_side = reaction_value(field, 2, "first", "strict", "min")
 
     f1 = f1_side.process
     f2 = f2_side.process
@@ -88,8 +84,8 @@ def seq_processes(tree: EventTree, field: PayoffField) -> SeqProcessBundle:
         g1=g1,
         f2=f2,
         g2=g2,
-        h1=stop_alone_values(tree, field, 1, 1, f2_side.family),
-        h2=stop_alone_values(tree, field, 2, 2, g1_side.family),
+        h1=stop_alone_values(field, 1, 1, f2_side.family),
+        h2=stop_alone_values(field, 2, 2, g1_side.family),
         v1=dynkin_value(tree, f1, g1),
         v2=dynkin_value(tree, f2, g2),
         g1_uncapped=g1_side.process,
@@ -161,7 +157,7 @@ class SeqEquilibrium:
     bundle: SeqProcessBundle
 
 
-def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
+def seq_equilibrium(field: PayoffField) -> SeqEquilibrium:
     """Solve the sequential-move game in pure strategies.
 
     Stage recursion per node, while neither player has stopped: if player 1
@@ -173,8 +169,9 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
     resolve to stopping, giving earliest stops.  The resulting profile is
     subgame perfect, so both best-response gaps vanish up to rounding.
     """
+    tree = field.tree
     T = tree.horizon
-    bundle = seq_processes(tree, field)
+    bundle = seq_processes(field)
     zero = constant_stopping_time(tree, 0)
 
     v1, v2 = bundle.v1, bundle.v2
@@ -232,7 +229,7 @@ def seq_equilibrium(tree: EventTree, field: PayoffField) -> SeqEquilibrium:
 
     rho_star = Strategy(StoppingTime(tuple(rho_marks)), bundle.later_max1)
     tau_star = Strategy(StoppingTime(tuple(tau_marks)), bundle.reply_max2)
-    values = payoff_pure(tree, field, "seq", rho_star, tau_star)
+    values = payoff_pure(field, "seq", rho_star, tau_star)
     if max(abs(values[0] - w1[0]), abs(values[1] - w2[0])) > tol:
         raise SolverDefectError(
             "profile payoff disagrees with the stage values: "

@@ -7,7 +7,7 @@ game is built by backward induction, solving one 2x2 bimatrix stage game
 per node: stop/continue for each player, with the continuation values as
 the (continue, continue) entries.  Composing the stage equilibria with the
 one-sided optimizer families yields a mixed equilibrium of the original
-game, which is then certified by the best-response oracle.
+game; the caller certifies it with the best-response oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .strategies import (
     stop_alone_values,
 )
 from .tree import EventTree
-from .verify import DEFAULT_EPS, EquilibriumReport, check_equilibrium
 
 @dataclass(frozen=True)
 class SimProcessBundle:
@@ -50,18 +49,18 @@ class SimProcessBundle:
     tau1_star: AdjustmentFamily
 
 
-def sim_processes(tree: EventTree, field: PayoffField) -> SimProcessBundle:
+def sim_processes(field: PayoffField) -> SimProcessBundle:
     """Build the six reduced-game processes and the optimizer families."""
-    y1_side = reaction_value(tree, field, 1, "first", "strict", "max")
-    x2_side = reaction_value(tree, field, 2, "second", "strict", "max")
+    y1_side = reaction_value(field, 1, "first", "strict", "max")
+    x2_side = reaction_value(field, 2, "second", "strict", "max")
     rho1_star = y1_side.family
     tau1_star = x2_side.family
-    levels = range(tree.horizon + 1)
+    levels = range(field.tree.horizon + 1)
     return SimProcessBundle(
-        x1=stop_alone_values(tree, field, 1, 1, tau1_star),
+        x1=stop_alone_values(field, 1, 1, tau1_star),
         x2=x2_side.process,
         y1=y1_side.process,
-        y2=stop_alone_values(tree, field, 2, 2, rho1_star),
+        y2=stop_alone_values(field, 2, 2, rho1_star),
         z1=tuple(chain.from_iterable(field.row(1, t, t) for t in levels)),
         z2=tuple(chain.from_iterable(field.row(2, t, t) for t in levels)),
         rho1_star=rho1_star,
@@ -213,44 +212,31 @@ def randomized_dynkin_equilibrium(
 
 @dataclass(frozen=True)
 class SimEquilibrium:
-    """Mixed equilibrium of the simultaneous-move game, certified."""
+    """Mixed equilibrium of the simultaneous-move game."""
 
     rho: Strategy
     tau: Strategy
     values: tuple[float, float]
-    report: EquilibriumReport
     bundle: SimProcessBundle
     reduced: RandomizedDynkinEquilibrium
 
 
-def sim_equilibrium(
-    tree: EventTree, field: PayoffField, eps: float = DEFAULT_EPS
-) -> SimEquilibrium:
+def sim_equilibrium(field: PayoffField) -> SimEquilibrium:
     """Solve the simultaneous-move game in mixed type-A strategies.
 
     The initial rules come from the per-node stage equilibria, the
     adjustments from the one-sided optimizer families.  The profile's exact
-    payoff must reproduce the backward-induction root values, and both
-    best-response gaps are reported; a failed certificate is flagged in the
-    report, never silently accepted.
+    payoff must reproduce the backward-induction root values.
     """
-    bundle = sim_processes(tree, field)
-    reduced = randomized_dynkin_equilibrium(tree, bundle)
+    bundle = sim_processes(field)
+    reduced = randomized_dynkin_equilibrium(field.tree, bundle)
     rho = Strategy(reduced.alpha, bundle.rho1_star)
     tau = Strategy(reduced.beta, bundle.tau1_star)
-    values = payoff_mixed_sim(tree, field, rho, tau)
+    values = payoff_mixed_sim(field, rho, tau)
     expected = (reduced.w1[0], reduced.w2[0])
     if max(abs(values[0] - expected[0]), abs(values[1] - expected[1])) > field.tol:
         raise SolverDefectError(
             "profile payoff disagrees with the backward-induction values: "
             f"{values} vs {expected}"
         )
-    report = check_equilibrium(tree, field, "sim", (rho, tau), eps=eps)
-    return SimEquilibrium(
-        rho=rho,
-        tau=tau,
-        values=values,
-        report=report,
-        bundle=bundle,
-        reduced=reduced,
-    )
+    return SimEquilibrium(rho=rho, tau=tau, values=values, bundle=bundle, reduced=reduced)

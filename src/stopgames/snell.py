@@ -171,7 +171,6 @@ class ReactionValue:
 
 
 def reaction_value(
-    tree: EventTree,
     field: PayoffField,
     player: int,
     side: Literal["first", "second"],
@@ -189,16 +188,16 @@ def reaction_value(
         raise GameSpecError(f"unknown player {player}")
     if side not in ("first", "second"):
         raise GameSpecError(f"unknown side {side!r}")
-    key = (tree, player, side, window, direction)
+    key = (player, side, window, direction)
     cached = field._tables.get(key)
     if cached is not None:
         return cached
     _check_problem(window, direction)
     strict = window == "strict"
     values, optimizers, _ = _sweep(
-        tree,
+        field.tree,
         partial(field.rows_at, player, side),
-        tuple(range(tree.horizon + 1)),
+        tuple(range(field.tree.horizon + 1)),
         strict,
         direction == "max",
         field.tol,

@@ -167,11 +167,12 @@ class PayoffField:
     from its rows in field order: player 1's, then player 2's, each in
     ``tree.stop_pairs`` order (row-major (s, t)), and each row the values of
     the nodes of level max(s, t) in canonical order.  It stores them as one
-    tuple of floats per row.
+    tuple of floats per row, and keeps the tree as ``tree``: a function that
+    takes a field reads the game's tree there.
 
     A field also memoizes the one-sided tables computed from it
     (:func:`~stopgames.snell.reaction_value` and :func:`stop_alone_values`),
-    keyed by their arguments, and the mixed payoffs of
+    keyed by their arguments other than the field, and the mixed payoffs of
     :func:`payoff_mixed_sim`, keyed by the strategy objects, so the solvers
     and the certificate share each result for as long as the field lives.
 
@@ -246,13 +247,10 @@ class PayoffField:
 
 
 def _payoff_pure_core(
-    tree: EventTree,
-    field: PayoffField,
-    mode: Mode,
-    rho: Strategy,
-    tau: Strategy,
+    field: PayoffField, mode: Mode, rho: Strategy, tau: Strategy
 ) -> tuple[float, float]:
     """Payoff evaluation without class validation; see payoff_pure."""
+    tree = field.tree
     sim = mode == "sim"
     r0 = rho.initial.realized(tree)
     t0 = tau.initial.realized(tree)
@@ -282,11 +280,7 @@ def _payoff_pure_core(
 
 
 def payoff_pure(
-    tree: EventTree,
-    field: PayoffField,
-    mode: Mode,
-    rho: Strategy,
-    tau: Strategy,
+    field: PayoffField, mode: Mode, rho: Strategy, tau: Strategy
 ) -> tuple[float, float]:
     """Exact expected payoffs of a pure strategy profile, both players."""
     if mode == "sim":
@@ -297,9 +291,9 @@ def payoff_pure(
         check_class(rho, False, True, "sequential mode needs a type-A first strategy")
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
-    rho.validate(tree)
-    tau.validate(tree)
-    return _payoff_pure_core(tree, field, mode, rho, tau)
+    rho.validate(field.tree)
+    tau.validate(field.tree)
+    return _payoff_pure_core(field, mode, rho, tau)
 
 
 def _alone_sweep(
@@ -357,11 +351,7 @@ def expected_at_stop(
 
 
 def stop_alone_values(
-    tree: EventTree,
-    field: PayoffField,
-    player: int,
-    stopper: int,
-    family: AdjustmentFamily,
+    field: PayoffField, player: int, stopper: int, family: AdjustmentFamily
 ) -> tuple[float, ...]:
     """Player `player`'s expected payoff, per node at its own level t, when
     `stopper` stops alone at t and the other player follows her adjustment
@@ -371,16 +361,16 @@ def stop_alone_values(
     realized time in the other.  All T+1 problems are solved by one
     backward sweep.  The table is memoized on the field.
     """
-    key = (tree, player, stopper, family)
+    key = (player, stopper, family)
     cached = field._tables.get(key)
     if cached is not None:
         return cached
     # Stopper 1 stops at t and the follower at u: rows U(t, u).
     side = "second" if stopper == 1 else "first"
     values = _alone_sweep(
-        tree,
+        field.tree,
         partial(field.rows_at, player, side),
-        tuple(range(tree.horizon + 1)),
+        tuple(range(field.tree.horizon + 1)),
         family.rules,
     )
     table = field._tables[key] = tuple(chain.from_iterable(values))
@@ -388,10 +378,7 @@ def stop_alone_values(
 
 
 def payoff_mixed_sim(
-    tree: EventTree,
-    field: PayoffField,
-    rho: Strategy,
-    tau: Strategy,
+    field: PayoffField, rho: Strategy, tau: Strategy
 ) -> tuple[float, float]:
     """Exact expected payoffs of a mixed profile in the simultaneous game.
 
@@ -404,29 +391,27 @@ def payoff_mixed_sim(
     """
     for strategy in (rho, tau):
         check_class(strategy, True, True, "mixed payoffs need two mixed type-A strategies")
-    rho.validate(tree)
-    tau.validate(tree)
+    rho.validate(field.tree)
+    tau.validate(field.tree)
     # Keyed on the strategy objects, not on equality: two equal profiles may
     # differ in the sign of a zero probability.  The entry holds both
     # objects, so their ids stay unique for as long as it lives.
-    key = (tree, id(rho), id(tau))
+    key = (id(rho), id(tau))
     cached = field._mixed_payoffs.get(key)
     if cached is None:
-        cached = field._mixed_payoffs[key] = (rho, tau, _mixed_values(tree, field, rho, tau))
+        cached = field._mixed_payoffs[key] = (rho, tau, _mixed_values(field, rho, tau))
     return cached[2]
 
 
 def _mixed_values(
-    tree: EventTree,
-    field: PayoffField,
-    rho: Strategy,
-    tau: Strategy,
+    field: PayoffField, rho: Strategy, tau: Strategy
 ) -> tuple[float, float]:
     """The backward recursion of payoff_mixed_sim, on validated strategies."""
-    x1 = stop_alone_values(tree, field, 1, 1, tau.adjust)
-    x2 = stop_alone_values(tree, field, 2, 1, tau.adjust)
-    y1 = stop_alone_values(tree, field, 1, 2, rho.adjust)
-    y2 = stop_alone_values(tree, field, 2, 2, rho.adjust)
+    tree = field.tree
+    x1 = stop_alone_values(field, 1, 1, tau.adjust)
+    x2 = stop_alone_values(field, 2, 1, tau.adjust)
+    y1 = stop_alone_values(field, 1, 2, rho.adjust)
+    y2 = stop_alone_values(field, 2, 2, rho.adjust)
 
     w1 = [0.0] * tree.n_nodes
     w2 = [0.0] * tree.n_nodes

@@ -51,7 +51,6 @@ from .strategies import (
 from .tree import EventTree, StoppingTime
 
 def best_response(
-    tree: EventTree,
     field: PayoffField,
     mode: str,
     player: int,
@@ -80,13 +79,14 @@ def best_response(
             check_class(opponent, False, True, "player 2's sequential opponent must be type A")
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
+    tree = field.tree
     opponent.validate(tree)
 
     T = tree.horizon
     side = "first" if player == 1 else "second"
     window = "inclusive" if mode == "seq" and player == 2 else "strict"
-    own = reaction_value(tree, field, player, side, window, "max")
-    alone = stop_alone_values(tree, field, player, player, opponent.adjust)
+    own = reaction_value(field, player, side, window, "max")
+    alone = stop_alone_values(field, player, player, opponent.adjust)
     allowed = (
         tree.prefix_stopped(not_before.marks)
         if not_before is not None
@@ -150,7 +150,6 @@ class EquilibriumReport:
 
 
 def check_equilibrium(
-    tree: EventTree,
     field: PayoffField,
     mode: str,
     profile: tuple,
@@ -167,15 +166,15 @@ def check_equilibrium(
     """
     rho, tau = profile
     if mode == "sim":
-        values = payoff_mixed_sim(tree, field, rho, tau)
+        values = payoff_mixed_sim(field, rho, tau)
         br_mode = "sim"
     elif mode in ("seq", "zs"):
-        values = payoff_pure(tree, field, "seq", rho, tau)
+        values = payoff_pure(field, "seq", rho, tau)
         br_mode = "seq"
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
-    br1, _ = best_response(tree, field, br_mode, 1, tau, not_before)
-    br2, _ = best_response(tree, field, br_mode, 2, rho, not_before)
+    br1, _ = best_response(field, br_mode, 1, tau, not_before)
+    br2, _ = best_response(field, br_mode, 2, rho, not_before)
     gaps = (br1 - values[0], br2 - values[1])
     for player, gap in enumerate(gaps, start=1):
         if gap < -field.tol:
@@ -284,7 +283,6 @@ class EnumerationResult:
 
 
 def enumerate_oracle(
-    tree: EventTree,
     field: PayoffField,
     mode: str,
     cap: int = 1_000_000,
@@ -298,6 +296,7 @@ def enumerate_oracle(
     """
     if mode not in ("sim", "seq"):
         raise GameSpecError(f"unknown mode {mode!r}")
+    tree = field.tree
     kind2 = "a" if mode == "sim" else "b"
     n1 = count_strategies(tree, "a", min_initial_time)
     n2 = count_strategies(tree, kind2, min_initial_time)
@@ -309,7 +308,7 @@ def enumerate_oracle(
     # Enumerated strategies are canonical by construction; skip per-profile
     # class validation in the table loop.
     payoffs = [
-        [_payoff_pure_core(tree, field, mode, s1, s2) for s2 in strategies2]
+        [_payoff_pure_core(field, mode, s1, s2) for s2 in strategies2]
         for s1 in strategies1
     ]
     best1 = [max(payoffs[i][j][0] for i in range(n1)) for j in range(n2)]

@@ -49,9 +49,9 @@ def seq_solutions(random_games):
     out = []
     for doc in random_games:
         field = doc.payoff_field()
-        sol = sg.seq_equilibrium(doc.tree, field)
+        sol = sg.seq_equilibrium(field)
         report = sg.check_equilibrium(
-            doc.tree, field, "seq", (sol.rho_star, sol.tau_star)
+            field, "seq", (sol.rho_star, sol.tau_star)
         )
         out.append((doc, sol, report))
     return out, time.perf_counter() - start
@@ -63,8 +63,9 @@ def sim_solutions(random_games):
     out = []
     for doc in random_games:
         field = doc.payoff_field()
-        sol = sg.sim_equilibrium(doc.tree, field)
-        out.append((doc, sol))
+        sol = sg.sim_equilibrium(field)
+        report = sg.check_equilibrium(field, "sim", (sol.rho, sol.tau))
+        out.append((doc, sol, report))
     return out, time.perf_counter() - start
 
 
@@ -76,9 +77,9 @@ def zs_solutions():
             i % 5, 1 + i % 3, seed=20_000 + i, zero_sum=True
         )
         field = doc.zero_sum_field()
-        saddle = sg.zero_sum_saddle(doc.tree, field)
+        saddle = sg.zero_sum_saddle(field)
         report = sg.check_equilibrium(
-            doc.tree, field, "zs", (saddle.rho_star, saddle.tau_star)
+            field, "zs", (saddle.rho_star, saddle.tau_star)
         )
         out.append((doc, field, saddle, report))
     return out
@@ -105,7 +106,7 @@ def test_criterion_1_one_period_counterexample(tmp_path):
         return None
 
     doc = gamefile.load_bundled("matching_times")
-    sol = sg.sim_equilibrium(doc.tree, doc.payoff_field())
+    sol = sg.sim_equilibrium(doc.payoff_field())
     ok = (
         enum_code == 0
         and "profiles: 4 (player 1: 2, player 2: 2)" in enum_text
@@ -133,11 +134,11 @@ def test_criterion_2_sequential_equilibria(seq_solutions):
 
 def test_criterion_3_simultaneous_equilibria(sim_solutions):
     solutions, elapsed = sim_solutions
-    gaps_ok = all(max(sol.report.gaps) <= 1e-9 for _, sol in solutions)
+    gaps_ok = all(max(report.gaps) <= 1e-9 for _, _, report in solutions)
     consistent = all(
         abs(sol.values[0] - sol.reduced.w1[0]) <= 1e-9
         and abs(sol.values[1] - sol.reduced.w2[0]) <= 1e-9
-        for _, sol in solutions
+        for _, sol, _ in solutions
     )
     ok = gaps_ok and consistent and len(solutions) == 1000 and elapsed < 60.0
     print(f"  [1000 games solved+certified in {elapsed:.2f}s]")
@@ -154,12 +155,12 @@ def test_criterion_4_zero_sum_saddles(zs_solutions):
         if profiles > 400:
             continue
         enumerated += 1
-        value = sg.payoff_pure(tree, field, "seq", saddle.rho_star, saddle.tau_star)[0]
+        value = sg.payoff_pure(field, "seq", saddle.rho_star, saddle.tau_star)[0]
         for rho in sg.enumerate_strategies(tree, "a"):
-            if sg.payoff_pure(tree, field, "seq", rho, saddle.tau_star)[0] > value + 1e-12:
+            if sg.payoff_pure(field, "seq", rho, saddle.tau_star)[0] > value + 1e-12:
                 saddle_ok = False
         for tau in sg.enumerate_strategies(tree, "b"):
-            if sg.payoff_pure(tree, field, "seq", saddle.rho_star, tau)[0] < value - 1e-12:
+            if sg.payoff_pure(field, "seq", saddle.rho_star, tau)[0] < value - 1e-12:
                 saddle_ok = False
     ok = certified and saddle_ok and len(zs_solutions) == 500 and enumerated > 0
     print(f"  [{enumerated} instances small enough for exhaustive saddle checks]")

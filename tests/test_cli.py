@@ -313,6 +313,51 @@ class TestVerifyCommand:
         assert code == 0
 
 
+    def test_verify_rejects_an_adjustment_key_past_the_horizon(self, tmp_path, capsys):
+        game = tmp_path / "h0.json"
+        gamefile.save(gamefile.generate_random_game(0, 1, seed=1), str(game))
+        profile = tmp_path / "profile.json"
+        code, _ = _run(["solve-seq", str(game), "--profile-out", str(profile)])
+        assert code == 0
+        obj = json.loads(profile.read_text(encoding="utf-8"))
+        obj["player1"]["adjust"]["7"] = {"x": 1}
+        profile.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        code, text = _run(["verify", str(game), "--profile", str(profile), "--mode", "seq"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: profile adjustment key '7' outside 0..0\n"
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 text is an input error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: b"\xff" + text, lambda text: text.replace(b'"matching', b'"caf\xe9')],
+        ids=["leading 0xff", "latin-1 name"],
+    )
+    def test_game_file(self, matching_file, capsys, damage):
+        with open(matching_file, "rb") as fh:
+            text = fh.read()
+        with open(matching_file, "wb") as fh:
+            fh.write(damage(text))
+        capsys.readouterr()
+        code, text = _run(["solve-sim", matching_file])
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err == f"error: game file {matching_file} is not UTF-8 text\n"
+
+    def test_profile_file(self, matching_file, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        code, _ = _run(["solve-sim", matching_file, "--profile-out", str(profile)])
+        assert code == 0
+        profile.write_bytes(b"\xff" + profile.read_bytes())
+        capsys.readouterr()
+        code, text = _run(["verify", matching_file, "--profile", str(profile), "--mode", "sim"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: profile {profile} is not UTF-8 text\n"
+
+
 class TestEpsOption:
     @pytest.mark.parametrize("eps", ["nan", "-1", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["solve-sim", "solve-seq", "solve-zs", "verify"])

@@ -181,7 +181,7 @@ class TestZeroSumSaddle:
             matching_tree,
             [[1.0 if s == t else 0.0] for s in range(2) for t in range(2)],
         )
-        saddle = sg.zero_sum_saddle(matching_tree, field)
+        saddle = sg.zero_sum_saddle(field)
         assert [saddle.f[i] for i in range(2)] == [0.0, 1.0]
         assert [saddle.g[i] for i in range(2)] == [0.0, 1.0]
         assert [saddle.v[i] for i in range(2)] == [0.0, 1.0]
@@ -189,21 +189,21 @@ class TestZeroSumSaddle:
         assert saddle.rho_star.initial.realized(matching_tree) == (0,)
         assert saddle.tau_star.adjust.rules[0].realized(matching_tree) == (1,)
         report = sg.check_equilibrium(
-            matching_tree, field, "zs", (saddle.rho_star, saddle.tau_star)
+            field, "zs", (saddle.rho_star, saddle.tau_star)
         )
         assert report.passed
         # Exhaustive check over both full strategy classes.
         value = sg.payoff_pure(
-            matching_tree, field, "seq", saddle.rho_star, saddle.tau_star
+            field, "seq", saddle.rho_star, saddle.tau_star
         )[0]
         for rho in sg.enumerate_strategies(matching_tree, "a"):
             assert (
-                sg.payoff_pure(matching_tree, field, "seq", rho, saddle.tau_star)[0]
+                sg.payoff_pure(field, "seq", rho, saddle.tau_star)[0]
                 <= value + 1e-12
             )
         for tau in sg.enumerate_strategies(matching_tree, "b"):
             assert (
-                sg.payoff_pure(matching_tree, field, "seq", saddle.rho_star, tau)[0]
+                sg.payoff_pure(field, "seq", saddle.rho_star, tau)[0]
                 >= value - 1e-12
             )
 
@@ -212,20 +212,20 @@ class TestZeroSumSaddle:
         field = sg.PayoffField.zero_sum(
             tree, [[0.5] for s in range(3) for t in range(3)]
         )
-        saddle = sg.zero_sum_saddle(tree, field)
+        saddle = sg.zero_sum_saddle(field)
         assert saddle.value == approx(0.5, abs=1e-12)
 
     def test_random_games_certified(self):
         for seed in range(15):
             doc = gamefile.generate_random_game(3, 2, seed=seed, zero_sum=True)
             field = doc.zero_sum_field()
-            saddle = sg.zero_sum_saddle(doc.tree, field)
+            saddle = sg.zero_sum_saddle(field)
             report = sg.check_equilibrium(
-                doc.tree, field, "zs", (saddle.rho_star, saddle.tau_star)
+                field, "zs", (saddle.rho_star, saddle.tau_star)
             )
             assert report.passed, (seed, report.gaps)
             values = sg.payoff_pure(
-                doc.tree, field, "seq", saddle.rho_star, saddle.tau_star
+                field, "seq", saddle.rho_star, saddle.tau_star
             )
             assert values[0] == approx(saddle.value, abs=1e-9)
 
@@ -234,10 +234,9 @@ class TestZeroSumSaddle:
             doc = gamefile.generate_random_game(3, 2, seed=50 + seed, zero_sum=True)
             field = doc.zero_sum_field()
             sigma = sg.constant_stopping_time(doc.tree, 1 + seed % 3)
-            saddle = sg.zero_sum_saddle(doc.tree, field, sigma)
+            saddle = sg.zero_sum_saddle(field, sigma)
             assert min(saddle.rho_star.initial.realized(doc.tree)) >= 1 + seed % 3
             report = sg.check_equilibrium(
-                doc.tree,
                 field,
                 "zs",
                 (saddle.rho_star, saddle.tau_star),
@@ -255,11 +254,11 @@ class TestZeroSumSaddle:
             doc = gamefile.generate_random_game(seed % 2, 1 + seed % 2, seed=80 + seed, zero_sum=True)
             tree = doc.tree
             field = doc.zero_sum_field()
-            saddle = sg.zero_sum_saddle(tree, field)
+            saddle = sg.zero_sum_saddle(field)
             rhos = sg.enumerate_strategies(tree, "a")
             taus = sg.enumerate_strategies(tree, "b")
             table = [
-                [sg.payoff_pure(tree, field, "seq", rho, tau)[0] for tau in taus]
+                [sg.payoff_pure(field, "seq", rho, tau)[0] for tau in taus]
                 for rho in rhos
             ]
             maximin = max(min(row) for row in table)
@@ -278,12 +277,12 @@ class TestZeroSumSaddle:
             tree,
             [[1.0], [2.0], [-2.0], [0.0]],  # (s, t) = (0, 0), (0, 1), (1, 0), (1, 1)
         )
-        saddle = sg.zero_sum_saddle(tree, field)
+        saddle = sg.zero_sum_saddle(field)
         rho_real = saddle.rho_star.initial.realized(tree)
         tau_real = saddle.tau_star.initial.realized(tree)
         if saddle.tau_hit.clamped:
             assert all(r <= t for r, t in zip(rho_real, tau_real))
         report = sg.check_equilibrium(
-            tree, field, "zs", (saddle.rho_star, saddle.tau_star)
+            field, "zs", (saddle.rho_star, saddle.tau_star)
         )
         assert report.passed

@@ -75,15 +75,15 @@ def _solved_profile(mode: str) -> tuple[sg.EventTree, dict]:
     """The tree of a small game and the profile its solver writes."""
     if mode == "sim":
         tree = _GAME.tree
-        eq = sg.sim_equilibrium(tree, _GAME.payoff_field())
+        eq = sg.sim_equilibrium(_GAME.payoff_field())
         profile = (eq.rho, eq.tau)
     elif mode == "seq":
         tree = _GAME.tree
-        eq = sg.seq_equilibrium(tree, _GAME.payoff_field())
+        eq = sg.seq_equilibrium(_GAME.payoff_field())
         profile = (eq.rho_star, eq.tau_star)
     else:
         tree = _ZS_GAME.tree
-        saddle = sg.zero_sum_saddle(tree, _ZS_GAME.zero_sum_field())
+        saddle = sg.zero_sum_saddle(_ZS_GAME.zero_sum_field())
         profile = (saddle.rho_star, saddle.tau_star)
     return tree, json.loads(gamefile.profile_to_json(tree, mode, profile))
 

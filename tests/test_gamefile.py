@@ -189,13 +189,13 @@ class TestEmitBytes:
         doc = gamefile.generate_random_game(3, 2, seed=12, zero_sum=mode == "zs")
         tree = doc.tree
         if mode == "sim":
-            sol = sg.sim_equilibrium(tree, doc.payoff_field())
+            sol = sg.sim_equilibrium(doc.payoff_field())
             profile = (sol.rho, sol.tau)
         elif mode == "seq":
-            sol = sg.seq_equilibrium(tree, doc.payoff_field())
+            sol = sg.seq_equilibrium(doc.payoff_field())
             profile = (sol.rho_star, sol.tau_star)
         else:
-            saddle = sg.zero_sum_saddle(tree, doc.zero_sum_field())
+            saddle = sg.zero_sum_saddle(doc.zero_sum_field())
             profile = (saddle.rho_star, saddle.tau_star)
         text = gamefile.profile_to_json(tree, mode, profile)
         assert text == _reference_profile_text(tree, mode, profile)
@@ -629,19 +629,19 @@ class TestProfiles:
     def test_sim_profile_round_trip(self):
         doc = gamefile.load_bundled("matching_times")
         tree, field = doc.tree, doc.payoff_field()
-        sol = sg.sim_equilibrium(tree, field)
+        sol = sg.sim_equilibrium(field)
         text = gamefile.profile_to_json(tree, "sim", (sol.rho, sol.tau))
         rho, tau = gamefile.profile_from_json(tree, text, "sim")
         assert rho.initial.probs == sol.rho.initial.probs
-        assert sg.payoff_mixed_sim(tree, field, rho, tau) == sol.values
+        assert sg.payoff_mixed_sim(field, rho, tau) == sol.values
 
     def test_seq_profile_round_trip(self):
         doc = gamefile.load_bundled("matching_times")
         tree, field = doc.tree, doc.payoff_field()
-        sol = sg.seq_equilibrium(tree, field)
+        sol = sg.seq_equilibrium(field)
         text = gamefile.profile_to_json(tree, "seq", (sol.rho_star, sol.tau_star))
         rho, tau = gamefile.profile_from_json(tree, text, "seq")
-        assert sg.payoff_pure(tree, field, "seq", rho, tau) == sol.values
+        assert sg.payoff_pure(field, "seq", rho, tau) == sol.values
 
     @pytest.mark.parametrize(
         "mode, keys, value, message",
@@ -658,10 +658,10 @@ class TestProfiles:
         doc = gamefile.load_bundled("matching_times")
         tree, field = doc.tree, doc.payoff_field()
         if mode == "sim":
-            sol = sg.sim_equilibrium(tree, field)
+            sol = sg.sim_equilibrium(field)
             profile = (sol.rho, sol.tau)
         else:
-            sol = sg.seq_equilibrium(tree, field)
+            sol = sg.seq_equilibrium(field)
             profile = (sol.rho_star, sol.tau_star)
         obj = json.loads(gamefile.profile_to_json(tree, mode, profile))
         target = obj
@@ -673,7 +673,57 @@ class TestProfiles:
 
     def test_profile_mode_mismatch(self):
         doc = gamefile.load_bundled("matching_times")
-        sol = sg.seq_equilibrium(doc.tree, doc.payoff_field())
+        sol = sg.seq_equilibrium(doc.payoff_field())
         text = gamefile.profile_to_json(doc.tree, "seq", (sol.rho_star, sol.tau_star))
         with pytest.raises(sg.GameSpecError, match="mode"):
             gamefile.profile_from_json(doc.tree, text, "sim")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["player2"]["adjust"].update({"7": {}}), "key '7' outside 0..1"),
+            (lambda p: p["player1"]["adjust"].update({"x": 1}), "key 'x' outside 0..1"),
+            (lambda p: p["player1"]["adjust"].update({"01": {}}), "key '01' outside 0..1"),
+            (lambda p: p["player1"]["adjust"].update({"-1": {}}), "key '-1' outside 0..1"),
+            # Named before a missing rule, and before a rule's own values.
+            (
+                lambda p: (
+                    p["player1"]["adjust"].pop("0"),
+                    p["player1"]["adjust"].update({"2": {}}),
+                ),
+                "key '2' outside 0..1",
+            ),
+            (
+                lambda p: (
+                    p["player2"]["adjust"]["0"].update({"1:0": 0}),
+                    p["player2"]["adjust"].update({"9": {}}),
+                ),
+                "key '9' outside 0..1",
+            ),
+            # Named after the initial rule's faults and after player 1's.
+            (
+                lambda p: (
+                    p["player1"]["stops"].update({"0:0": 0}),
+                    p["player1"]["adjust"].update({"7": {}}),
+                ),
+                "stops at node '0:0' is not a boolean",
+            ),
+            (
+                lambda p: (
+                    p["player1"]["adjust"].pop("1"),
+                    p["player2"]["adjust"].update({"7": {}}),
+                ),
+                "profile adjustment missing rule for time 1",
+            ),
+        ],
+    )
+    def test_adjustment_keys_are_times_of_the_tree(self, edit, message):
+        doc = gamefile.load_bundled("matching_times")
+        sol = sg.seq_equilibrium(doc.payoff_field())
+        obj = json.loads(
+            gamefile.profile_to_json(doc.tree, "seq", (sol.rho_star, sol.tau_star))
+        )
+        edit(obj)
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.profile_from_json(doc.tree, json.dumps(obj), "seq")
+        assert str(exc.value).endswith(message)

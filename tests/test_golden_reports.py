@@ -238,7 +238,7 @@ def _br_bits(doc, mode: str, profile_text: bytes, sigma: int) -> str:
     field = doc.zero_sum_field() if mode == "zs" else doc.payoff_field()
     profile = gamefile.profile_from_json(tree, profile_text.decode(), mode)
     not_before = constant_stopping_time(tree, sigma) if mode == "zs" else None
-    report = check_equilibrium(tree, field, mode, profile, not_before=not_before)
+    report = check_equilibrium(field, mode, profile, not_before=not_before)
     bits = " ".join(v.hex() for v in report.br_values)
     return hashlib.sha256(bits.encode()).hexdigest()
 

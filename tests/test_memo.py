@@ -88,11 +88,11 @@ def _hex(values) -> list[str]:
 
 def test_cached_tables_match_a_fresh_field():
     doc = gamefile.generate_random_game(HORIZON, 2, seed=3)
-    tree, field = doc.tree, doc.payoff_field()
-    sim = sg.sim_equilibrium(tree, field)
-    seq = sg.seq_equilibrium(tree, field)
-    sg.check_equilibrium(tree, field, "seq", (seq.rho_star, seq.tau_star))
-    assert sim.report.passed
+    field = doc.payoff_field()
+    sim = sg.sim_equilibrium(field)
+    seq = sg.seq_equilibrium(field)
+    assert sg.check_equilibrium(field, "sim", (sim.rho, sim.tau)).passed
+    sg.check_equilibrium(field, "seq", (seq.rho_star, seq.tau_star))
     keys = list(field._tables)
     # Reaction tables: 2 for sim, 4 for seq, one of them player 1's strict
     # "first" table that sim also uses.  Lone-stopper tables: 4 for sim, 2 for
@@ -102,31 +102,35 @@ def test_cached_tables_match_a_fresh_field():
         fresh = doc.payoff_field()
         cached = field._tables[key]
         if isinstance(cached, sg.ReactionValue):
-            again = sg.reaction_value(tree, fresh, *key[1:])
+            again = sg.reaction_value(fresh, *key)
             assert _hex(cached.process) == _hex(again.process)
             assert cached.family == again.family
-            assert sg.reaction_value(tree, field, *key[1:]) is cached
+            assert sg.reaction_value(field, *key) is cached
         else:
-            again = stop_alone_values(tree, fresh, *key[1:])
+            again = stop_alone_values(fresh, *key)
             assert _hex(cached) == _hex(again)
-            assert stop_alone_values(tree, field, *key[1:]) is cached
+            assert stop_alone_values(field, *key) is cached
 
 
-def test_each_tree_gets_its_own_entry(computed):
+def test_fields_on_twin_trees_compute_their_own_tables(computed):
     doc = gamefile.generate_random_game(HORIZON, 2, seed=5)
-    twin = gamefile.parse(gamefile.emit(doc)).tree
     field = doc.payoff_field()
+    twin = gamefile.parse(gamefile.emit(doc)).payoff_field()
+    assert twin.tree is not field.tree
     args = (1, "first", "strict", "max")
-    first = sg.reaction_value(doc.tree, field, *args)
-    assert sg.reaction_value(doc.tree, field, *args) is first
+    first = sg.reaction_value(field, *args)
+    assert sg.reaction_value(field, *args) is first
     assert computed["reaction"] == 1
-    second = sg.reaction_value(twin, field, *args)
+    second = sg.reaction_value(twin, *args)
     assert second is not first
     assert computed["reaction"] == 2
     assert _hex(second.process) == _hex(first.process)
-    alone = stop_alone_values(doc.tree, field, 2, 2, first.family)
-    assert stop_alone_values(twin, field, 2, 2, first.family) is not alone
+    assert second.family == first.family
+    alone = stop_alone_values(field, 2, 2, first.family)
+    twin_alone = stop_alone_values(twin, 2, 2, second.family)
+    assert twin_alone is not alone
     assert computed["alone"] == 2
+    assert _hex(twin_alone) == _hex(alone)
 
 
 @pytest.fixture()
@@ -158,16 +162,16 @@ def test_solve_sim_computes_its_mixed_payoff_once(games, mixed_calls):
 
 def _sim_profile():
     doc = gamefile.generate_random_game(HORIZON, 2, seed=11)
-    sol = sg.sim_equilibrium(doc.tree, doc.payoff_field())
+    sol = sg.sim_equilibrium(doc.payoff_field())
     return doc, sol.rho, sol.tau
 
 
 def test_cached_mixed_payoff_matches_a_fresh_field():
     doc, rho, tau = _sim_profile()
     field = doc.payoff_field()
-    first = sg.payoff_mixed_sim(doc.tree, field, rho, tau)
-    assert sg.payoff_mixed_sim(doc.tree, field, rho, tau) is first
-    assert _hex(first) == _hex(sg.payoff_mixed_sim(doc.tree, doc.payoff_field(), rho, tau))
+    first = sg.payoff_mixed_sim(field, rho, tau)
+    assert sg.payoff_mixed_sim(field, rho, tau) is first
+    assert _hex(first) == _hex(sg.payoff_mixed_sim(doc.payoff_field(), rho, tau))
 
 
 def test_equal_profiles_with_a_zero_of_other_sign_are_not_shared(mixed_calls):
@@ -179,12 +183,12 @@ def test_equal_profiles_with_a_zero_of_other_sign_are_not_shared(mixed_calls):
     assert twin == rho and twin is not rho
     field = doc.payoff_field()
     mixed_calls.clear()
-    values = sg.payoff_mixed_sim(doc.tree, field, rho, tau)
-    twin_values = sg.payoff_mixed_sim(doc.tree, field, twin, tau)
+    values = sg.payoff_mixed_sim(field, rho, tau)
+    twin_values = sg.payoff_mixed_sim(field, twin, tau)
     assert mixed_calls["recursion"] == 2
-    fresh = sg.payoff_mixed_sim(doc.tree, doc.payoff_field(), twin, tau)
+    fresh = sg.payoff_mixed_sim(doc.payoff_field(), twin, tau)
     assert _hex(twin_values) == _hex(fresh)
-    assert _hex(values) == _hex(sg.payoff_mixed_sim(doc.tree, doc.payoff_field(), rho, tau))
+    assert _hex(values) == _hex(sg.payoff_mixed_sim(doc.payoff_field(), rho, tau))
 
 
 def test_every_call_validates_the_profile(monkeypatch):
@@ -199,8 +203,9 @@ def test_every_call_validates_the_profile(monkeypatch):
 
     monkeypatch.setattr(sg.Strategy, "validate", counted)
     for _ in range(3):
-        sg.payoff_mixed_sim(doc.tree, field, rho, tau)
+        sg.payoff_mixed_sim(field, rho, tau)
     assert validated == {id(rho): 3, id(tau): 3}
-    other = gamefile.generate_random_game(HORIZON + 1, 2, seed=11).tree
+    # A profile built for another tree is refused, cached payoff or not.
+    other = gamefile.generate_random_game(HORIZON + 1, 2, seed=11).payoff_field()
     with pytest.raises(sg.GameSpecError):
-        sg.payoff_mixed_sim(other, field, rho, tau)
+        sg.payoff_mixed_sim(other, rho, tau)

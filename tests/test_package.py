@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import inspect
+import pkgutil
 import sys
 import types
 from pathlib import Path
@@ -91,13 +93,13 @@ def test_processes_are_node_indexed_tuples():
     doc = gamefile.generate_random_game(3, 2, seed=5)
     tree, field = doc.tree, doc.payoff_field()
     zs_field = gamefile.generate_random_game(3, 2, seed=5, zero_sum=True).zero_sum_field()
-    sim = stopgames.sim_equilibrium(tree, field)
-    seq = stopgames.seq_equilibrium(tree, field)
-    zs = stopgames.zero_sum_saddle(tree, zs_field)
-    reaction = stopgames.reaction_value(tree, field, 1, "first", "strict", "max")
+    sim = stopgames.sim_equilibrium(field)
+    seq = stopgames.seq_equilibrium(field)
+    zs = stopgames.zero_sum_saddle(zs_field)
+    reaction = stopgames.reaction_value(field, 1, "first", "strict", "max")
     processes = {
         "reaction.process": reaction.process,
-        "dynkin_value": stopgames.dynkin_value(tree, zs.f, zs.g),
+        "dynkin_value": stopgames.dynkin_value(zs_field.tree, zs.f, zs.g),
         "sim.reduced.w1": sim.reduced.w1,
         "sim.reduced.w2": sim.reduced.w2,
         "seq.w1": seq.w1,
@@ -141,3 +143,29 @@ def test_every_traced_boundary_exists():
             missing.append(f"{boundary.module}.{boundary.attr}")
     assert tracer.BOUNDARIES
     assert missing == []
+
+
+def test_no_function_takes_both_a_tree_and_a_field():
+    # A payoff field carries its tree as ``field.tree``; a separate tree
+    # argument could disagree with it.  Every function and method defined
+    # in the package's modules is checked (not ``__main__``, which runs the
+    # CLI on import).
+    checked, both = set(), []
+    for info in pkgutil.iter_modules(stopgames.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"stopgames.{info.name}")
+        members = list(vars(module).items())
+        for name, obj in list(members):
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                members += [(f"{name}.{key}", value) for key, value in vars(obj).items()]
+        for name, obj in members:
+            fn = getattr(obj, "__func__", obj)  # a classmethod's function
+            if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            checked.add(f"{info.name}.{name}")
+            if {"tree", "field"} <= inspect.signature(fn).parameters.keys():
+                both.append(f"{info.name}.{name}")
+    assert {"snell.reaction_value", "verify.check_equilibrium", "cli._cmd_verify"} <= checked
+    assert {"strategies.PayoffField.zero_sum", "strategies.PayoffField.__init__"} <= checked
+    assert both == []

@@ -30,17 +30,18 @@ def _scaled(field: sg.PayoffField, k: int) -> sg.PayoffField:
 def _solve(tree, field, mode):
     """(values, the profile's canonical signatures, gaps, passed)."""
     if mode == "sim":
-        sol = sg.sim_equilibrium(tree, field)
-        profile, report = (sol.rho, sol.tau), sol.report
+        sol = sg.sim_equilibrium(field)
+        profile = (sol.rho, sol.tau)
+        report = sg.check_equilibrium(field, "sim", profile)
     elif mode == "seq":
-        sol = sg.seq_equilibrium(tree, field)
+        sol = sg.seq_equilibrium(field)
         profile = (sol.rho_star, sol.tau_star)
-        report = sg.check_equilibrium(tree, field, "seq", profile)
+        report = sg.check_equilibrium(field, "seq", profile)
     else:
         sigma = sg.constant_stopping_time(tree, 0)
-        saddle = sg.zero_sum_saddle(tree, field, sigma)
+        saddle = sg.zero_sum_saddle(field, sigma)
         profile = (saddle.rho_star, saddle.tau_star)
-        report = sg.check_equilibrium(tree, field, "zs", profile, not_before=sigma)
+        report = sg.check_equilibrium(field, "zs", profile, not_before=sigma)
     signatures = tuple(canonical_signature(tree, s) for s in profile)
     return report.values, signatures, report.gaps, report.passed
 

@@ -16,7 +16,7 @@ from conftest import chain_tree, field_from_function, leaves_under
 
 class TestSimProcesses:
     def test_matching_game_processes(self, matching_tree, matching_payoffs):
-        bundle = sg.sim_processes(matching_tree, matching_payoffs)
+        bundle = sg.sim_processes(matching_payoffs)
         assert bundle.x1[0] == approx(0.0, abs=1e-12)
         assert bundle.y1[0] == approx(0.0, abs=1e-12)
         assert bundle.z1[0] == 1.0
@@ -30,14 +30,14 @@ class TestSimProcesses:
     def test_constant_payoffs(self):
         tree = chain_tree(2)
         field = field_from_function(tree, lambda i, s, t, n: 0.4)
-        bundle = sg.sim_processes(tree, field)
+        bundle = sg.sim_processes(field)
         for proc in (bundle.x1, bundle.x2, bundle.y1, bundle.y2, bundle.z1, bundle.z2):
             assert all(v == approx(0.4, abs=1e-12) for v in proc)
 
     def test_tie_slices_are_exact(self):
         doc = gamefile.generate_random_game(3, 2, seed=31)
         tree, field = doc.tree, doc.payoff_field()
-        bundle = sg.sim_processes(tree, field)
+        bundle = sg.sim_processes(field)
         for t in range(tree.horizon + 1):
             for idx in tree.levels[t]:
                 assert bundle.z1[idx] == field.value(1, t, t, idx)
@@ -49,7 +49,7 @@ class TestSimProcesses:
         for seed in range(5):
             doc = gamefile.generate_random_game(2, 2, seed=seed)
             tree, field = doc.tree, doc.payoff_field()
-            bundle = sg.sim_processes(tree, field)
+            bundle = sg.sim_processes(field)
             for t in range(tree.horizon + 1):
                 window = min(t + 1, tree.horizon)
                 for st in sg.enumerate_stopping_times(tree, min_level=window):
@@ -205,7 +205,7 @@ class TestStageNash:
 
 class TestReducedEquilibrium:
     def test_matching_game_half_half(self, matching_tree, matching_payoffs):
-        bundle = sg.sim_processes(matching_tree, matching_payoffs)
+        bundle = sg.sim_processes(matching_payoffs)
         reduced = sg.randomized_dynkin_equilibrium(matching_tree, bundle)
         assert reduced.alpha.probs[0] == approx(0.5)
         assert reduced.beta.probs[0] == approx(0.5)
@@ -215,7 +215,7 @@ class TestReducedEquilibrium:
 
     def test_horizon_nodes_stop_surely(self):
         doc = gamefile.generate_random_game(3, 2, seed=2)
-        bundle = sg.sim_processes(doc.tree, doc.payoff_field())
+        bundle = sg.sim_processes(doc.payoff_field())
         reduced = sg.randomized_dynkin_equilibrium(doc.tree, bundle)
         for leaf in doc.tree.leaves:
             assert reduced.alpha.probs[leaf] == 1.0
@@ -224,7 +224,7 @@ class TestReducedEquilibrium:
     def test_constant_processes(self):
         tree = chain_tree(2)
         field = field_from_function(tree, lambda i, s, t, n: -0.25)
-        bundle = sg.sim_processes(tree, field)
+        bundle = sg.sim_processes(field)
         reduced = sg.randomized_dynkin_equilibrium(tree, bundle)
         assert reduced.w1[0] == approx(-0.25, abs=1e-12)
         assert reduced.w2[0] == approx(-0.25, abs=1e-12)
@@ -232,7 +232,7 @@ class TestReducedEquilibrium:
     def test_stage_records_are_stage_equilibria(self):
         for seed in range(10):
             doc = gamefile.generate_random_game(3, 2, seed=seed)
-            bundle = sg.sim_processes(doc.tree, doc.payoff_field())
+            bundle = sg.sim_processes(doc.payoff_field())
             reduced = sg.randomized_dynkin_equilibrium(doc.tree, bundle)
             for record in reduced.stages:
                 sol = record.solution
@@ -246,43 +246,48 @@ class TestReducedEquilibrium:
                 assert max(stop2, cont2) <= sol.value2 + 1e-9
 
 
+def _certify(field, sol):
+    return sg.check_equilibrium(field, "sim", (sol.rho, sol.tau))
+
+
 class TestSimEquilibrium:
-    def test_matching_game(self, matching_tree, matching_payoffs):
-        sol = sg.sim_equilibrium(matching_tree, matching_payoffs)
+    def test_matching_game(self, matching_payoffs):
+        sol = sg.sim_equilibrium(matching_payoffs)
         assert sol.rho.initial.probs[0] == approx(0.5, abs=1e-12)
         assert sol.tau.initial.probs[0] == approx(0.5, abs=1e-12)
         assert sol.values[0] == approx(0.5, abs=1e-12)
         assert sol.values[1] == approx(-0.5, abs=1e-12)
-        assert sol.report.passed
-        assert max(sol.report.gaps) <= 1e-12
+        report = _certify(matching_payoffs, sol)
+        assert report.passed
+        assert max(report.gaps) <= 1e-12
 
     def test_horizon_zero(self):
         tree = sg.build_tree({"horizon": 0, "nodes": [{"id": "r", "time": 0}]})
         field = field_from_function(
             tree, lambda i, s, t, n: 1.5 if i == 1 else -2.5
         )
-        sol = sg.sim_equilibrium(tree, field)
+        sol = sg.sim_equilibrium(field)
         assert sol.values == (1.5, -2.5)
         assert sol.rho.initial.probs == (1.0,)
-        assert sol.report.passed
+        assert _certify(field, sol).passed
 
     def test_random_games_certified(self):
         for seed in range(20):
             doc = gamefile.generate_random_game(3, 2, seed=300 + seed)
-            sol = sg.sim_equilibrium(doc.tree, doc.payoff_field())
-            assert sol.report.passed, (seed, sol.report.gaps)
+            field = doc.payoff_field()
+            report = _certify(field, sg.sim_equilibrium(field))
+            assert report.passed, (seed, report.gaps)
 
     def test_profile_payoff_matches_reduced_values(self):
         for seed in range(10):
             doc = gamefile.generate_random_game(4, 2, seed=400 + seed)
-            sol = sg.sim_equilibrium(doc.tree, doc.payoff_field())
+            sol = sg.sim_equilibrium(doc.payoff_field())
             assert sol.values[0] == approx(sol.reduced.w1[0], abs=1e-9)
             assert sol.values[1] == approx(sol.reduced.w2[0], abs=1e-9)
 
-    def test_no_pure_equilibrium_but_mixed_exists(self, matching_tree, matching_payoffs):
-        enum = sg.enumerate_oracle(matching_tree, matching_payoffs, "sim")
+    def test_no_pure_equilibrium_but_mixed_exists(self, matching_payoffs):
+        enum = sg.enumerate_oracle(matching_payoffs, "sim")
         assert len(enum.strategies1) == 2
         assert len(enum.strategies2) == 2
         assert enum.equilibria == ()
-        sol = sg.sim_equilibrium(matching_tree, matching_payoffs)
-        assert sol.report.passed
+        assert _certify(matching_payoffs, sg.sim_equilibrium(matching_payoffs)).passed

@@ -179,12 +179,12 @@ class TestProperties:
 class TestReactionValue:
     def test_matching_game_reply_values(self, matching_tree, matching_payoffs):
         tree, field = matching_tree, matching_payoffs
-        worst_reply = sg.reaction_value(tree, field, 1, "second", "inclusive", "min")
+        worst_reply = sg.reaction_value(field, 1, "second", "inclusive", "min")
         assert worst_reply.process[0] == approx(0.0, abs=1e-12)
         assert worst_reply.process[1] == approx(1.0, abs=1e-12)
         assert worst_reply.family.rules[0].realized(tree) == (1,)
 
-        own_later = sg.reaction_value(tree, field, 2, "second", "strict", "max")
+        own_later = sg.reaction_value(field, 2, "second", "strict", "max")
         assert own_later.process[0] == approx(0.0, abs=1e-12)
         assert own_later.family.strict
 
@@ -193,14 +193,14 @@ class TestReactionValue:
         field = field_from_function(tree, lambda i, s, t, n: 0.75)
         for side in ("first", "second"):
             for window in ("inclusive", "strict"):
-                rv = sg.reaction_value(tree, field, 1, side, window, "max")
+                rv = sg.reaction_value(field, 1, side, window, "max")
                 assert all(v == 0.75 for v in rv.process)
 
     def test_family_class_matches_window(self):
         tree = three_node_tree()
         field = matching_field(tree)
-        strict = sg.reaction_value(tree, field, 1, "first", "strict", "max")
-        inclusive = sg.reaction_value(tree, field, 1, "second", "inclusive", "min")
+        strict = sg.reaction_value(field, 1, "first", "strict", "max")
+        inclusive = sg.reaction_value(field, 1, "second", "inclusive", "min")
         assert strict.family.strict
         assert not inclusive.family.strict
         strict.family.validate(tree)

@@ -40,13 +40,14 @@ def test_solvers_certified_across_distributions():
         tree = gamefile.generate_random_game(h, b, seed=90_000 + k).tree
         field = _field_variant(tree, k)
 
-        seq = sg.seq_equilibrium(tree, field)
+        seq = sg.seq_equilibrium(field)
         assert seq.diagnostics.clean, (k, seq.diagnostics.defects)
-        rep = sg.check_equilibrium(tree, field, "seq", (seq.rho_star, seq.tau_star))
+        rep = sg.check_equilibrium(field, "seq", (seq.rho_star, seq.tau_star))
         assert rep.passed, (k, rep.gaps)
 
-        sim = sg.sim_equilibrium(tree, field)
-        assert sim.report.passed, (k, sim.report.gaps)
+        sim = sg.sim_equilibrium(field)
+        rep = sg.check_equilibrium(field, "sim", (sim.rho, sim.tau))
+        assert rep.passed, (k, rep.gaps)
 
 
 def test_sequential_output_in_enumerated_nash_set():
@@ -57,8 +58,8 @@ def test_sequential_output_in_enumerated_nash_set():
         field = _field_variant(tree, k)
         if sg.count_strategies(tree, "a") * sg.count_strategies(tree, "b") > 250:
             continue
-        seq = sg.seq_equilibrium(tree, field)
-        enum = sg.enumerate_oracle(tree, field, "seq")
+        seq = sg.seq_equilibrium(field)
+        enum = sg.enumerate_oracle(field, "seq")
         signatures = {
             (
                 canonical_signature(tree, enum.strategies1[i]),

@@ -82,7 +82,7 @@ class TestClassInvariants:
             rng = random.Random(seed)
             for strict in (True, False):
                 window = "strict" if strict else "inclusive"
-                base = sg.reaction_value(tree, field, 1, "first", window, "max").family
+                base = sg.reaction_value(field, 1, "first", window, "max").family
                 for t, rule in enumerate(base.rules):
                     # Flip about one mark in seven; horizon nodes stay marked.
                     marks = tuple(
@@ -140,13 +140,13 @@ class TestPayoffPure:
         tree = chain_tree(1)
         field = matching_field(tree)
         rho = _strategy_a(tree, 0)
-        assert sg.payoff_pure(tree, field, "sim", rho, rho) == (1.0, -1.0)
+        assert sg.payoff_pure(field, "sim", rho, rho) == (1.0, -1.0)
 
     def test_matching_game_mismatch(self):
         tree = chain_tree(1)
         field = matching_field(tree)
         assert sg.payoff_pure(
-            tree, field, "sim", _strategy_a(tree, 0), _strategy_a(tree, 1)
+            field, "sim", _strategy_a(tree, 0), _strategy_a(tree, 1)
         ) == (0.0, 0.0)
 
     def test_constant_field_any_profile(self):
@@ -163,26 +163,26 @@ class TestPayoffPure:
                 _stop_at(tree, 2 - t0),
                 sg.AdjustmentFamily(tuple(_stop_at(tree, t) for t in range(3)), strict=False),
             )
-            assert sg.payoff_pure(tree, field, "seq", rho, tau) == (3.25, 3.25)
+            assert sg.payoff_pure(field, "seq", rho, tau) == (3.25, 3.25)
 
     def test_mode_class_mismatch(self):
         tree = chain_tree(1)
         field = matching_field(tree)
         rho = _strategy_a(tree, 0)
         with pytest.raises(sg.GameSpecError, match="type"):
-            sg.payoff_pure(tree, field, "sim", rho, _strategy_b(tree, 0, 1))
+            sg.payoff_pure(field, "sim", rho, _strategy_b(tree, 0, 1))
 
 
 class TestPayoffMixed:
     def test_degenerate_equals_pure(self):
         for seed in range(8):
             doc = gamefile.generate_random_game(3, 2, seed=seed)
-            tree, field = doc.tree, doc.payoff_field()
-            sol = sg.seq_equilibrium(tree, field)
+            field = doc.payoff_field()
+            sol = sg.seq_equilibrium(field)
             rho = sg.Strategy(sol.p1_settle, sol.bundle.later_max1)
             tau = sg.Strategy(sol.p2_settle, sol.bundle.later_min2)
-            pure = sg.payoff_pure(tree, field, "sim", rho, tau)
-            mixed = sg.payoff_mixed_sim(tree, field, as_mixed(rho), as_mixed(tau))
+            pure = sg.payoff_pure(field, "sim", rho, tau)
+            mixed = sg.payoff_mixed_sim(field, as_mixed(rho), as_mixed(tau))
             assert mixed[0] == approx(pure[0], abs=1e-12)
             assert mixed[1] == approx(pure[1], abs=1e-12)
 
@@ -194,7 +194,7 @@ class TestPayoffMixed:
         )
         # The four equally likely initial-time pairs give payoffs
         # (1,-1), (0,0), (0,0), (1,-1); the average is (1/2, -1/2).
-        assert sg.payoff_mixed_sim(tree, field, half, half) == approx((0.5, -0.5))
+        assert sg.payoff_mixed_sim(field, half, half) == approx((0.5, -0.5))
 
     def test_constant_field(self):
         tree = chain_tree(1)
@@ -202,12 +202,12 @@ class TestPayoffMixed:
         half = sg.Strategy(
             sg.RandomizedStoppingTime((0.3, 1.0)), _family_a(tree)
         )
-        assert sg.payoff_mixed_sim(tree, field, half, half) == approx((-1.5, -1.5))
+        assert sg.payoff_mixed_sim(field, half, half) == approx((-1.5, -1.5))
 
     def test_multilinear_in_each_stop_probability(self):
         doc = gamefile.generate_random_game(3, 2, seed=11)
-        tree, field = doc.tree, doc.payoff_field()
-        sol = sg.sim_equilibrium(tree, field)
+        field = doc.payoff_field()
+        sol = sg.sim_equilibrium(field)
         base = list(sol.rho.initial.probs)
         node = 1  # interior node
         values = []
@@ -217,7 +217,7 @@ class TestPayoffMixed:
             rho = sg.Strategy(
                 sg.RandomizedStoppingTime(tuple(probs)), sol.rho.adjust
             )
-            values.append(sg.payoff_mixed_sim(tree, field, rho, sol.tau))
+            values.append(sg.payoff_mixed_sim(field, rho, sol.tau))
         for k in (0, 1):
             second_diff = values[0][k] - 2.0 * values[1][k] + values[2][k]
             assert second_diff == approx(0.0, abs=1e-9)
@@ -249,12 +249,12 @@ class TestStopAloneValues:
             )
             families = (
                 sg.AdjustmentFamily(arbitrary, strict=False),
-                sg.reaction_value(tree, field, 1, "first", "strict", "max").family,
-                sg.reaction_value(tree, field, 2, "second", "inclusive", "min").family,
+                sg.reaction_value(field, 1, "first", "strict", "max").family,
+                sg.reaction_value(field, 2, "second", "inclusive", "min").family,
             )
             tol = 1e-12 * field.bound
             for family, stopper, player in product(families, (1, 2), (1, 2)):
-                got = stop_alone_values(tree, field, player, stopper, family)
+                got = stop_alone_values(field, player, stopper, family)
                 assert type(got) is tuple and len(got) == tree.n_nodes
                 for node in tree.nodes:
                     t = node.time

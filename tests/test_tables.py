@@ -71,7 +71,7 @@ def _hex(values) -> list[str]:
 def check_tables(tree: sg.EventTree, field: sg.PayoffField, rng: random.Random) -> None:
     families = []
     for variant in VARIANTS:
-        got = sg.reaction_value(tree, field, *variant)
+        got = sg.reaction_value(field, *variant)
         process, rules = reference_reaction_value(tree, field, *variant)
         assert _hex(got.process) == _hex(process), variant
         assert [rule.marks for rule in got.family.rules] == rules, variant
@@ -84,7 +84,7 @@ def check_tables(tree: sg.EventTree, field: sg.PayoffField, rng: random.Random) 
     for family in (families[0], families[5], families[-1]):
         marks = [rule.marks for rule in family.rules]
         for player, stopper in product((1, 2), (1, 2)):
-            got = stop_alone_values(tree, field, player, stopper, family)
+            got = stop_alone_values(field, player, stopper, family)
             want = reference_stop_alone_values(tree, field, player, stopper, marks)
             assert _hex(got) == _hex(want), (player, stopper)
 

@@ -27,7 +27,7 @@ class TestBestResponse:
         rho = sg.Strategy(
             sg.constant_stopping_time(matching_tree, 0), _forced_family_a(matching_tree)
         )
-        value, strategy = sg.best_response(matching_tree, matching_payoffs, "seq", 2, rho)
+        value, strategy = sg.best_response(matching_payoffs, "seq", 2, rho)
         assert value == approx(0.0, abs=1e-12)
         assert strategy.adjust.rules[0].realized(matching_tree) == (1,)
 
@@ -41,16 +41,16 @@ class TestBestResponse:
                 strict=True,
             ),
         )
-        value, _ = sg.best_response(tree, field, "seq", 2, rho)
+        value, _ = sg.best_response(field, "seq", 2, rho)
         assert value == approx(0.9, abs=1e-12)
-        value, _ = sg.best_response(tree, field, "sim", 1, as_mixed(rho))
+        value, _ = sg.best_response(field, "sim", 1, as_mixed(rho))
         assert value == approx(0.9, abs=1e-12)
 
     def test_sim_vs_half_half_opponent(self, matching_tree, matching_payoffs):
         half = sg.Strategy(
             sg.RandomizedStoppingTime((0.5, 1.0)), _forced_family_a(matching_tree)
         )
-        value, _ = sg.best_response(matching_tree, matching_payoffs, "sim", 1, half)
+        value, _ = sg.best_response(matching_payoffs, "sim", 1, half)
         assert value == approx(0.5, abs=1e-12)
 
     def test_class_mismatch(self, matching_tree, matching_payoffs):
@@ -58,7 +58,7 @@ class TestBestResponse:
             sg.constant_stopping_time(matching_tree, 0), _forced_family_a(matching_tree)
         )
         with pytest.raises(sg.GameSpecError, match="type"):
-            sg.best_response(matching_tree, matching_payoffs, "seq", 1, rho)
+            sg.best_response(matching_payoffs, "seq", 1, rho)
 
     def test_dp_matches_pure_enumeration_seq(self):
         for seed in range(6):
@@ -66,30 +66,30 @@ class TestBestResponse:
             tree, field = doc.tree, doc.payoff_field()
             taus = sg.enumerate_strategies(tree, "b")
             fixed_tau = taus[seed % len(taus)]
-            value, strategy = sg.best_response(tree, field, "seq", 1, fixed_tau)
+            value, strategy = sg.best_response(field, "seq", 1, fixed_tau)
             best = max(
-                sg.payoff_pure(tree, field, "seq", rho, fixed_tau)[0]
+                sg.payoff_pure(field, "seq", rho, fixed_tau)[0]
                 for rho in sg.enumerate_strategies(tree, "a")
             )
             assert value == approx(best, abs=1e-12)
-            achieved = sg.payoff_pure(tree, field, "seq", strategy, fixed_tau)[0]
+            achieved = sg.payoff_pure(field, "seq", strategy, fixed_tau)[0]
             assert achieved == approx(value, abs=1e-12)
 
             rhos = sg.enumerate_strategies(tree, "a")
             fixed_rho = rhos[seed % len(rhos)]
-            value2, strategy2 = sg.best_response(tree, field, "seq", 2, fixed_rho)
+            value2, strategy2 = sg.best_response(field, "seq", 2, fixed_rho)
             best2 = max(
-                sg.payoff_pure(tree, field, "seq", fixed_rho, tau)[1] for tau in taus
+                sg.payoff_pure(field, "seq", fixed_rho, tau)[1] for tau in taus
             )
             assert value2 == approx(best2, abs=1e-12)
-            achieved2 = sg.payoff_pure(tree, field, "seq", fixed_rho, strategy2)[1]
+            achieved2 = sg.payoff_pure(field, "seq", fixed_rho, strategy2)[1]
             assert achieved2 == approx(value2, abs=1e-12)
 
     def test_dp_matches_pure_enumeration_sim_vs_mixed(self):
         for seed in range(4):
             doc = gamefile.generate_random_game(2, 2, seed=40 + seed)
             tree, field = doc.tree, doc.payoff_field()
-            bundle = sg.sim_processes(tree, field)
+            bundle = sg.sim_processes(field)
             probs = tuple(
                 1.0 if tree.nodes[i].time == tree.horizon else 0.25 + 0.5 * ((i * 13) % 3) / 2.0
                 for i in range(tree.n_nodes)
@@ -97,13 +97,13 @@ class TestBestResponse:
             opponent = sg.Strategy(
                 sg.RandomizedStoppingTime(probs), bundle.tau1_star
             )
-            value, strategy = sg.best_response(tree, field, "sim", 1, opponent)
+            value, strategy = sg.best_response(field, "sim", 1, opponent)
             best = max(
-                sg.payoff_mixed_sim(tree, field, as_mixed(rho), opponent)[0]
+                sg.payoff_mixed_sim(field, as_mixed(rho), opponent)[0]
                 for rho in sg.enumerate_strategies(tree, "a")
             )
             assert value == approx(best, abs=1e-12)
-            achieved = sg.payoff_mixed_sim(tree, field, as_mixed(strategy), opponent)[0]
+            achieved = sg.payoff_mixed_sim(field, as_mixed(strategy), opponent)[0]
             assert achieved == approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("horizon", [0, 1, 2])
@@ -112,16 +112,16 @@ class TestBestResponse:
         for seed in range(2):
             doc = gamefile.generate_random_game(horizon, branching, seed=70 + seed)
             tree, field = doc.tree, doc.payoff_field()
-            sol = sg.seq_equilibrium(tree, field)
+            sol = sg.seq_equilibrium(field)
             for s in range(horizon + 1):
                 sigma = sg.constant_stopping_time(tree, s)
                 for player, kind, opponent in ((1, "a", sol.tau_star), (2, "b", sol.rho_star)):
                     def payoff(own):
                         profile = (own, opponent) if player == 1 else (opponent, own)
-                        return sg.payoff_pure(tree, field, "seq", *profile)[player - 1]
+                        return sg.payoff_pure(field, "seq", *profile)[player - 1]
 
                     value, strategy = sg.best_response(
-                        tree, field, "seq", player, opponent, not_before=sigma
+                        field, "seq", player, opponent, not_before=sigma
                     )
                     best = max(
                         payoff(own)
@@ -135,24 +135,24 @@ class TestBestResponse:
         for seed in range(8):
             doc = gamefile.generate_random_game(3, 2, seed=900 + seed)
             tree, field = doc.tree, doc.payoff_field()
-            sol = sg.seq_equilibrium(tree, field)
+            sol = sg.seq_equilibrium(field)
             # Perturb the candidate by forcing an immediate stop.
             candidate = (
                 sg.Strategy(sg.constant_stopping_time(tree, 0), sol.rho_star.adjust),
                 sol.tau_star,
             )
-            values = sg.payoff_pure(tree, field, "seq", *candidate)
-            br1, _ = sg.best_response(tree, field, "seq", 1, candidate[1])
-            br2, _ = sg.best_response(tree, field, "seq", 2, candidate[0])
+            values = sg.payoff_pure(field, "seq", *candidate)
+            br1, _ = sg.best_response(field, "seq", 1, candidate[1])
+            br2, _ = sg.best_response(field, "seq", 2, candidate[0])
             assert br1 >= values[0] - 1e-9
             assert br2 >= values[1] - 1e-9
 
 
 class TestCheckEquilibrium:
-    def test_seq_equilibrium_passes(self, matching_tree, matching_payoffs):
-        sol = sg.seq_equilibrium(matching_tree, matching_payoffs)
+    def test_seq_equilibrium_passes(self, matching_payoffs):
+        sol = sg.seq_equilibrium(matching_payoffs)
         report = sg.check_equilibrium(
-            matching_tree, matching_payoffs, "seq", (sol.rho_star, sol.tau_star)
+            matching_payoffs, "seq", (sol.rho_star, sol.tau_star)
         )
         assert report.passed
         assert report.gaps == approx((0.0, 0.0), abs=1e-12)
@@ -162,7 +162,7 @@ class TestCheckEquilibrium:
             sg.RandomizedStoppingTime((1.0, 1.0)), _forced_family_a(matching_tree)
         )
         report = sg.check_equilibrium(
-            matching_tree, matching_payoffs, "sim", (sure, sure)
+            matching_payoffs, "sim", (sure, sure)
         )
         assert not report.passed
         assert report.values == (1.0, -1.0)
@@ -175,7 +175,7 @@ class TestCheckEquilibrium:
         sure = sg.Strategy(
             sg.RandomizedStoppingTime((1.0, 1.0)), _forced_family_a(tree)
         )
-        report = sg.check_equilibrium(tree, field, "sim", (sure, sure))
+        report = sg.check_equilibrium(field, "sim", (sure, sure))
         assert report.passed
         assert report.gaps == approx((0.0, 0.0), abs=1e-12)
 
@@ -194,45 +194,45 @@ def _strategy_of_class(tree, mixed, strict):
 
 _CLASSES = [(False, True), (False, False), (True, True), (True, False)]
 
-# Each entry: a call taking (tree, field, rho, tau), which slot is varied, and
+# Each entry: a call taking (field, rho, tau), which slot is varied, and
 # the (mixed, strict) class that slot needs.  The other slot holds its own
 # required class.
 _CLASS_CASES = {
     "payoff_pure-sim": (
-        lambda tr, f, r, t: sg.payoff_pure(tr, f, "sim", r, t),
+        lambda f, r, t: sg.payoff_pure(f, "sim", r, t),
         ((False, True), (False, True)),
     ),
     "payoff_pure-seq": (
-        lambda tr, f, r, t: sg.payoff_pure(tr, f, "seq", r, t),
+        lambda f, r, t: sg.payoff_pure(f, "seq", r, t),
         ((False, True), (False, False)),
     ),
     "payoff_mixed_sim": (
-        lambda tr, f, r, t: sg.payoff_mixed_sim(tr, f, r, t),
+        lambda f, r, t: sg.payoff_mixed_sim(f, r, t),
         ((True, True), (True, True)),
     ),
     "check_equilibrium-sim": (
-        lambda tr, f, r, t: sg.check_equilibrium(tr, f, "sim", (r, t)),
+        lambda f, r, t: sg.check_equilibrium(f, "sim", (r, t)),
         ((True, True), (True, True)),
     ),
     "check_equilibrium-seq": (
-        lambda tr, f, r, t: sg.check_equilibrium(tr, f, "seq", (r, t)),
+        lambda f, r, t: sg.check_equilibrium(f, "seq", (r, t)),
         ((False, True), (False, False)),
     ),
     # best_response sees only the opponent: player 1 responds to tau, 2 to rho.
     "best_response-sim-1": (
-        lambda tr, f, r, t: sg.best_response(tr, f, "sim", 1, t),
+        lambda f, r, t: sg.best_response(f, "sim", 1, t),
         (None, (True, True)),
     ),
     "best_response-sim-2": (
-        lambda tr, f, r, t: sg.best_response(tr, f, "sim", 2, r),
+        lambda f, r, t: sg.best_response(f, "sim", 2, r),
         ((True, True), None),
     ),
     "best_response-seq-1": (
-        lambda tr, f, r, t: sg.best_response(tr, f, "seq", 1, t),
+        lambda f, r, t: sg.best_response(f, "seq", 1, t),
         (None, (False, False)),
     ),
     "best_response-seq-2": (
-        lambda tr, f, r, t: sg.best_response(tr, f, "seq", 2, r),
+        lambda f, r, t: sg.best_response(f, "seq", 2, r),
         ((False, True), None),
     ),
 }
@@ -245,7 +245,7 @@ class TestClassChecks:
         field = matching_field(tree)
         call, needs = _CLASS_CASES[case]
         right = [_strategy_of_class(tree, *cls) if cls else None for cls in needs]
-        call(tree, field, *right)
+        call(field, *right)
         for slot, cls in enumerate(needs):
             if cls is None:
                 continue
@@ -255,7 +255,7 @@ class TestClassChecks:
                 profile = list(right)
                 profile[slot] = _strategy_of_class(tree, *wrong)
                 with pytest.raises(sg.GameSpecError, match="type"):
-                    call(tree, field, *profile)
+                    call(field, *profile)
 
 
 class TestEnumeration:
@@ -291,8 +291,8 @@ class TestEnumeration:
         assert len(sg.enumerate_strategies(matching_tree, "a")) == 2
         assert len(sg.enumerate_strategies(matching_tree, "b")) == 4
 
-    def test_matching_game_table(self, matching_tree, matching_payoffs):
-        result = sg.enumerate_oracle(matching_tree, matching_payoffs, "sim")
+    def test_matching_game_table(self, matching_payoffs):
+        result = sg.enumerate_oracle(matching_payoffs, "sim")
         assert len(result.strategies1) == 2
         assert len(result.strategies2) == 2
         payoffs = {
@@ -301,15 +301,15 @@ class TestEnumeration:
         assert payoffs == {(1.0, -1.0), (0.0, 0.0)}
         assert result.equilibria == ()
 
-    def test_seq_table_has_equilibrium(self, matching_tree, matching_payoffs):
-        result = sg.enumerate_oracle(matching_tree, matching_payoffs, "seq")
+    def test_seq_table_has_equilibrium(self, matching_payoffs):
+        result = sg.enumerate_oracle(matching_payoffs, "seq")
         assert len(result.strategies2) == 4
         assert result.equilibria
 
     def test_constant_game_everything_is_equilibrium(self):
         tree = chain_tree(1)
         field = field_from_function(tree, lambda i, s, t, n: 2.0)
-        result = sg.enumerate_oracle(tree, field, "seq")
+        result = sg.enumerate_oracle(field, "seq")
         assert len(result.equilibria) == len(result.strategies1) * len(
             result.strategies2
         )
@@ -323,21 +323,21 @@ class TestEnumeration:
                 return scale + (3e-9 if (i, s) == (1, 1) else 0.0)
 
             field = field_from_function(tree, payoff)
-            result = sg.enumerate_oracle(tree, field, "seq")
+            result = sg.enumerate_oracle(field, "seq")
             assert (field.unit, result.deviation_tol) == (unit, 1e-9 * unit)
             everything = len(result.strategies1) * len(result.strategies2)
             assert (len(result.equilibria) == everything) == (unit == 4.0)
 
-    def test_cap_exceeded_reports_count(self, matching_tree, matching_payoffs):
+    def test_cap_exceeded_reports_count(self, matching_payoffs):
         with pytest.raises(sg.EnumerationCapError) as info:
-            sg.enumerate_oracle(matching_tree, matching_payoffs, "seq", cap=7)
+            sg.enumerate_oracle(matching_payoffs, "seq", cap=7)
         assert info.value.count == 8
         assert info.value.cap == 7
 
-    def test_enumerated_best_matches_oracle(self, matching_tree, matching_payoffs):
-        result = sg.enumerate_oracle(matching_tree, matching_payoffs, "seq")
+    def test_enumerated_best_matches_oracle(self, matching_payoffs):
+        result = sg.enumerate_oracle(matching_payoffs, "seq")
         for j, tau in enumerate(result.strategies2):
-            br, _ = sg.best_response(matching_tree, matching_payoffs, "seq", 1, tau)
+            br, _ = sg.best_response(matching_payoffs, "seq", 1, tau)
             table_best = max(
                 result.payoffs[i][j][0] for i in range(len(result.strategies1))
             )
