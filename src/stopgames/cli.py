@@ -14,7 +14,8 @@ import contextlib
 import functools
 import math
 import sys
-from collections.abc import Sequence
+from itertools import compress
+from operator import eq
 from typing import IO
 
 from . import gamefile
@@ -23,7 +24,7 @@ from .errors import EnumerationCapError, GameSpecError, SolverDefectError
 from .sequential import seq_equilibrium
 from .simultaneous import sim_equilibrium
 from .strategies import Strategy
-from .tree import EventTree, Node, StoppingTime, constant_stopping_time
+from .tree import EventTree, StoppingTime, constant_stopping_time
 from .verify import DEFAULT_EPS, EquilibriumReport, check_equilibrium, enumerate_oracle
 
 
@@ -31,22 +32,10 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _first_stops(tree: EventTree, marks: Sequence[bool]) -> list[Node]:
-    """The nodes marked in `marks` below no marked node, in canonical order:
-    the first stop of every path through each of them."""
-    stopped = [False] * tree.n_nodes
-    first = []
-    for node in tree.nodes:
-        if node.parent is not None and stopped[node.parent]:
-            stopped[node.index] = True
-        elif marks[node.index]:
-            stopped[node.index] = True
-            first.append(node)
-    return first
-
-
 def _stop_set(tree: EventTree, st: StoppingTime) -> str:
-    return "{" + ", ".join(node.id for node in _first_stops(tree, st.marks)) + "}"
+    first = tree.first_stops(st.marks)
+    stops = compress(tree.nodes, map(eq, first, range(tree.n_nodes)))
+    return "{" + ", ".join(node.id for node in stops) + "}"
 
 
 def _print_strategy(out: IO[str], tree: EventTree, label: str, strategy: Strategy) -> None:
@@ -57,9 +46,9 @@ def _print_strategy(out: IO[str], tree: EventTree, label: str, strategy: Strateg
             print(f"  {node.id} t={node.time} p={fmt(p)}", file=out)
     else:
         print(f"{label} initial:", file=out)
-        first_stops = {node.index for node in _first_stops(tree, strategy.initial.marks)}
-        for node in tree.nodes:
-            decision = "stop" if node.index in first_stops else "continue"
+        first = tree.first_stops(strategy.initial.marks)
+        for node, stop in zip(tree.nodes, first):
+            decision = "stop" if stop == node.index else "continue"
             print(f"  {node.id} t={node.time} {decision}", file=out)
     print(f"{label} adjustments:", file=out)
     for t, rule in enumerate(strategy.adjust.rules):

@@ -111,11 +111,8 @@ def zero_sum_saddle(field: PayoffField, sigma: StoppingTime | None = None) -> Ze
     g = tuple(map(max, g_side.process, f))
     v = dynkin_value(tree, f, g)
     rho, tau = dynkin_hitting_saddle(tree, v, f, g, sigma, field.tol)
-    sigma_times = sigma.realized(tree)
-    value = sum(
-        prob * v[tree.paths[pos][sigma_times[pos]]]
-        for pos, prob in enumerate(tree.leaf_probs)
-    )
+    sigma_stops = tree.first_stops(sigma.marks)[tree.level_start[tree.horizon] :]
+    value = sum(prob * v[idx] for idx, prob in zip(sigma_stops, tree.leaf_probs))
     return ZeroSumSaddle(
         rho_star=Strategy(rho, g_side.family),
         tau_star=Strategy(tau.stop, f_side.family),

@@ -249,31 +249,43 @@ class PayoffField:
 def _payoff_pure_core(
     field: PayoffField, mode: Mode, rho: Strategy, tau: Strategy
 ) -> tuple[float, float]:
-    """Payoff evaluation without class validation; see payoff_pure."""
+    """Payoff evaluation without class validation; see payoff_pure.
+
+    Each path's payoffs are read at the later rule's first stop, which for
+    valid strategies is the path's node of level max(s, t).
+    """
     tree = field.tree
+    nodes = tree.nodes
     sim = mode == "sim"
-    r0 = rho.initial.realized(tree)
-    t0 = tau.initial.realized(tree)
-    rho_adj: dict[int, tuple[int, ...]] = {}
-    tau_adj: dict[int, tuple[int, ...]] = {}
+    leaf0 = tree.level_start[tree.horizon]
+
+    def stops(rule: StoppingTime) -> list[int]:
+        return tree.first_stops(rule.marks)[leaf0:]
+
+    r0 = stops(rho.initial)
+    t0 = stops(tau.initial)
+    rho_adj: dict[int, list[int]] = {}
+    tau_adj: dict[int, list[int]] = {}
     u1 = 0.0
     u2 = 0.0
     for pos, prob in enumerate(tree.leaf_probs):
-        s0 = r0[pos]
-        u0 = t0[pos]
+        node = r0[pos]
+        s0 = nodes[node].time
+        u0 = nodes[t0[pos]].time
         if s0 < u0 or (not sim and s0 == u0):
             adj = tau_adj.get(s0)
             if adj is None:
-                adj = tau_adj[s0] = tau.adjust.rules[s0].realized(tree)
-            s, t = s0, adj[pos]
+                adj = tau_adj[s0] = stops(tau.adjust.rules[s0])
+            node = adj[pos]
+            s, t = s0, nodes[node].time
         elif s0 > u0:
             adj = rho_adj.get(u0)
             if adj is None:
-                adj = rho_adj[u0] = rho.adjust.rules[u0].realized(tree)
-            s, t = adj[pos], u0
+                adj = rho_adj[u0] = stops(rho.adjust.rules[u0])
+            node = adj[pos]
+            s, t = nodes[node].time, u0
         else:
             s = t = s0
-        node = tree.paths[pos][max(s, t)]
         u1 += prob * field.value(1, s, t, node)
         u2 += prob * field.value(2, s, t, node)
     return u1, u2

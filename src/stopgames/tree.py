@@ -64,15 +64,14 @@ class EventTree:
         self.leaves = self.levels[horizon]
 
         # Parents precede their children in canonical order, so one top-down
-        # pass gives every node's probability and its path from the root.
+        # pass gives every node's probability.
         node_prob = [1.0] * self.n_nodes
-        path_to = [(0,)] * self.n_nodes
         for node in self.nodes[1:]:
             node_prob[node.index] = node_prob[node.parent] * node.edge_prob
-            path_to[node.index] = path_to[node.parent] + (node.index,)
         self.node_prob = tuple(node_prob)
         self.leaf_probs = self.node_prob[starts[horizon] :]
-        self.paths = tuple(path_to[starts[horizon] :])
+        # The root's parent is -1: the trailing sentinel of `first_stops`.
+        self._parents = tuple(-1 if node.parent is None else node.parent for node in self.nodes)
 
         self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
         # Per level, each node's (child probabilities, child indices).
@@ -151,22 +150,35 @@ class EventTree:
             self._layouts[t, n] = (size, slots)
         return self._layouts[t, count]
 
+    def first_stops(self, marks: Sequence[bool]) -> list[int]:
+        """Per node, the first node marked in `marks` on its path from the
+        root, the node itself included, or -1 where there is none.
+
+        Every reading of a stopping rule goes through this one top-down pass:
+        a rule's realized time on a path is the level of the leaf's first
+        stop, and its stop set is the nodes that are their own first stop.
+        """
+        if len(marks) != self.n_nodes:
+            raise GameSpecError("stopping time marks do not cover the tree")
+        first = [-1] * (self.n_nodes + 1)
+        for i, p, m in zip(range(self.n_nodes), self._parents, marks):
+            if m and first[p] < 0:
+                first[i] = i
+            else:
+                first[i] = first[p]
+        first.pop()
+        return first
+
     def realized_times(self, marks: tuple[bool, ...]) -> tuple[int, ...]:
         """Per path, the time of the first node marked stop (cached)."""
         cached = self._realized_cache.get(marks)
         if cached is not None:
             return cached
-        out = []
-        for path in self.paths:
-            for t, idx in enumerate(path):
-                if marks[idx]:
-                    out.append(t)
-                    break
-            else:
-                raise GameSpecError(
-                    f"no stop on the path through node {self.nodes[path[-1]].id}"
-                )
-        result = tuple(out)
+        stops = self.first_stops(marks)[self.level_start[self.horizon] :]
+        if -1 in stops:
+            leaf = self.leaves[stops.index(-1)]
+            raise GameSpecError(f"no stop on the path through node {self.nodes[leaf].id}")
+        result = tuple([self.nodes[idx].time for idx in stops])
         self._realized_cache[marks] = result
         return result
 
@@ -185,16 +197,6 @@ class EventTree:
         n = self.horizon + 1
         # Row s of the grid is s repeated s times, then s..horizon.
         return tuple(chain.from_iterable(chain(repeat(s, s), range(s, n)) for s in range(n)))
-
-    def prefix_stopped(self, marks: Sequence[bool]) -> tuple[bool, ...]:
-        """Per node, whether a mark occurs at the node or one of its ancestors."""
-        out = [False] * self.n_nodes
-        for node in self.nodes:
-            hit = marks[node.index]
-            if node.parent is not None:
-                hit = hit or out[node.parent]
-            out[node.index] = hit
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -366,15 +368,10 @@ def hitting_time(
     Paths with no eligible flagged node are clamped to the horizon and
     recorded in the clamped set.
     """
-    flagged = tuple(bool(flag(i)) for i in range(tree.n_nodes))
-    eligible = tree.prefix_stopped(start.marks)
-    marks = [False] * tree.n_nodes
-    for idx in range(tree.n_nodes):
-        marks[idx] = flagged[idx] and eligible[idx]
-    clamped = []
-    for pos, path in enumerate(tree.paths):
-        if not any(marks[idx] for idx in path):
-            clamped.append(pos)
+    eligible = tree.first_stops(start.marks)
+    marks = [bool(flag(i)) and e >= 0 for i, e in enumerate(eligible)]
+    stops = tree.first_stops(marks)[tree.level_start[tree.horizon] :]
+    clamped = frozenset([pos for pos, idx in enumerate(stops) if idx < 0])
     for leaf in tree.leaves:
         marks[leaf] = True
-    return HittingResult(StoppingTime(tuple(marks)), frozenset(clamped))
+    return HittingResult(StoppingTime(tuple(marks)), clamped)

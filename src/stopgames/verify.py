@@ -63,7 +63,8 @@ def best_response(
     simultaneous game, and in the sequential game a type-B strategy when
     player 1 responds or a type-A strategy when player 2 responds.
     ``not_before`` restricts the responder's initial rule to stop no earlier
-    than the given stopping time (the adjustment stays unrestricted).
+    than the given stopping time (the adjustment stays unrestricted); it is
+    validated against the field's tree like the opponent.
     Returns the optimal value and one maximizing strategy.
     """
     if player not in (1, 2):
@@ -81,6 +82,8 @@ def best_response(
         raise GameSpecError(f"unknown mode {mode!r}")
     tree = field.tree
     opponent.validate(tree)
+    if not_before is not None:
+        not_before.validate(tree)
 
     T = tree.horizon
     side = "first" if player == 1 else "second"
@@ -88,7 +91,7 @@ def best_response(
     own = reaction_value(field, player, side, window, "max")
     alone = stop_alone_values(field, player, player, opponent.adjust)
     allowed = (
-        tree.prefix_stopped(not_before.marks)
+        [idx >= 0 for idx in tree.first_stops(not_before.marks)]
         if not_before is not None
         else (True,) * tree.n_nodes
     )
@@ -203,15 +206,9 @@ def count_stopping_times(tree: EventTree, min_level: int = 0) -> int:
     return math.prod(count[idx] for idx in tree.levels[min_level])
 
 
-def enumerate_stopping_times(
-    tree: EventTree, min_level: int = 0, cap: int | None = None
-) -> list[StoppingTime]:
+def enumerate_stopping_times(tree: EventTree, min_level: int = 0) -> list[StoppingTime]:
     """All stopping times with realized times >= min_level, canonical form."""
     min_level = min(max(min_level, 0), tree.horizon)
-    if cap is not None:
-        n = count_stopping_times(tree, min_level)
-        if n > cap:
-            raise EnumerationCapError(n, cap)
 
     # Per node of the current level, the first-stop sets of its subtree:
     # stop at the node itself, then every combination of the children's sets.
@@ -235,28 +232,21 @@ def enumerate_stopping_times(
     return result
 
 
-def count_strategies(tree: EventTree, kind: str, min_initial_time: int = 0) -> int:
+def count_strategies(tree: EventTree, kind: str) -> int:
     """Cardinality of the type-A or type-B pure strategy class."""
     T = tree.horizon
-    total = count_stopping_times(tree, min_initial_time)
+    total = count_stopping_times(tree)
     for t in range(T + 1):
         total *= count_stopping_times(tree, adjustment_floor(T, t, kind == "a"))
     return total
 
 
 def enumerate_strategies(
-    tree: EventTree,
-    kind: str,
-    cap: int | None = None,
-    min_initial_time: int = 0,
+    tree: EventTree, kind: str, min_initial_time: int = 0
 ) -> list[Strategy]:
     """All pure strategies of one class, canonical components throughout."""
     if kind not in ("a", "b"):
         raise GameSpecError(f"unknown strategy kind {kind!r}")
-    if cap is not None:
-        n = count_strategies(tree, kind, min_initial_time)
-        if n > cap:
-            raise EnumerationCapError(n, cap)
     strict = kind == "a"
     initials = enumerate_stopping_times(tree, min_initial_time)
     per_t = [
@@ -283,10 +273,7 @@ class EnumerationResult:
 
 
 def enumerate_oracle(
-    field: PayoffField,
-    mode: str,
-    cap: int = 1_000_000,
-    min_initial_time: int = 0,
+    field: PayoffField, mode: str, cap: int = 1_000_000
 ) -> EnumerationResult:
     """Tabulate every pure profile and mark the pure Nash equilibria.
 
@@ -298,12 +285,12 @@ def enumerate_oracle(
         raise GameSpecError(f"unknown mode {mode!r}")
     tree = field.tree
     kind2 = "a" if mode == "sim" else "b"
-    n1 = count_strategies(tree, "a", min_initial_time)
-    n2 = count_strategies(tree, kind2, min_initial_time)
+    n1 = count_strategies(tree, "a")
+    n2 = count_strategies(tree, kind2)
     if n1 * n2 > cap:
         raise EnumerationCapError(n1 * n2, cap)
-    strategies1 = enumerate_strategies(tree, "a", min_initial_time=min_initial_time)
-    strategies2 = enumerate_strategies(tree, kind2, min_initial_time=min_initial_time)
+    strategies1 = enumerate_strategies(tree, "a")
+    strategies2 = enumerate_strategies(tree, kind2)
 
     # Enumerated strategies are canonical by construction; skip per-profile
     # class validation in the table loop.

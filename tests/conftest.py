@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 import stopgames as sg
@@ -55,7 +57,7 @@ def reference_tree(spec) -> dict:
     levels = tuple(
         tuple(range(level_start[t], level_start[t + 1])) for t in range(horizon + 1)
     )
-    paths, node_prob = [], []
+    node_prob = []
     for i in range(len(raw)):
         path = [i]
         while parent[path[0]] is not None:
@@ -64,15 +66,12 @@ def reference_tree(spec) -> dict:
         for j in path[1:]:
             prob *= edge[j]
         node_prob.append(prob)
-        if raw[i]["time"] == horizon:
-            paths.append(tuple(path))
     return {
         "nodes": nodes,
         "levels": levels,
         "level_start": level_start,
         "node_prob": tuple(node_prob),
         "leaf_probs": tuple(node_prob[i] for i in levels[horizon]),
-        "paths": tuple(paths),
         "_level_edges": tuple(
             tuple((nodes[i][6], nodes[i][5]) for i in level) for level in levels
         ),
@@ -214,10 +213,45 @@ def matching_field(tree: sg.EventTree) -> sg.PayoffField:
     )
 
 
+_LEAF_PATHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def leaf_paths(tree: sg.EventTree) -> tuple[tuple[int, ...], ...]:
+    """Per leaf in canonical order, the node indices of its path from the
+    root, found by walking ``Node.parent`` up from the leaf.  Computed once
+    per tree."""
+    paths = _LEAF_PATHS.get(tree)
+    if paths is None:
+        paths = []
+        for leaf in tree.leaves:
+            path = [leaf]
+            while tree.nodes[path[-1]].parent is not None:
+                path.append(tree.nodes[path[-1]].parent)
+            paths.append(tuple(reversed(path)))
+        paths = _LEAF_PATHS[tree] = tuple(paths)
+    return paths
+
+
+def reference_first_stops(tree: sg.EventTree, marks) -> list[int]:
+    """Per node, the first node marked in `marks` on its path from the root,
+    the node itself included, or -1: found by walking ``Node.parent`` up
+    from the node and keeping the highest mark."""
+    out = []
+    for node in tree.nodes:
+        first = -1
+        idx = node.index
+        while idx is not None:
+            if marks[idx]:
+                first = idx
+            idx = tree.nodes[idx].parent
+        out.append(first)
+    return out
+
+
 def leaves_under(tree: sg.EventTree, node: int) -> list[int]:
-    """Positions of the leaf paths through `node`, read off ``tree.paths``."""
+    """Positions of the leaf paths through `node`, read off ``leaf_paths``."""
     t = tree.nodes[node].time
-    return [pos for pos, path in enumerate(tree.paths) if path[t] == node]
+    return [pos for pos, path in enumerate(leaf_paths(tree)) if path[t] == node]
 
 
 def path_expectation(tree: sg.EventTree, x, u: int, node: int) -> float:
@@ -229,8 +263,9 @@ def path_expectation(tree: sg.EventTree, x, u: int, node: int) -> float:
     # The downward path from `node` to each level-u descendant is unique, so
     # collecting one probability product per descendant gives the exact sum.
     weights: dict[int, float] = {}
+    paths = leaf_paths(tree)
     for pos in leaves_under(tree, node):
-        path = tree.paths[pos]
+        path = paths[pos]
         prob = 1.0
         for lev in range(t + 1, u + 1):
             prob *= tree.nodes[path[lev]].edge_prob
@@ -245,8 +280,9 @@ def path_stop_expectation(tree: sg.EventTree, marks, reward, node: int) -> float
     recursion)."""
     t = tree.nodes[node].time
     total = 0.0
+    paths = leaf_paths(tree)
     for pos in leaves_under(tree, node):
-        path = tree.paths[pos]
+        path = paths[pos]
         prob = 1.0
         for lev in range(t + 1, tree.horizon + 1):
             prob *= tree.nodes[path[lev]].edge_prob
@@ -276,6 +312,7 @@ def brute_force_dynkin(tree: sg.EventTree, f, g):
     at the second player's."""
     sts = sg.enumerate_stopping_times(tree)
     realized = [st.realized(tree) for st in sts]
+    paths = leaf_paths(tree)
 
     def payoff(ri: int, ti: int) -> float:
         total = 0.0
@@ -283,9 +320,9 @@ def brute_force_dynkin(tree: sg.EventTree, f, g):
             r = realized[ri][pos]
             t = realized[ti][pos]
             if r <= t:
-                total += prob * f[tree.paths[pos][r]]
+                total += prob * f[paths[pos][r]]
             else:
-                total += prob * g[tree.paths[pos][t]]
+                total += prob * g[paths[pos][t]]
         return total
 
     table = [[payoff(i, j) for j in range(len(sts))] for i in range(len(sts))]
@@ -365,7 +402,7 @@ def stopping_time_from_realized(tree: sg.EventTree, realized) -> sg.StoppingTime
     marks = [False] * tree.n_nodes
     for leaf in tree.leaves:
         marks[leaf] = True
-    for pos, path in enumerate(tree.paths):
+    for pos, path in enumerate(leaf_paths(tree)):
         marks[path[realized[pos]]] = True
     st = sg.StoppingTime(tuple(marks))
     if tree.realized_times(st.marks) != tuple(realized):

@@ -12,7 +12,7 @@ import stopgames as sg
 from stopgames import gamefile
 from stopgames.cli import _stop_set, build_parser, run
 
-from conftest import canonical_stopping_time
+from conftest import canonical_stopping_time, leaf_paths
 
 
 def _run(argv):
@@ -452,7 +452,7 @@ class TestSharedParser:
 class TestStopSets:
     def test_each_paths_first_stop(self):
         # Random rules, with marks below earlier stops, against the set read
-        # off the canonical form: its marks with no marked ancestor.
+        # off the canonical form: the first mark on each leaf's path.
         for seed in range(30):
             tree = gamefile.generate_random_game(1 + seed % 4, 1 + seed % 3, seed=seed).tree
             rng = random.Random(seed)
@@ -462,12 +462,10 @@ class TestStopSets:
                     marks[leaf] = True
                 st = sg.StoppingTime(tuple(marks))
                 canonical = canonical_stopping_time(tree, st).marks
-                prefix = tree.prefix_stopped(canonical)
-                ids = [
-                    n.id
-                    for n in tree.nodes
-                    if canonical[n.index] and (n.parent is None or not prefix[n.parent])
-                ]
+                first = {
+                    next(idx for idx in path if canonical[idx]) for path in leaf_paths(tree)
+                }
+                ids = [n.id for n in tree.nodes if n.index in first]
                 assert _stop_set(tree, st) == "{" + ", ".join(ids) + "}"
 
 

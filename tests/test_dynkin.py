@@ -13,6 +13,7 @@ from stopgames import gamefile
 from conftest import (
     brute_force_dynkin,
     chain_tree,
+    leaf_paths,
     matching_field,
     stopped_submartingale_ok,
 )
@@ -86,9 +87,9 @@ class TestDynkinValue:
                 for pos, prob in enumerate(tree.leaf_probs):
                     r, t = realized[ri][pos], realized[ti][pos]
                     if r <= t:
-                        total += prob * f[tree.paths[pos][r]]
+                        total += prob * f[leaf_paths(tree)[pos][r]]
                     else:
-                        total += prob * g[tree.paths[pos][t]]
+                        total += prob * g[leaf_paths(tree)[pos][t]]
                 return total
 
             table = [[payoff(i, j) for j in range(len(sts))] for i in range(len(sts))]
@@ -151,9 +152,9 @@ class TestHittingSaddle:
                 for pos, prob in enumerate(tree.leaf_probs):
                     r, t = r_realized[pos], t_realized[pos]
                     if r <= t:
-                        total += prob * f[tree.paths[pos][r]]
+                        total += prob * f[leaf_paths(tree)[pos][r]]
                     else:
-                        total += prob * g[tree.paths[pos][t]]
+                        total += prob * g[leaf_paths(tree)[pos][t]]
                 return total
 
             center = against(rho_real, tau_real)

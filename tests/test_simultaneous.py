@@ -11,7 +11,7 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import chain_tree, field_from_function, leaves_under
+from conftest import chain_tree, field_from_function, leaf_paths, leaves_under
 
 
 class TestSimProcesses:
@@ -61,7 +61,7 @@ class TestSimProcesses:
                             prob = tree.leaf_probs[pos] / tree.node_prob[idx]
                             u = realized[pos]
                             total += prob * field.value(
-                                2, t, u, tree.paths[pos][max(t, u)]
+                                2, t, u, leaf_paths(tree)[pos][max(t, u)]
                             )
                             weight += prob
                         assert total <= bundle.x2[idx] * weight + 1e-9

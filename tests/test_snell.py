@@ -8,7 +8,13 @@ from pytest import approx
 import stopgames as sg
 from stopgames import gamefile
 
-from conftest import RewardRows, field_from_function, matching_field, three_node_tree
+from conftest import (
+    RewardRows,
+    field_from_function,
+    leaf_paths,
+    matching_field,
+    three_node_tree,
+)
 
 #: The optimizer's equality tolerance: every reward here is of order 1.
 TOL = 1e-9
@@ -27,7 +33,7 @@ def _brute_force(tree, reward, t, window, direction):
         realized = st.realized(tree)
         total = 0.0
         for pos, prob in enumerate(tree.leaf_probs):
-            stop_node = tree.paths[pos][realized[pos]]
+            stop_node = leaf_paths(tree)[pos][realized[pos]]
             total += prob * reward(realized[pos], stop_node)
         if best is None:
             best = total
@@ -144,7 +150,7 @@ class TestProperties:
             realized = res.optimizer.realized(tree)
             total = 0.0
             for pos, prob in enumerate(tree.leaf_probs):
-                stop_node = tree.paths[pos][realized[pos]]
+                stop_node = leaf_paths(tree)[pos][realized[pos]]
                 total += prob * reward(realized[pos], stop_node)
             assert total == approx(res.value[0], abs=1e-12)
 

@@ -1,5 +1,6 @@
 """The one-sweep reaction and lone-stopper tables against per-problem
-reference loops, bit for bit, on random irregular trees."""
+reference loops, and the first-stop pass and pure payoffs against path
+walks, bit for bit, on random irregular trees."""
 
 from __future__ import annotations
 
@@ -10,10 +11,14 @@ from math import isinf, isnan
 import pytest
 
 import stopgames as sg
-from stopgames.strategies import expected_at_stop, stop_alone_values
+from stopgames.strategies import adjustment_floor, expected_at_stop, stop_alone_values
 
 from conftest import (
+    effective_times_seq,
+    effective_times_sim,
+    leaf_paths,
     reference_expected_at_stop,
+    reference_first_stops,
     reference_reaction_value,
     reference_snell,
     reference_stop_alone_values,
@@ -174,3 +179,69 @@ def test_batched_nan_names_the_node_the_first_problem_names(window):
         assert str(exc.value) == expected
         checked += 1
     assert checked > 10
+
+
+def test_first_stops_match_a_path_walk():
+    # Marks that leave some leaves unmarked, so that some nodes read -1, and
+    # marks that stop every path.  A leaf with no stop is the one the
+    # realized-times error names, the first in leaf order.
+    rng = random.Random("first-stops")
+    for _ in range(150):
+        tree = random_tree(rng)
+        for density in (0.0, 0.2, 0.6, 1.0):
+            for stop_leaves in (False, True):
+                marks = [rng.random() < density for _ in range(tree.n_nodes)]
+                for leaf in tree.leaves:
+                    marks[leaf] = marks[leaf] or stop_leaves
+                marks = tuple(marks)
+                want = reference_first_stops(tree, marks)
+                assert tree.first_stops(marks) == want
+                leaf_stops = [want[leaf] for leaf in tree.leaves]
+                if -1 in leaf_stops:
+                    leaf = tree.nodes[tree.leaves[leaf_stops.index(-1)]]
+                    with pytest.raises(sg.GameSpecError, match=f"through node {leaf.id}$"):
+                        tree.realized_times(marks)
+                else:
+                    times = tuple(tree.nodes[idx].time for idx in leaf_stops)
+                    assert tree.realized_times(marks) == times
+        for size in (0, tree.n_nodes - 1, tree.n_nodes + 1):
+            with pytest.raises(sg.GameSpecError, match="do not cover the tree"):
+                tree.first_stops((True,) * size)
+
+
+def _random_rule(tree: sg.EventTree, rng: random.Random, floor: int) -> sg.StoppingTime:
+    marks = [tree.nodes[idx].time >= floor and rng.random() < 0.3 for idx in range(tree.n_nodes)]
+    for leaf in tree.leaves:
+        marks[leaf] = True
+    return sg.StoppingTime(tuple(marks))
+
+
+def _random_strategy(tree: sg.EventTree, rng: random.Random, strict: bool) -> sg.Strategy:
+    T = tree.horizon
+    rules = tuple(
+        _random_rule(tree, rng, adjustment_floor(T, t, strict)) for t in range(T + 1)
+    )
+    return sg.Strategy(_random_rule(tree, rng, 0), sg.AdjustmentFamily(rules, strict))
+
+
+@pytest.mark.parametrize(
+    "mode, effective_times", [("sim", effective_times_sim), ("seq", effective_times_seq)]
+)
+def test_pure_payoffs_match_a_path_sum(mode, effective_times):
+    # Each path pays at its node of level max(s, t), for the stop times the
+    # profile realizes there.
+    rng = random.Random(f"payoff-pure-{mode}")
+    for _ in range(120):
+        tree = random_tree(rng)
+        field = random_field(tree, rng, DRAWS["signed-zeros"])
+        paths = leaf_paths(tree)
+        for _ in range(3):
+            rho = _random_strategy(tree, rng, True)
+            tau = _random_strategy(tree, rng, mode == "sim")
+            u1 = u2 = 0.0
+            for pos, prob in enumerate(tree.leaf_probs):
+                s, t = effective_times(tree, rho, tau, pos)
+                node = paths[pos][max(s, t)]
+                u1 += prob * field.value(1, s, t, node)
+                u2 += prob * field.value(2, s, t, node)
+            assert _hex(sg.payoff_pure(field, mode, rho, tau)) == _hex((u1, u2))

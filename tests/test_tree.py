@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from pytest import approx
@@ -161,11 +162,27 @@ class TestBuildTreeFields:
             )
             assert nodes == ref["nodes"]
             for name in (
-                "levels", "level_start", "node_prob", "leaf_probs", "paths", "_level_edges"
+                "levels", "level_start", "node_prob", "leaf_probs", "_level_edges"
             ):
                 assert getattr(tree, name) == ref[name], name
             assert tree.leaves == ref["levels"][-1]
             assert tree.by_id == {n[1]: n[0] for n in ref["nodes"]}
+
+    def test_a_tree_keeps_linear_state(self):
+        # A 3,000-node chain: state quadratic in the depth, such as a root
+        # path per leaf, would take tens of MB here.
+        nodes = [{"id": "0", "time": 0}]
+        nodes += [
+            {"id": str(t), "time": t, "parent": str(t - 1), "prob": 1.0} for t in range(1, 3000)
+        ]
+        spec = {"horizon": 2999, "nodes": nodes}
+        tracemalloc.start()
+        try:
+            sg.build_tree(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_nodes_are_immutable(self):
         node = three_node_tree().nodes[0]
@@ -349,6 +366,14 @@ class TestHittingTime:
         start = sg.constant_stopping_time(tree, 2)
         res = sg.hitting_time(tree, lambda i: True, start)
         assert res.stop.realized(tree) == (2,)
+
+    def test_start_must_cover_the_tree(self):
+        tree = three_node_tree()
+        with pytest.raises(sg.GameSpecError, match="do not cover the tree"):
+            sg.hitting_time(tree, lambda i: True, sg.StoppingTime((True,)))
+        zeros = [0.0] * tree.n_nodes
+        with pytest.raises(sg.GameSpecError, match="do not cover the tree"):
+            sg.dynkin_hitting_saddle(tree, zeros, zeros, zeros, sg.StoppingTime((True,)), 1e-9)
 
     def test_adapted_and_not_earlier_than_start(self):
         doc = gamefile.generate_random_game(4, 2, seed=3)

@@ -169,6 +169,18 @@ class TestCheckEquilibrium:
         assert report.gaps[0] == approx(0.0, abs=1e-12)
         assert report.gaps[1] == approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "marks, message",
+        [((True,), "do not cover the tree"), ((False,) * 7, "at the horizon must stop")],
+    )
+    def test_not_before_must_be_a_stopping_time(self, marks, message):
+        doc = gamefile.generate_random_game(2, 2, seed=17, zero_sum=True)
+        field = doc.zero_sum_field()
+        saddle = sg.zero_sum_saddle(field)
+        profile = (saddle.rho_star, saddle.tau_star)
+        with pytest.raises(sg.GameSpecError, match=message):
+            sg.check_equilibrium(field, "zs", profile, not_before=sg.StoppingTime(marks))
+
     def test_constant_game_any_profile_passes(self):
         tree = chain_tree(1)
         field = field_from_function(tree, lambda i, s, t, n: 0.1)
