@@ -39,20 +39,28 @@ def _stop_set(tree: EventTree, st: StoppingTime) -> str:
 
 
 def _print_strategy(out: IO[str], tree: EventTree, label: str, strategy: Strategy) -> None:
+    """Write a strategy's table: its initial rule node by node, then its
+    adjustment rules, in one write."""
     if strategy.mixed:
-        print(f"{label} initial stop probabilities:", file=out)
-        for node in tree.nodes:
-            p = strategy.initial.probs[node.index]
-            print(f"  {node.id} t={node.time} p={fmt(p)}", file=out)
+        lines = [f"{label} initial stop probabilities:"]
+        lines += [
+            f"  {node.id} t={node.time} p={fmt(p)}"
+            for node, p in zip(tree.nodes, strategy.initial.probs)
+        ]
     else:
-        print(f"{label} initial:", file=out)
+        lines = [f"{label} initial:"]
         first = tree.first_stops(strategy.initial.marks)
-        for node, stop in zip(tree.nodes, first):
-            decision = "stop" if stop == node.index else "continue"
-            print(f"  {node.id} t={node.time} {decision}", file=out)
-    print(f"{label} adjustments:", file=out)
-    for t, rule in enumerate(strategy.adjust.rules):
-        print(f"  after stop at t={t}: stop at {_stop_set(tree, rule)}", file=out)
+        lines += [
+            f"  {node.id} t={node.time} {'stop' if stop == node.index else 'continue'}"
+            for node, stop in zip(tree.nodes, first)
+        ]
+    lines.append(f"{label} adjustments:")
+    lines += [
+        f"  after stop at t={t}: stop at {_stop_set(tree, rule)}"
+        for t, rule in enumerate(strategy.adjust.rules)
+    ]
+    lines.append("")
+    out.write("\n".join(lines))
 
 
 def _print_header(out: IO[str], doc: gamefile.GameDocument, mode: str) -> None:

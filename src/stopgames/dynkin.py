@@ -22,6 +22,7 @@ from .tree import (
     StoppingTime,
     constant_stopping_time,
     hitting_time,
+    left_sum,
 )
 
 def _median(a: float, b: float, c: float) -> float:
@@ -112,7 +113,7 @@ def zero_sum_saddle(field: PayoffField, sigma: StoppingTime | None = None) -> Ze
     v = dynkin_value(tree, f, g)
     rho, tau = dynkin_hitting_saddle(tree, v, f, g, sigma, field.tol)
     sigma_stops = tree.first_stops(sigma.marks)[tree.level_start[tree.horizon] :]
-    value = sum(prob * v[idx] for idx, prob in zip(sigma_stops, tree.leaf_probs))
+    value = left_sum(prob * v[idx] for idx, prob in zip(sigma_stops, tree.leaf_probs))
     return ZeroSumSaddle(
         rho_star=Strategy(rho, g_side.family),
         tau_star=Strategy(tau.stop, f_side.family),

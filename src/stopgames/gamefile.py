@@ -22,7 +22,8 @@ payoff listing, one value per (player, s, t, node at level max(s, t)):
 Zero-sum files may carry only section "1"; the second player's payoffs are
 synthesized as the negation.  Emission is canonical (nodes sorted by time
 then id, payoff keys in (player, s, t) order), so parse/emit round-trips are
-byte-stable and exact.
+byte-stable and exact.  A key repeated in any object of a game or profile
+file is an error.
 """
 
 from __future__ import annotations
@@ -31,20 +32,22 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import eq, itemgetter, neg
-from typing import Iterable, Mapping
+from operator import add, eq, getitem, is_, itemgetter, neg
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, RandomizedStoppingTime, Strategy
-from .tree import EventTree, StoppingTime, build_tree, checked_int
+from .tree import EventTree, StoppingTime, build_tree, checked_int, left_sum
 
 FORMAT_NAME = "stopping-game-v1"
 
 
 #: Encoders of flat objects (no nested values), keyed by the nesting depth
-#: of the object's braces.  Each writes the items of such an object exactly
+#: of the object's braces: a game file's header and nodes, a profile's
+#: per-node objects.  Each writes the items of such an object exactly
 #: as ``json.dumps(..., indent=2)`` would inside the whole document, but
 #: through the C encoder, which ``indent`` disables.
 _FLAT = {
@@ -81,8 +84,53 @@ def _flat_list(objs: list[Mapping], depth: int) -> str:
     return f"[\n{pad}  {{\n{pad}    {text}\n{pad}  }}\n{pad}]"
 
 
+#: The nesting depth of the deepest objects that a game file (its payoff
+#: blocks) or a profile (its adjustment rules) holds; the document is at 0.
+_DEEPEST = 3
+
+
+def _string_count(obj) -> int:
+    """The strings of a decoded document, keys and values, counted in its
+    objects and arrays down to depth ``_DEEPEST``.
+
+    The walk goes one nesting level at a time, with C-level passes over
+    each level's values, so it costs no Python step per object.  The values
+    of the objects at depth ``_DEEPEST`` are not read.
+    """
+    count = 0
+    level = [obj]
+    for depth in range(_DEEPEST + 1):
+        kinds = list(map(type, level))
+        objects = list(compress(level, map(is_, kinds, repeat(dict))))
+        count += sum(map(len, objects)) + kinds.count(str)
+        if depth < _DEEPEST:
+            arrays = compress(level, map(is_, kinds, repeat(list)))
+            level = list(
+                chain(chain.from_iterable(map(dict.values, objects)), chain.from_iterable(arrays))
+            )
+    return count
+
+
 def _loads(text: str, document: str):
-    """Decode JSON text, rejecting a repeated key in any object."""
+    """Decode JSON text, rejecting a repeated key in any object.
+
+    Every quote of a JSON text opens or closes a string, unless it is
+    escaped inside one, so the text holds at most half as many strings as
+    quotes: one key per pair, and the string values.  A repeated key
+    collapses into one entry of its object, so the decoded document holds
+    fewer.  So a plain decode stands when its strings number half the
+    text's quotes.  Otherwise (counts that differ, an escaped quote, an
+    object deeper than ``_DEEPEST``, or a decode error) the text is decoded
+    again with a hook on every object, which names the first repeat, or
+    words the first fault, in the order of the text.
+    """
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        pass  # worded by the hooked decode below
+    else:
+        if 2 * _string_count(obj) == text.count('"'):
+            return obj
 
     def unique_keys(pairs):
         obj = dict(pairs)
@@ -277,7 +325,7 @@ def parse(text: str) -> GameDocument:
 
     horizon = tree.horizon
     pairs = tree.stop_pairs  # shared by the sections and fields on the tree
-    keys = dict(zip([f"{s},{t}" for s, t in pairs], pairs))
+    keys = dict(zip(_st_texts(horizon + 1, "", ""), pairs))
     sections: dict[int, dict[tuple[int, int], dict[str, float]]] = {}
     if not isinstance(raw["payoffs"], dict) or not raw["payoffs"]:
         raise GameSpecError("payoffs must map player ids to payoff sections")
@@ -327,12 +375,79 @@ def load_bundled(name: str) -> GameDocument:
     )
 
 
+def _st_texts(n: int, before: str, after: str) -> Iterator[str]:
+    """``before + "s,t" + after`` for every (s, t) in 0..n-1, in the
+    row-major order of ``EventTree.stop_pairs``, joined by C-level string
+    additions as they are drawn."""
+    firsts = [f"{before}{s}," for s in range(n)]
+    seconds = [f"{t}{after}" for t in range(n)]
+    return map(add, chain.from_iterable(map(repeat, firsts, repeat(n))), seconds * n)
+
+
+def _section_template(tree: EventTree, level_ids: list[list[str]]) -> str:
+    """The ``str.format`` template of a payoff section's blocks, as
+    ``json.dumps(..., indent=2)`` lays them out in a game file.
+
+    Each level has one block template: its node ids in canonical order,
+    JSON-encoded with their braces doubled, each followed by a ``{!s}`` slot
+    for its value.  Each (s, t) puts its key before its level's template.
+    """
+    levels = [
+        "{{\n        "
+        + ",\n        ".join(
+            encode_basestring_ascii(nid).replace("{", "{{").replace("}", "}}") + ": {!s}"
+            for nid in ids
+        )
+        + "\n      }}"
+        for ids in level_ids
+    ]
+    heads = _st_texts(tree.horizon + 1, '      "', '": ')
+    return ",\n".join(map(add, heads, map(levels.__getitem__, tree.stop_levels)))
+
+
+#: The JSON text of one scalar, for payoffs that ``str`` does not write as
+#: JSON does: non-finite floats and anything but a float.
+_SCALAR = json.JSONEncoder(check_circular=False).encode
+
+
+def _payoff_parts(tree: EventTree, sections: Mapping[int, Mapping]) -> list[str]:
+    """The text of a game file's payoffs object, in parts that the whole
+    document is joined from, so no section's text is copied on the way.
+
+    Each section is one ``format`` of the tree's section template, with the
+    values of the level's nodes in each block gathered in field order by
+    one C-level ``map``; other entries of a block are not read.  A finite
+    float's ``str`` is its JSON text; a section that holds anything else has
+    its values written by ``_SCALAR`` first.
+    """
+    if not sections:
+        return ["{}"]
+    level_ids = _level_ids(tree)
+    sizes = list(map(len, map(level_ids.__getitem__, tree.stop_levels)))
+    ids = list(chain.from_iterable(map(level_ids.__getitem__, tree.stop_levels)))
+    template = _section_template(tree, level_ids)
+    parts = ["{\n"]
+    for player in sorted(sections):
+        section = sections[player]
+        blocks = map(section.__getitem__, tree.stop_pairs)
+        try:
+            values = list(map(getitem, chain.from_iterable(map(repeat, blocks, sizes)), ids))
+        except KeyError:
+            _slices_by_block([section], tree)
+            raise GameSpecError(f"payoff section {player} lacks an (s,t) entry") from None
+        if not (set(map(type, values)) <= {float} and all(map(isfinite, values))):
+            values = list(map(_SCALAR, values))
+        parts += [f'    "{player}": {{\n', template.format(*values), "\n    },\n"]
+    parts[-1] = "\n    }\n  }"
+    return parts
+
+
 def emit(doc: GameDocument) -> str:
     """Canonical JSON text; parse(emit(doc)) reproduces the game exactly.
 
     The text is ``json.dumps(obj, indent=2) + "\n"`` of the game object:
-    the layout is written here, and the flat objects in it go through the C
-    encoders of ``_FLAT``.
+    the layout is written here.  The header and the node list go through
+    the C encoders of ``_FLAT``, the payoffs through ``_payoff_parts``.
     """
     tree = doc.tree
     head: dict = {"format": FORMAT_NAME}
@@ -348,24 +463,14 @@ def emit(doc: GameDocument) -> str:
             entry["parent"] = tree.nodes[node.parent].id
             entry["prob"] = node.edge_prob
         nodes.append(entry)
-    level_ids = _level_ids(tree)
-    players = []
-    for player in sorted(doc.sections):
-        section = doc.sections[player]
-        blocks = []
-        for s in range(tree.horizon + 1):
-            for t in range(tree.horizon + 1):
-                ids = level_ids[max(s, t)]
-                per_node = section[(s, t)]
-                if type(per_node) is not dict or list(per_node) != ids:
-                    per_node = dict(zip(ids, map(per_node.__getitem__, ids)))
-                blocks.append(f'      "{s},{t}": {_flat(per_node, 3)}')
-        players.append(f'    "{player}": {{\n' + ",\n".join(blocks) + "\n    }")
-    payoffs = "{\n" + ",\n".join(players) + "\n  }" if players else "{}"
-    return (
-        f"{{\n  {_FLAT[0].encode(head)[1:-1]},\n"
-        f'  "nodes": {_flat_list(nodes, 1)},\n'
-        f'  "payoffs": {payoffs}\n}}\n'
+    return "".join(
+        [
+            f"{{\n  {_FLAT[0].encode(head)[1:-1]},\n",
+            f'  "nodes": {_flat_list(nodes, 1)},\n',
+            '  "payoffs": ',
+            *_payoff_parts(tree, doc.sections),
+            "\n}\n",
+        ]
     )
 
 
@@ -406,7 +511,7 @@ def generate_random_game(
         counter = 0
         for parent in level_ids:
             weights = [0.1 + 0.9 * rng.random() for _ in range(branching)]
-            total = sum(weights)
+            total = left_sum(weights)
             for w in weights:
                 nid = f"{t}:{counter}"
                 counter += 1

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, adjustment_floor
-from .tree import EventTree, StoppingTime
+from .tree import EventTree, StoppingTime, left_sum
 
 Window = Literal["inclusive", "strict"]
 Direction = Literal["max", "min"]
@@ -104,7 +104,7 @@ def _sweep(
     # max and min keep a NaN reward and drop a NaN continuation, so a NaN
     # stays at its own node; the envelopes are searched only if their sum
     # is NaN.
-    if isnan(sum(map(sum, envs))):
+    if isnan(left_sum(map(left_sum, envs))):
         _raise_missing(tree, n, envs)
     # One transposition gives each problem's marks over every node.
     below = repeat((False,) * tree.level_start[roots[0]], n)

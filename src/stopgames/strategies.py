@@ -201,7 +201,7 @@ class PayoffField:
         self.unit = ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
         self.tol = 1e-9 * self.unit
         self._tables: dict[tuple, object] = {}
-        self._mixed_payoffs: dict[tuple, tuple] = {}
+        self._payoffs: dict[tuple, tuple] = {}
 
     @classmethod
     def zero_sum(cls, tree: EventTree, rows1: Sequence[Sequence[float]]) -> "PayoffField":
@@ -294,7 +294,11 @@ def _payoff_pure_core(
 def payoff_pure(
     field: PayoffField, mode: Mode, rho: Strategy, tau: Strategy
 ) -> tuple[float, float]:
-    """Exact expected payoffs of a pure strategy profile, both players."""
+    """Exact expected payoffs of a pure strategy profile, both players.
+
+    The strategies are validated on every call; the payoffs are memoized on
+    the field, as in :func:`payoff_mixed_sim`.
+    """
     if mode == "sim":
         for strategy in (rho, tau):
             check_class(strategy, False, True, "simultaneous mode needs two type-A strategies")
@@ -305,7 +309,11 @@ def payoff_pure(
         raise GameSpecError(f"unknown mode {mode!r}")
     rho.validate(field.tree)
     tau.validate(field.tree)
-    return _payoff_pure_core(field, mode, rho, tau)
+    key = (mode, id(rho), id(tau))
+    cached = field._payoffs.get(key)
+    if cached is None:
+        cached = field._payoffs[key] = (rho, tau, _payoff_pure_core(field, mode, rho, tau))
+    return cached[2]
 
 
 def _alone_sweep(
@@ -408,10 +416,10 @@ def payoff_mixed_sim(
     # Keyed on the strategy objects, not on equality: two equal profiles may
     # differ in the sign of a zero probability.  The entry holds both
     # objects, so their ids stay unique for as long as it lives.
-    key = (id(rho), id(tau))
-    cached = field._mixed_payoffs.get(key)
+    key = ("mixed", id(rho), id(tau))
+    cached = field._payoffs.get(key)
     if cached is None:
-        cached = field._mixed_payoffs[key] = (rho, tau, _mixed_values(field, rho, tau))
+        cached = field._payoffs[key] = (rho, tau, _mixed_values(field, rho, tau))
     return cached[2]
 
 

@@ -10,9 +10,9 @@ hitting times) reduce to sums and scans over the tree.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, product, repeat
 from operator import add, attrgetter, mul
 from typing import NamedTuple
@@ -235,6 +235,18 @@ def constant_stopping_time(tree: EventTree, t: int) -> StoppingTime:
     return StoppingTime(tuple(marks))
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as Python 3.11 computes it: from the int 0, one
+    addition at a time, left to right.
+
+    From 3.12 on, the builtin ``sum`` of floats compensates its rounding
+    error, so its result can differ in the last bit.  Every float sum whose
+    bits reach a game file or a report goes through this instead, so the
+    bytes do not depend on the interpreter.
+    """
+    return reduce(add, values, 0)
+
+
 def checked_int(value, what: str) -> int:
     """`value` if it is an integer, not a bool; else a GameSpecError."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -335,7 +347,7 @@ def build_tree(spec: Mapping) -> EventTree:
                     f"leaf before horizon: node {nid} at time {time_of[i]} < {horizon}"
                 )
             child_probs[i] = tuple(map(probs.__getitem__, kids[i]))
-            total = sum(child_probs[i])
+            total = left_sum(child_probs[i])
             if abs(total - 1.0) > PROB_TOL:
                 raise GameSpecError(f"probabilities sum to {total:g} at {nid}")
         elif kids[i]:

@@ -10,7 +10,7 @@ import pytest
 
 import stopgames as sg
 from stopgames import gamefile
-from stopgames.cli import _stop_set, build_parser, run
+from stopgames.cli import _print_strategy, _stop_set, build_parser, fmt, run
 
 from conftest import canonical_stopping_time, leaf_paths
 
@@ -467,6 +467,60 @@ class TestStopSets:
                 }
                 ids = [n.id for n in tree.nodes if n.index in first]
                 assert _stop_set(tree, st) == "{" + ", ".join(ids) + "}"
+
+
+def _reference_strategy_table(tree, label, strategy) -> str:
+    """A strategy's report table, printed one line per node."""
+    out = io.StringIO()
+    if strategy.mixed:
+        print(f"{label} initial stop probabilities:", file=out)
+        for node in tree.nodes:
+            p = strategy.initial.probs[node.index]
+            print(f"  {node.id} t={node.time} p={fmt(p)}", file=out)
+    else:
+        print(f"{label} initial:", file=out)
+        marks = strategy.initial.marks
+        for node in tree.nodes:
+            above, parent = False, node.parent
+            while parent is not None:
+                above = above or marks[parent]
+                parent = tree.nodes[parent].parent
+            decision = "stop" if marks[node.index] and not above else "continue"
+            print(f"  {node.id} t={node.time} {decision}", file=out)
+    print(f"{label} adjustments:", file=out)
+    for t, rule in enumerate(strategy.adjust.rules):
+        print(f"  after stop at t={t}: stop at {_stop_set(tree, rule)}", file=out)
+    return out.getvalue()
+
+
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestStrategyTable:
+    @pytest.mark.parametrize("mode", ["sim", "seq", "zs"])
+    def test_one_write_per_strategy(self, mode):
+        doc = gamefile.generate_random_game(3, 2, seed=21, zero_sum=mode == "zs")
+        if mode == "sim":
+            sol = sg.sim_equilibrium(doc.payoff_field())
+            profile = (sol.rho, sol.tau)
+        elif mode == "seq":
+            sol = sg.seq_equilibrium(doc.payoff_field())
+            profile = (sol.rho_star, sol.tau_star)
+        else:
+            saddle = sg.zero_sum_saddle(doc.zero_sum_field())
+            profile = (saddle.rho_star, saddle.tau_star)
+        for label, strategy in zip(("player 1", "player 2"), profile):
+            out = _CountingOut()
+            _print_strategy(out, doc.tree, label, strategy)
+            assert out.writes == 1
+            assert out.getvalue() == _reference_strategy_table(doc.tree, label, strategy)
 
 
 class TestEnumerateCommand:

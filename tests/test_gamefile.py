@@ -113,12 +113,27 @@ def _reversed_blocks(doc: gamefile.GameDocument) -> gamefile.GameDocument:
     return dataclasses.replace(doc, sections=sections)
 
 
+def _non_finite_game() -> gamefile.GameDocument:
+    """A game whose section 2 holds Infinity, -Infinity and NaN payoffs among
+    finite ones, read back through ``parse`` as a file may give them; its
+    section 1 is all finite."""
+    doc = gamefile.generate_random_game(2, 2, seed=10)
+    odd = itertools.cycle((math.inf, 0.5, -math.inf, -0.0, math.nan, 1))
+    section = {
+        st: {nid: next(odd) for nid in block} for st, block in doc.sections[2].items()
+    }
+    doc = dataclasses.replace(doc, sections={**doc.sections, 2: section})
+    return gamefile.parse(_reference_game_text(doc))
+
+
 _EMIT_CASES = {
     "odd-node-ids": _odd_ids_game,
     "reversed-blocks": lambda: _reversed_blocks(gamefile.generate_random_game(3, 3, seed=7)),
     "h0": lambda: gamefile.generate_random_game(0, 2, seed=4),
     "h4-b3": lambda: gamefile.generate_random_game(4, 3, seed=1, name="h4"),
     "chain-30": lambda: gamefile.generate_random_game(30, 1, seed=2),
+    "chain-200": lambda: gamefile.generate_random_game(200, 1, seed=1),
+    "non-finite": _non_finite_game,
     "zero-sum": lambda: gamefile.generate_random_game(3, 2, seed=9, zero_sum=True),
     "int-and-signed-zero": lambda: _map_payoffs(
         gamefile.generate_random_game(3, 2, seed=3), _odd_values
@@ -183,6 +198,15 @@ class TestEmitBytes:
         assert gamefile.emit(gamefile.parse(text)) == _reference_game_text(
             gamefile.parse(text)
         )
+
+    def test_emit_names_a_block_fault(self):
+        doc = gamefile.generate_random_game(2, 2, seed=4)
+        del doc.sections[2][(0, 2)]["2:3"]
+        with pytest.raises(sg.GameSpecError, match=r"missing for node 2:3 at \(s,t\)=\(0, 2\)"):
+            gamefile.emit(doc)
+        del doc.sections[1][(1, 1)]
+        with pytest.raises(sg.GameSpecError, match=r"^payoff section 1 lacks an \(s,t\) entry$"):
+            gamefile.emit(doc)
 
     @pytest.mark.parametrize("mode", ["sim", "seq", "zs"])
     def test_profile_matches_json_dumps(self, mode):
@@ -592,6 +616,140 @@ class TestParsing:
     def test_unknown_format(self):
         with pytest.raises(sg.GameSpecError, match="unsupported format"):
             gamefile.parse('{"format": "other", "horizon": 0, "nodes": [], "payoffs": {}}')
+
+
+def _insert(text: str, anchor: str, extra: str) -> str:
+    """`text` with `extra` inserted after the first `anchor`."""
+    at = text.index(anchor) + len(anchor)
+    return text[:at] + extra + text[at:]
+
+
+def _repeat_game(name: str = "g") -> str:
+    return gamefile.emit(gamefile.generate_random_game(1, 2, seed=3, name=name))
+
+
+def _repeat_profile() -> tuple[sg.EventTree, str]:
+    doc = gamefile.generate_random_game(1, 2, seed=3)
+    sol = sg.seq_equilibrium(doc.payoff_field())
+    return doc.tree, gamefile.profile_to_json(doc.tree, "seq", (sol.rho_star, sol.tau_star))
+
+
+#: A repeated key inserted into a horizon-1 game file: (anchor, inserted
+#: text, the key the error names).
+_GAME_REPEATS = {
+    "payoff block": ('"0,1": {', '\n        "1:1": 0.5,', "1:1"),
+    "node object": ('"id": "1:0",', '\n      "time": 1,', "time"),
+    "top level": ('"horizon": 1,', '\n  "seed": 4,', "seed"),
+    "string values with colons": ('"name": "g",', '\n  "name": "x:y:z",', "name"),
+    "under an unknown field": ('"horizon": 1,', '\n  "extra": {"d": null, "d": 1},', "d"),
+    "deep under an unknown field": (
+        '"horizon": 1,',
+        '\n  "extra": [[{"k": {"d": [], "d": {}}}]],',
+        "d",
+    ),
+    "space before the colon": ('"0,1": {', '\n        "1:1" : 0.5,', "1:1"),
+    "a newline before the colon": ('"id": "1:0",', '\n      "time"\n: 1,', "time"),
+}
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize("case", sorted(_GAME_REPEATS))
+    def test_game_file(self, case):
+        anchor, extra, key = _GAME_REPEATS[case]
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.parse(_insert(_repeat_game(), anchor, extra))
+        assert str(exc.value) == f"duplicate key {key!r} in game file"
+
+    def test_name_holding_an_escaped_quote_and_colon(self):
+        text = _repeat_game(name='a":b')
+        assert '"a\\":b"' in text
+        assert gamefile.parse(text).name == 'a":b'
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.parse(_insert(text, '"0,1": {', '\n        "1:1": 0.5,'))
+        assert str(exc.value) == "duplicate key '1:1' in game file"
+
+    @pytest.mark.parametrize(
+        "escaped, name",
+        [
+            (r"a\"b", 'a"b'),
+            (r"say \"hi\"", 'say "hi"'),
+            (r"back\\", "back\\"),
+            (r"x\\\"y", 'x\\"y'),
+            ("u\\u0022", 'u"'),
+        ],
+        ids=repr,
+    )
+    def test_escapes_cannot_hide_a_repeat(self, escaped, name):
+        # An escaped quote adds a quote to the text that delimits no string.
+        text = _repeat_game().replace('"name": "g"', f'"name": "{escaped}"')
+        assert gamefile.parse(text).name == name
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.parse(_insert(text, '"horizon": 1,', '\n  "horizon": 1,'))
+        assert str(exc.value) == "duplicate key 'horizon' in game file"
+
+    def test_valid_files_are_decoded_once_without_a_hook(self, monkeypatch):
+        docs = [
+            gamefile.generate_random_game(3, 2, seed=1, name="a:b"),
+            gamefile.generate_random_game(6, 1, seed=2, zero_sum=True),
+        ]
+        texts = [gamefile.emit(doc) for doc in docs]
+        for mode in ("sim", "seq"):
+            field = docs[0].payoff_field()
+            if mode == "sim":
+                sol = sg.sim_equilibrium(field)
+                profile = (sol.rho, sol.tau)
+            else:
+                sol = sg.seq_equilibrium(field)
+                profile = (sol.rho_star, sol.tau_star)
+            texts.append(gamefile.profile_to_json(docs[0].tree, mode, profile))
+        calls = []
+        loads = json.loads
+
+        def counted(text, **kwargs):
+            calls.append(sorted(kwargs))
+            return loads(text, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        gamefile.parse(texts[0])
+        gamefile.parse(texts[1])
+        gamefile.profile_from_json(docs[0].tree, texts[2], "sim")
+        gamefile.profile_from_json(docs[0].tree, texts[3], "seq")
+        assert calls == [[]] * 4
+
+    def test_whitespace_before_colons_reads_as_the_emitted_file(self):
+        text = _repeat_game()
+        spaced = json.dumps(json.loads(text), separators=(" ,", " : "))
+        assert gamefile.emit(gamefile.parse(spaced)) == text
+
+    def test_an_inner_repeat_is_named_before_an_earlier_outer_one(self):
+        # The hook sees an object when it closes: the block closes first.
+        text = _insert(_repeat_game(), '"seed": 3,', '\n  "seed": 3,')
+        text = _insert(text, '"1,0": {', '\n        "1:0": 0.5,')
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.parse(text)
+        assert str(exc.value) == "duplicate key '1:0' in game file"
+
+    def test_of_two_blocks_the_first_repeat_is_named(self):
+        text = _insert(_repeat_game(), '"1,0": {', '\n        "1:1": 0.5,')
+        text = _insert(text, '"0,1": {', '\n        "1:0": 0.5,')
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.parse(text)
+        assert str(exc.value) == "duplicate key '1:0' in game file"
+
+    def test_profile_inner_repeat_is_named_before_the_mode(self):
+        tree, text = _repeat_profile()
+        text = _insert(text, '"mode": "seq",', '\n  "mode": "seq",')
+        text = _insert(text, '"adjust": {', '\n      "1": {},')
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.profile_from_json(tree, text, "seq")
+        assert str(exc.value) == "duplicate key '1' in profile"
+
+    def test_profile_rule_repeat(self):
+        tree, text = _repeat_profile()
+        text = _insert(text, '"stops": {', '\n      "1:1": false,')
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.profile_from_json(tree, text, "seq")
+        assert str(exc.value) == "duplicate key '1:1' in profile"
 
 
 class TestGeneration:

@@ -1,6 +1,6 @@
 """The payoff field's memos: each reaction and lone-stopper table, and each
-mixed profile's payoff, is computed once per field, and a cached result is
-the one a fresh field computes."""
+profile's payoff, pure or mixed, is computed once per field, and a cached
+result is the one a fresh field computes."""
 
 from __future__ import annotations
 
@@ -209,3 +209,57 @@ def test_every_call_validates_the_profile(monkeypatch):
     other = gamefile.generate_random_game(HORIZON + 1, 2, seed=11).payoff_field()
     with pytest.raises(sg.GameSpecError):
         sg.payoff_mixed_sim(other, rho, tau)
+
+
+@pytest.fixture()
+def pure_calls(monkeypatch):
+    """Count the pure-payoff evaluations behind payoff_pure."""
+    counts: Counter = Counter()
+    original = strategies._payoff_pure_core
+
+    def counted(*args, **kwargs):
+        counts[args[1]] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(strategies, "_payoff_pure_core", counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["seq", "zs"])
+def test_a_solve_evaluates_its_pure_profile_once(games, pure_calls, mode):
+    game = games["zs" if mode == "zs" else "general"]
+    assert run([f"solve-{mode}", game], io.StringIO()) == 0
+    assert pure_calls == {"seq": 1}
+
+
+def test_cached_pure_payoff_matches_a_fresh_field():
+    doc = gamefile.generate_random_game(HORIZON, 2, seed=13)
+    sol = sg.seq_equilibrium(doc.payoff_field())
+    field = doc.payoff_field()
+    first = sg.payoff_pure(field, "seq", sol.rho_star, sol.tau_star)
+    assert sg.payoff_pure(field, "seq", sol.rho_star, sol.tau_star) is first
+    assert first == sol.values
+    again = sg.payoff_pure(doc.payoff_field(), "seq", sol.rho_star, sol.tau_star)
+    assert _hex(first) == _hex(again)
+
+
+def test_every_pure_call_validates_the_profile(monkeypatch, pure_calls):
+    doc = gamefile.generate_random_game(HORIZON, 2, seed=13)
+    field = doc.payoff_field()
+    sol = sg.seq_equilibrium(field)
+    validated = Counter()
+    original = sg.Strategy.validate
+
+    def counted(self, tree):
+        validated[id(self)] += 1
+        return original(self, tree)
+
+    monkeypatch.setattr(sg.Strategy, "validate", counted)
+    pure_calls.clear()
+    for _ in range(3):
+        sg.payoff_pure(field, "seq", sol.rho_star, sol.tau_star)
+    assert validated == {id(sol.rho_star): 3, id(sol.tau_star): 3}
+    assert pure_calls == {}
+    # The sim mode checks its own strategy classes, cached payoff or not.
+    with pytest.raises(sg.GameSpecError, match="two type-A"):
+        sg.payoff_pure(field, "sim", sol.rho_star, sol.tau_star)
