@@ -36,7 +36,7 @@ from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import add, eq, getitem, is_, itemgetter, neg
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, RandomizedStoppingTime, Strategy
@@ -46,24 +46,16 @@ FORMAT_NAME = "stopping-game-v1"
 
 
 #: Encoders of flat objects (no nested values), keyed by the nesting depth
-#: of the object's braces: a game file's header and nodes, a profile's
-#: per-node objects.  Each writes the items of such an object exactly
-#: as ``json.dumps(..., indent=2)`` would inside the whole document, but
-#: through the C encoder, which ``indent`` disables.
+#: of the object's braces: a game file's header and nodes.  Each writes the
+#: items of such an object exactly as ``json.dumps(..., indent=2)`` would
+#: inside the whole document, but through the C encoder, which ``indent``
+#: disables.
 _FLAT = {
     depth: json.JSONEncoder(
         separators=(",\n" + "  " * (depth + 1), ": "), check_circular=False
     )
-    for depth in (0, 2, 3)
+    for depth in (0, 2)
 }
-
-
-def _flat(obj: Mapping, depth: int) -> str:
-    """A flat object as ``json.dumps(..., indent=2)`` writes it at `depth`."""
-    if not obj:
-        return "{}"
-    pad = "  " * depth
-    return f"{{\n{pad}  {_FLAT[depth].encode(obj)[1:-1]}\n{pad}}}"
 
 
 def _flat_list(objs: list[Mapping], depth: int) -> str:
@@ -274,16 +266,30 @@ class GameDocument:
         return PayoffField.zero_sum(tree, rows[:n])
 
 
-def _st_key(st_key: str, horizon: int) -> tuple[int, int]:
-    """The (s, t) of a payoff key, checked against the horizon."""
+def _st_key_fault(st_key: str, horizon: int) -> GameSpecError:
+    """The error for a payoff key that is not the text "s,t" of a stop pair
+    of the horizon: out of range when it is two integers written as ``str``
+    writes them, else malformed (so ``"00,1"`` never stands in for
+    ``"0,1"``)."""
     try:
-        s_str, t_str = st_key.split(",")
-        st = (int(s_str), int(t_str))
-    except ValueError as exc:
-        raise GameSpecError(f"malformed payoff key {st_key!r}") from exc
-    if not (0 <= st[0] <= horizon and 0 <= st[1] <= horizon):
-        raise GameSpecError(f"payoff key {st_key!r} outside 0..{horizon}")
-    return st
+        s, t = map(int, st_key.split(","))
+    except ValueError:
+        pass
+    else:
+        if f"{s},{t}" == st_key:
+            return GameSpecError(f"payoff key {st_key!r} outside 0..{horizon}")
+    return GameSpecError(f"malformed payoff key {st_key!r}")
+
+
+def _block_fault(by_st: Mapping, keys: Mapping[str, tuple[int, int]], horizon: int) -> None:
+    """Raise the first fault of a payoff section's entries, one at a time
+    in file order: a block that is not an object, or a key that is not an
+    (s, t) of the horizon."""
+    for st_key, per_node in by_st.items():
+        if not isinstance(per_node, dict):
+            raise GameSpecError(f"payoff entry {st_key!r} must be an object")
+        if st_key not in keys:
+            raise _st_key_fault(st_key, horizon)
 
 
 def _float_payoffs(section: dict, player: int) -> dict:
@@ -335,11 +341,12 @@ def parse(text: str) -> GameDocument:
         if not isinstance(by_st, dict):
             raise GameSpecError(f"payoff section {player_key} must be an object")
         player = int(player_key)
-        section: dict[tuple[int, int], dict[str, float]] = {}
-        for st_key, per_node in by_st.items():
-            if not isinstance(per_node, dict):
-                raise GameSpecError(f"payoff entry {st_key!r} must be an object")
-            section[keys.get(st_key) or _st_key(st_key, horizon)] = per_node
+        # Only a section with a bad key or block is walked one entry at a time.
+        sts = list(map(keys.get, by_st))
+        blocks = list(by_st.values())
+        if not (all(sts) and set(map(type, blocks)) <= {dict}):
+            _block_fault(by_st, keys, horizon)
+        section = dict(zip(sts, blocks))
         if len(section) != len(keys):
             s, t = next(st for st in keys.values() if st not in section)
             raise GameSpecError(f"payoff section {player} missing entry ({s},{t})")
@@ -384,6 +391,15 @@ def _st_texts(n: int, before: str, after: str) -> Iterator[str]:
     return map(add, chain.from_iterable(map(repeat, firsts, repeat(n))), seconds * n)
 
 
+def _id_slots(ids: Iterable[str]) -> list[str]:
+    """Each node id as the key of a JSON object's item in a ``str.format``
+    template: JSON-encoded, its braces doubled, and followed by ``: {!s}``."""
+    return [
+        encode_basestring_ascii(nid).replace("{", "{{").replace("}", "}}") + ": {!s}"
+        for nid in ids
+    ]
+
+
 def _section_template(tree: EventTree, level_ids: list[list[str]]) -> str:
     """The ``str.format`` template of a payoff section's blocks, as
     ``json.dumps(..., indent=2)`` lays them out in a game file.
@@ -393,21 +409,24 @@ def _section_template(tree: EventTree, level_ids: list[list[str]]) -> str:
     for its value.  Each (s, t) puts its key before its level's template.
     """
     levels = [
-        "{{\n        "
-        + ",\n        ".join(
-            encode_basestring_ascii(nid).replace("{", "{{").replace("}", "}}") + ": {!s}"
-            for nid in ids
-        )
-        + "\n      }}"
-        for ids in level_ids
+        "{{\n        " + ",\n        ".join(_id_slots(ids)) + "\n      }}" for ids in level_ids
     ]
     heads = _st_texts(tree.horizon + 1, '      "', '": ')
     return ",\n".join(map(add, heads, map(levels.__getitem__, tree.stop_levels)))
 
 
-#: The JSON text of one scalar, for payoffs that ``str`` does not write as
+#: The JSON text of one scalar, for numbers that ``str`` does not write as
 #: JSON does: non-finite floats and anything but a float.
 _SCALAR = json.JSONEncoder(check_circular=False).encode
+
+
+def _json_numbers(values: Sequence) -> Sequence:
+    """Numbers to fill a template's ``{!s}`` slots with their JSON text:
+    `values` as they are when all are finite floats, whose ``str`` is that
+    text, else each one's ``_SCALAR``."""
+    if set(map(type, values)) <= {float} and all(map(isfinite, values)):
+        return values
+    return list(map(_SCALAR, values))
 
 
 def _payoff_parts(tree: EventTree, sections: Mapping[int, Mapping]) -> list[str]:
@@ -416,9 +435,8 @@ def _payoff_parts(tree: EventTree, sections: Mapping[int, Mapping]) -> list[str]
 
     Each section is one ``format`` of the tree's section template, with the
     values of the level's nodes in each block gathered in field order by
-    one C-level ``map``; other entries of a block are not read.  A finite
-    float's ``str`` is its JSON text; a section that holds anything else has
-    its values written by ``_SCALAR`` first.
+    one C-level ``map``; other entries of a block are not read.  The values
+    go into the template as ``_json_numbers`` gives them.
     """
     if not sections:
         return ["{}"]
@@ -435,9 +453,7 @@ def _payoff_parts(tree: EventTree, sections: Mapping[int, Mapping]) -> list[str]
         except KeyError:
             _slices_by_block([section], tree)
             raise GameSpecError(f"payoff section {player} lacks an (s,t) entry") from None
-        if not (set(map(type, values)) <= {float} and all(map(isfinite, values))):
-            values = list(map(_SCALAR, values))
-        parts += [f'    "{player}": {{\n', template.format(*values), "\n    },\n"]
+        parts += [f'    "{player}": {{\n', template.format(*_json_numbers(values)), "\n    },\n"]
     parts[-1] = "\n    }\n  }"
     return parts
 
@@ -550,43 +566,78 @@ _KINDS = {"number": {int, float}, "boolean": {bool}}
 def _per_node(tree: EventTree, data, what: str, kind: str) -> tuple:
     """Per-node values of a {node id: value} object of the given kind.
 
-    Every node needs a value; numbers read as floats.
+    Every node needs a value; numbers read as floats.  The values are read
+    in canonical order, then their types checked, in two C-level passes; an
+    object that fails either is walked by ``_per_node_fault``.
     """
     data = _object(data, what)
-    kinds = _KINDS[kind]
-    if not (data.keys() <= tree.by_id.keys() and set(map(type, data.values())) <= kinds):
-        for nid, val in data.items():
-            if nid not in tree.by_id:
-                raise GameSpecError(f"unknown node {nid!r} in profile")
-            if type(val) not in kinds:
-                raise GameSpecError(f"{what} at node {nid!r} is not a {kind}")
-    if len(data) != tree.n_nodes:
-        missing = next(nid for nid in tree.by_id if nid not in data)
-        raise GameSpecError(f"{what} has no value for node {missing!r}")
-    if kind == "boolean":
-        return tuple(map(data.__getitem__, tree.by_id))
     try:
-        return tuple(map(float, map(data.__getitem__, tree.by_id)))
+        values = tuple(map(data.__getitem__, tree.by_id))
+    except KeyError:
+        values = None
+    if values is None or len(data) != tree.n_nodes or not set(map(type, values)) <= _KINDS[kind]:
+        _per_node_fault(tree, data, what, kind)
+    if kind == "boolean":
+        return values
+    try:
+        return tuple(map(float, values))
     except OverflowError as exc:
         raise GameSpecError(f"{what} holds an integer too large for a float") from exc
 
 
-def _strategy_to_json(tree: EventTree, strategy: Strategy) -> str:
-    """A strategy's object, as ``json.dumps(..., indent=2)`` writes it in a profile."""
+def _per_node_fault(tree: EventTree, data: Mapping, what: str, kind: str) -> None:
+    """Raise the first fault of a {node id: value} object: in the object's
+    order, an unknown node or a value not of the kind, else the first node
+    in canonical order that has no value."""
+    kinds = _KINDS[kind]
+    for nid, val in data.items():
+        if nid not in tree.by_id:
+            raise GameSpecError(f"unknown node {nid!r} in profile")
+        if type(val) not in kinds:
+            raise GameSpecError(f"{what} at node {nid!r} is not a {kind}")
+    missing = next(nid for nid in tree.by_id if nid not in data)
+    raise GameSpecError(f"{what} has no value for node {missing!r}")
 
-    def marks(rule: StoppingTime) -> dict[str, bool]:
-        return dict(zip(tree.by_id, map(bool, rule.marks)))
 
+#: The JSON text of a stop mark, by the mark.
+_MARK = {False: "false", True: "true"}
+
+
+def _node_templates(tree: EventTree) -> tuple[str, str]:
+    """The ``str.format`` templates of a profile's per-node objects, as
+    ``json.dumps(..., indent=2)`` lays them out: a strategy's initial rule
+    (depth 2) and an adjustment rule (depth 3), with the ``_id_slots`` of the
+    node ids in canonical order."""
+    keys = _id_slots(tree.by_id)
+    return tuple(
+        f"{{{{\n{pad}  " + f",\n{pad}  ".join(keys) + f"\n{pad}}}}}" for pad in ("    ", "      ")
+    )
+
+
+def _marks_text(template: str, marks: Sequence) -> str:
+    """A per-node template filled with the JSON text of each stop mark's
+    truth value: ``_MARK`` of the mark, which is equal to that of
+    ``bool(mark)`` where it is found."""
+    try:
+        return template.format(*map(_MARK.__getitem__, marks))
+    except (KeyError, TypeError):
+        return template.format(*map(_MARK.__getitem__, map(bool, marks)))
+
+
+def _strategy_to_json(templates: tuple[str, str], strategy: Strategy) -> str:
+    """A strategy's object, as ``json.dumps(..., indent=2)`` writes it in a
+    profile, from the tree's ``_node_templates``."""
+    initial, adjust = templates
     if strategy.mixed:
-        head = f'"stop_prob": {_flat(dict(zip(tree.by_id, strategy.initial.probs)), 2)}'
+        head = f'"stop_prob": {initial.format(*_json_numbers(strategy.initial.probs))}'
     else:
-        head = f'"stops": {_flat(marks(strategy.initial), 2)}'
+        head = f'"stops": {_marks_text(initial, strategy.initial.marks)}'
     rules = ",\n".join(
-        f'      "{t}": {_flat(marks(rule), 3)}'
+        f'      "{t}": {_marks_text(adjust, rule.marks)}'
         for t, rule in enumerate(strategy.adjust.rules)
     )
-    adjust = f"{{\n{rules}\n    }}" if rules else "{}"
-    return f'{{\n    {head},\n    "adjust": {adjust}\n  }}'
+    rules = f"{{\n{rules}\n    }}" if rules else "{}"
+    return f'{{\n    {head},\n    "adjust": {rules}\n  }}'
 
 
 def _strategy_from_json(
@@ -623,10 +674,11 @@ def profile_to_json(tree: EventTree, mode: str, profile: tuple) -> str:
     if mode not in ("sim", "seq", "zs"):
         raise GameSpecError(f"unknown mode {mode!r}")
     rho, tau = profile
+    templates = _node_templates(tree)
     return (
         f'{{\n  "mode": "{mode}",\n'
-        f'  "player1": {_strategy_to_json(tree, rho)},\n'
-        f'  "player2": {_strategy_to_json(tree, tau)}\n}}\n'
+        f'  "player1": {_strategy_to_json(templates, rho)},\n'
+        f'  "player2": {_strategy_to_json(templates, tau)}\n}}\n'
     )
 
 

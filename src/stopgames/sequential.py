@@ -210,7 +210,7 @@ def seq_equilibrium(field: PayoffField) -> SeqEquilibrium:
         rho_marks[idx] = True
         tau_marks[idx] = True
     for t in range(T - 1, -1, -1):
-        conts = zip(tree.levels[t], tree.expect_next(w1, t), tree.expect_next(w2, t))
+        conts = zip(tree.levels[t], *tree.expect_next_pair(w1, w2, t))
         for idx, cont1, cont2 in conts:
             # Player 2's choice once player 1 has continued.
             if h2[idx] >= cont2:

@@ -191,7 +191,7 @@ def randomized_dynkin_equilibrium(
         w1[idx] = bundle.z1[idx]
         w2[idx] = bundle.z2[idx]
     for t in range(T - 1, -1, -1):
-        conts = zip(tree.levels[t], tree.expect_next(w1, t), tree.expect_next(w2, t))
+        conts = zip(tree.levels[t], *tree.expect_next_pair(w1, w2, t))
         for idx, c1, c2 in conts:
             a = ((bundle.z1[idx], bundle.x1[idx]), (bundle.y1[idx], c1))
             b = ((bundle.z2[idx], bundle.x2[idx]), (bundle.y2[idx], c2))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product, repeat
 from math import frexp, isfinite, ldexp
-from operator import getitem, neg
+from operator import ge, getitem, le, neg
 
 from .errors import GameSpecError
 from .tree import EventTree, StoppingTime
@@ -41,16 +41,16 @@ class RandomizedStoppingTime:
     def validate(self, tree: EventTree) -> None:
         if len(self.probs) != tree.n_nodes:
             raise GameSpecError("stop probabilities do not cover the tree")
-        for idx, p in enumerate(self.probs):
-            if not 0.0 <= p <= 1.0:
-                raise GameSpecError(
-                    f"stop probability {p:g} at node {tree.nodes[idx].id} outside [0, 1]"
-                )
-        for leaf in tree.leaves:
-            if self.probs[leaf] != 1.0:
-                raise GameSpecError(
-                    f"node {tree.nodes[leaf].id} at the horizon must stop surely"
-                )
+        # NaN fails both comparisons.
+        if not (all(map(le, repeat(0.0), self.probs)) and all(map(ge, repeat(1.0), self.probs))):
+            idx, p = next((i, p) for i, p in enumerate(self.probs) if not 0.0 <= p <= 1.0)
+            raise GameSpecError(
+                f"stop probability {p:g} at node {tree.nodes[idx].id} outside [0, 1]"
+            )
+        leaf_probs = self.probs[tree.level_start[tree.horizon] :]
+        if leaf_probs.count(1.0) != len(leaf_probs):
+            leaf = next(leaf for leaf in tree.leaves if self.probs[leaf] != 1.0)
+            raise GameSpecError(f"node {tree.nodes[leaf].id} at the horizon must stop surely")
 
 
 def adjustment_floor(horizon: int, t: int, strict: bool) -> int:
@@ -158,6 +158,40 @@ def _first_row_fault(
             raise GameSpecError(f"non-finite payoff in slice {key}")
 
 
+def _checked_rows(
+    tree: EventTree, rows: Sequence[Sequence[float]], players: tuple[int, ...]
+) -> tuple[list[tuple[float, ...]], float]:
+    """The given players' payoff rows as tuples of floats, and the largest
+    payoff magnitude among them; a fault is raised as ``_first_row_fault``
+    words it.
+
+    A sum of finite floats can overflow, but a sum that is finite has no
+    infinite or NaN term, so that one C-level pass stands for the test of
+    each value in the common case.
+    """
+    level_sizes = list(map(len, tree.levels))
+    sizes = list(map(level_sizes.__getitem__, tree.stop_levels)) * len(players)
+    data = _float_rows(rows)
+    if (
+        data is None
+        or list(map(len, data)) != sizes
+        or not (
+            isfinite(sum(chain.from_iterable(data)))
+            or all(map(isfinite, chain.from_iterable(data)))
+        )
+    ):
+        _first_row_fault(tree, rows, players)
+    return data, max(map(abs, chain.from_iterable(data)), default=0.0)
+
+
+class _CheckedRows(list):
+    """Rows in field order that ``PayoffField.zero_sum`` has checked, with
+    their largest payoff magnitude, so that the field's constructor does not
+    check each value again."""
+
+    __slots__ = ("bound",)
+
+
 class PayoffField:
     """The two per-player payoff families U^i(s, t, .), one value per node.
 
@@ -172,9 +206,11 @@ class PayoffField:
 
     A field also memoizes the one-sided tables computed from it
     (:func:`~stopgames.snell.reaction_value` and :func:`stop_alone_values`),
-    keyed by their arguments other than the field, and the mixed payoffs of
-    :func:`payoff_mixed_sim`, keyed by the strategy objects, so the solvers
-    and the certificate share each result for as long as the field lives.
+    keyed by their arguments other than the field, with the adjustment
+    family of a lone-stopper table keyed by the object, and the mixed payoffs
+    of :func:`payoff_mixed_sim`, keyed by the strategy objects, so the
+    solvers and the certificate share each result for as long as the field
+    lives.
 
     ``unit`` is the least power of two >= ``bound``, the largest payoff
     magnitude (1.0 for an all-zero field; 2**1023, the largest finite power
@@ -185,18 +221,12 @@ class PayoffField:
 
     def __init__(self, tree: EventTree, rows: Sequence[Sequence[float]]):
         self.tree = tree
-        level_sizes = list(map(len, tree.levels))
-        sizes = list(map(level_sizes.__getitem__, tree.stop_levels)) * 2
-        data = _float_rows(rows)
-        if (
-            data is None
-            or list(map(len, data)) != sizes
-            or not all(map(isfinite, chain.from_iterable(data)))
-        ):
-            _first_row_fault(tree, rows)
+        if type(rows) is _CheckedRows:
+            data, self.bound = rows, rows.bound
+        else:
+            data, self.bound = _checked_rows(tree, rows, (1, 2))
         self._data: list[tuple[float, ...]] = data
         self._width = tree.horizon + 1
-        self.bound = max(map(abs, chain.from_iterable(data)), default=0.0)
         mantissa, exponent = frexp(self.bound)  # 0 or in [0.5, 1)
         self.unit = ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
         self.tol = 1e-9 * self.unit
@@ -206,13 +236,16 @@ class PayoffField:
     @classmethod
     def zero_sum(cls, tree: EventTree, rows1: Sequence[Sequence[float]]) -> "PayoffField":
         """Build a field from player 1's rows, in field order, with player 2's
-        rows their negation.  A fault is named as in that field."""
-        rows = _float_rows(rows1)
-        if rows is None or len(rows) != len(tree.stop_pairs):
-            _first_row_fault(tree, rows1, players=(1,))
-        # Negation keeps each row's size and finiteness, so any other fault
-        # is first found among player 1's rows.
-        return cls(tree, [*rows, *map(tuple, map(map, repeat(neg), rows))])
+        rows their negation.  A fault is named as in that field.
+
+        Only player 1's rows are checked: negation keeps each row's size,
+        finiteness and magnitudes, so player 2's could add no fault and
+        would not change ``bound``.
+        """
+        data, bound = _checked_rows(tree, rows1, (1,))
+        rows = _CheckedRows([*data, *map(tuple, map(map, repeat(neg), data))])
+        rows.bound = bound
+        return cls(tree, rows)
 
     def value(self, player: int, s: int, t: int, node: int) -> float:
         """U^player(s, t, node) for a node of level max(s, t); see row()."""
@@ -381,10 +414,12 @@ def stop_alone_values(
     realized time in the other.  All T+1 problems are solved by one
     backward sweep.  The table is memoized on the field.
     """
-    key = (player, stopper, family)
+    # Keyed on the family object, so a lookup hashes none of its marks.  The
+    # entry holds the family, so its id stays unique while the entry lives.
+    key = (player, stopper, id(family))
     cached = field._tables.get(key)
     if cached is not None:
-        return cached
+        return cached[1]
     # Stopper 1 stops at t and the follower at u: rows U(t, u).
     side = "second" if stopper == 1 else "first"
     values = _alone_sweep(
@@ -393,7 +428,8 @@ def stop_alone_values(
         tuple(range(field.tree.horizon + 1)),
         family.rules,
     )
-    table = field._tables[key] = tuple(chain.from_iterable(values))
+    table = tuple(chain.from_iterable(values))
+    field._tables[key] = (family, table)
     return table
 
 
@@ -444,8 +480,7 @@ def _mixed_values(
             tree.levels[t],
             field.row(1, t, t),
             field.row(2, t, t),
-            tree.expect_next(w1, t),
-            tree.expect_next(w2, t),
+            *tree.expect_next_pair(w1, w2, t),
         )
         for idx, z1, z2, d1, d2 in conts:
             p = rho.initial.probs[idx]

@@ -10,11 +10,13 @@ hitting times) reduce to sums and scans over the tree.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, product, repeat
-from operator import add, attrgetter, mul
+from itertools import chain, groupby, islice, product, repeat
+from operator import add, attrgetter, itemgetter, mul, sub
+from types import NoneType
 from typing import NamedTuple
 
 from .errors import GameSpecError
@@ -46,44 +48,36 @@ class EventTree:
     :func:`build_tree`, which performs all validation.
     """
 
-    def __init__(self, horizon: int, nodes: Sequence[Node]):
+    def __init__(self, horizon: int, nodes: Iterable[Node]):
         self.horizon = horizon
         self.nodes = tuple(nodes)
         self.n_nodes = len(self.nodes)
-        self.by_id = {node.id: node.index for node in self.nodes}
-
-        starts = [0] * (horizon + 2)
-        for node in self.nodes:
-            starts[node.time + 1] += 1
-        for t in range(horizon + 1):
-            starts[t + 1] += starts[t]
-        self.level_start = tuple(starts)
-        self.levels = tuple(
-            tuple(range(starts[t], starts[t + 1])) for t in range(horizon + 1)
+        self.by_id = dict(
+            zip(map(attrgetter("id"), self.nodes), map(attrgetter("index"), self.nodes))
         )
+
+        # Nodes are sorted by time, so level t starts at the first node of
+        # time >= t.
+        times = list(map(attrgetter("time"), self.nodes))
+        starts = list(map(bisect_left, repeat(times), range(horizon + 2)))
+        self.level_start = tuple(starts)
+        self.levels = tuple(map(tuple, map(range, starts, starts[1:])))
         self.leaves = self.levels[horizon]
 
         # Parents precede their children in canonical order, so one top-down
-        # pass gives every node's probability.
-        node_prob = [1.0] * self.n_nodes
-        for node in self.nodes[1:]:
-            node_prob[node.index] = node_prob[node.parent] * node.edge_prob
+        # pass, a level at a time, gives every node's probability.
+        parents = list(map(attrgetter("parent"), self.nodes))
+        edge_probs = list(map(attrgetter("edge_prob"), self.nodes))
+        node_prob = [1.0]
+        for lo, hi in zip(starts[1:], starts[2:]):
+            node_prob += map(mul, map(node_prob.__getitem__, parents[lo:hi]), edge_probs[lo:hi])
         self.node_prob = tuple(node_prob)
         self.leaf_probs = self.node_prob[starts[horizon] :]
-        # The root's parent is -1: the trailing sentinel of `first_stops`.
-        self._parents = tuple(-1 if node.parent is None else node.parent for node in self.nodes)
+        # The root, first in canonical order, has parent -1: the trailing
+        # sentinel of `first_stops`.
+        self._parents = (-1, *parents[1:])
 
         self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
-        # Per level, each node's (child probabilities, child indices).
-        edges = tuple(
-            zip(
-                map(attrgetter("child_probs"), self.nodes),
-                map(attrgetter("children"), self.nodes),
-            )
-        )
-        self._level_edges = tuple(
-            edges[starts[t] : starts[t + 1]] for t in range(horizon + 1)
-        )
         self._layouts: dict[tuple[int, int], tuple] = {}
 
     def expect_next(
@@ -97,6 +91,16 @@ class EventTree:
         order fixes the report bytes.
         """
         return self.expect_batch(list(map(values.__getitem__, self.levels[t + 1])), t, 1)
+
+    def expect_next_pair(
+        self, x: list[float], y: list[float], t: int
+    ) -> tuple[list[float], list[float]]:
+        """:meth:`expect_next` of two node-indexed lists, in one
+        :meth:`expect_batch`.  Each list's values go through the operations
+        of its own call, so their bits are the same."""
+        lo, mid, hi = self.level_start[t : t + 3]
+        both = self.expect_batch(x[mid:hi] + y[mid:hi], t, 2)
+        return both[: mid - lo], both[mid - lo :]
 
     def expect_batch(self, values: list[float], t: int, count: int) -> list[float]:
         """E_t[X_{t+1}] for `count` processes at once, level by level.
@@ -112,33 +116,43 @@ class EventTree:
         adding +0.0 leaves its bits as they were, where 0.0 times a child
         value could be NaN.
         """
-        size, slots = self._layouts.get((t, count)) or self._layout(t, count)
+        size, n, slots = self._layouts.get((t, count)) or self._layout(t, count)
         src = values[: count * size]
         src.append(0.0)  # every pad reads src[-1]
         get = src.__getitem__
         total = repeat(0.0)
         for positions, probs in slots:
             total = map(add, total, map(mul, probs, map(get, positions)))
+        if n > count:
+            # A gather for more processes: its first `count` blocks are these.
+            return list(islice(total, count * (self.level_start[t + 1] - self.level_start[t])))
         return list(total)
 
-    def _layout(self, t: int, count: int) -> tuple[int, list[tuple[list[int], list[float]]]]:
+    def _layout(self, t: int, count: int) -> tuple[int, int, list[tuple[list[int], list[float]]]]:
         """Level t's ``expect_batch`` gather for `count` processes: the size
-        of level t+1 and, per child slot j, the input position of each node's
-        j-th child (-1 for a pad), per process and per node, with the
-        matching probabilities (0.0 for a pad).  Kept with the tree,
-        together with the gathers for one process and for t + 1, the most
-        that the stopping problems rooted at or above t ever batch."""
-        edges = self._level_edges[t]
-        width = max([len(kids) for _, kids in edges])
-        first = self.level_start[t + 1]
-        size = self.level_start[t + 2] - first
-        ranks: list[int] = []
-        probs: list[float] = []
-        for node_probs, kids in edges:
-            pad = width - len(kids)
-            ranks += [c - first for c in kids] + [-1] * pad
-            probs += node_probs + (0.0,) * pad
-        for n in {1, t + 1, count}:
+        of level t+1, the number n >= count of processes it gathers and, per
+        child slot j, the input position of each node's j-th child (-1 for a
+        pad), per process and per node, with the matching probabilities (0.0
+        for a pad).
+
+        Kept with the tree.  A level keeps a gather for one process and one
+        for max(t + 1, count) processes, t + 1 being the most that the
+        stopping problems rooted at or above t ever batch; a call for fewer
+        processes than that reads the first blocks of the larger gather.
+        """
+        n = 1 if count == 1 else max(t + 1, count)
+        layout = self._layouts.get((t, n))
+        if layout is None:
+            lo, first, hi = self.level_start[t : t + 3]
+            size = hi - first
+            nodes = self.nodes[lo:first]
+            width = max(map(len, map(attrgetter("children"), nodes)))
+            ranks: list[int] = []
+            probs: list[float] = []
+            for node in nodes:
+                pad = width - len(node.children)
+                ranks += [c - first for c in node.children] + [-1] * pad
+                probs += node.child_probs + (0.0,) * pad
             # Process k reads its block at k * size; a pad stays at -1.
             positions = ranks + [
                 r + offset if r >= 0 else -1
@@ -147,8 +161,9 @@ class EventTree:
             ]
             every = probs * n
             slots = [(positions[j::width], every[j::width]) for j in range(width)]
-            self._layouts[t, n] = (size, slots)
-        return self._layouts[t, count]
+            layout = self._layouts[t, n] = (size, n, slots)
+        self._layouts[t, count] = layout
+        return layout
 
     def first_stops(self, marks: Sequence[bool]) -> list[int]:
         """Per node, the first node marked in `marks` on its path from the
@@ -213,11 +228,9 @@ class StoppingTime:
     def validate(self, tree: EventTree) -> None:
         if len(self.marks) != tree.n_nodes:
             raise GameSpecError("stopping time marks do not cover the tree")
-        for leaf in tree.leaves:
-            if not self.marks[leaf]:
-                raise GameSpecError(
-                    f"node {tree.nodes[leaf].id} at the horizon must stop"
-                )
+        if not all(self.marks[tree.level_start[tree.horizon] :]):
+            leaf = next(leaf for leaf in tree.leaves if not self.marks[leaf])
+            raise GameSpecError(f"node {tree.nodes[leaf].id} at the horizon must stop")
 
     def realized(self, tree: EventTree) -> tuple[int, ...]:
         return tree.realized_times(self.marks)
@@ -272,6 +285,115 @@ def build_tree(spec: Mapping) -> EventTree:
     if horizon < 0:
         raise GameSpecError(f"horizon must be >= 0, got {horizon}")
 
+    tree = _whole_list_tree(horizon, raw_nodes)
+    return tree if tree is not None else _checked_tree(horizon, raw_nodes)
+
+
+def _whole_list_tree(horizon: int, raw_nodes: Sequence) -> EventTree | None:
+    """The tree of a valid spec in the common case, built in whole-list
+    passes with no Python step per node: every node a dict with a str
+    ``id``, an int ``time`` and a str ``parent`` (none for the root).
+
+    None when the spec is out of that case or any check fails; the checked
+    loop then builds the tree or words the first fault.  Each check here is
+    one of the loop's, on the same values, so a tree built here is the one
+    the loop builds.
+    """
+    columns = _canonical_columns(horizon, raw_nodes)
+    if columns is None:
+        return None
+    order, time_of, parents, edge = columns
+    inner = bisect_left(time_of, horizon)
+    children = _children(parents, edge, inner)
+    if children is None:
+        return None
+    kids, child_probs = children
+    # The children's probabilities sum, as `left_sum` adds them, to 1 within
+    # PROB_TOL.
+    totals = map(reduce, repeat(add), child_probs[:inner], repeat(0))
+    if not all(map(PROB_TOL.__ge__, map(abs, map(sub, totals, repeat(1.0))))):
+        return None
+    rows = zip(range(len(order)), order, time_of, parents, edge, kids, child_probs)
+    return EventTree(horizon, map(tuple.__new__, repeat(Node), rows))
+
+
+def _canonical_columns(
+    horizon: int, raw_nodes: Sequence
+) -> tuple[list[str], list[int], list[int | None], list[float]] | None:
+    """For ``_whole_list_tree``: the ids, times, parent indices and edge
+    probabilities of the nodes in canonical order, once every node's own
+    checks pass; else None."""
+    if set(map(type, raw_nodes)) != {dict}:
+        return None
+    field = dict.get
+    ids = list(map(field, raw_nodes, repeat("id")))
+    times = list(map(field, raw_nodes, repeat("time")))
+    parent_ids = list(map(field, raw_nodes, repeat("parent")))
+    if (
+        set(map(type, ids)) != {str}
+        or set(map(type, times)) != {int}
+        or not set(map(type, parent_ids)) <= {str, NoneType}
+        or parent_ids.count(None) != 1
+    ):
+        return None
+    # Canonical order: by time, then id (a stable sort by time of the ids).
+    n = len(ids)
+    perm = sorted(range(n), key=ids.__getitem__)
+    perm.sort(key=times.__getitem__)
+    order = list(map(ids.__getitem__, perm))
+    time_of = list(map(times.__getitem__, perm))
+    index_of = dict(zip(order, range(n)))
+    # The root must come first at time 0; every other node is then one
+    # level below a known parent, so all times lie in 0..horizon once the
+    # last one does.
+    if (
+        len(index_of) != n
+        or parent_ids[perm[0]] is not None
+        or time_of[0] != 0
+        or time_of[-1] > horizon
+    ):
+        return None
+    up = list(map(index_of.get, map(parent_ids.__getitem__, perm[1:])))
+    if None in up or not set(map(sub, time_of[1:], map(time_of.__getitem__, up))) <= {1}:
+        return None
+    probs = list(map(field, map(raw_nodes.__getitem__, perm[1:]), repeat("prob")))
+    kinds = set(map(type, probs))
+    if not kinds <= {float, int}:
+        return None
+    if int in kinds:
+        try:
+            probs = list(map(float, probs))
+        except OverflowError:
+            return None
+    # NaN fails both comparisons.
+    if not (all(map((0.0).__lt__, probs)) and all(map((1.0).__ge__, probs))):
+        return None
+    return order, time_of, [None, *up], [1.0, *probs]
+
+
+def _children(
+    parents: list[int | None], edge: list[float], inner: int
+) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]]] | None:
+    """Each node's children in canonical order, and their edge
+    probabilities, from every node's parent (None for the root, node 0),
+    when each of the `inner` nodes before the horizon has a child; else
+    None.  No node at the horizon has one: its child would be past it."""
+    # A stable sort of the non-root nodes by parent lists each node's
+    # children together, in canonical order, one run per parent.  Every
+    # parent is before the horizon, so the runs are those of nodes
+    # 0..inner-1 exactly when there are `inner` of them.
+    n = len(parents)
+    by_parent = sorted(range(1, n), key=parents.__getitem__)
+    kids = list(map(tuple, map(itemgetter(1), groupby(by_parent, parents.__getitem__))))
+    if len(kids) != inner:
+        return None
+    child_probs = list(map(tuple, map(map, repeat(edge.__getitem__), kids)))
+    leaves = [()] * (n - inner)
+    return kids + leaves, child_probs + leaves
+
+
+def _checked_tree(horizon: int, raw_nodes: Sequence) -> EventTree:
+    """Build the tree of a spec node by node, raising at its first fault."""
     # Checks run in a fixed order, so a spec with several faults always
     # gets the same message: the nodes in input order, the root count, the
     # nodes in canonical order, then each node's children.

@@ -72,9 +72,6 @@ def reference_tree(spec) -> dict:
         "level_start": level_start,
         "node_prob": tuple(node_prob),
         "leaf_probs": tuple(node_prob[i] for i in levels[horizon]),
-        "_level_edges": tuple(
-            tuple((nodes[i][6], nodes[i][5]) for i in level) for level in levels
-        ),
     }
 
 

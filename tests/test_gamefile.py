@@ -86,9 +86,9 @@ def _odd_values(k: int, v: float):
 
 
 def _odd_ids_game() -> gamefile.GameDocument:
-    """A horizon-1 game whose node ids hold quotes, braces, a newline and
-    non-ASCII text."""
-    ids = ['r"{', "x},\n      {y", "\u00e9\u4e2d"]
+    """A horizon-1 game whose node ids hold quotes, braces, a backslash, a
+    newline and non-ASCII text."""
+    ids = ['r"{\\', "x},\n      {y", "\u00e9\u4e2d}"]
     nodes = [{"id": ids[0], "time": 0}] + [
         {"id": nid, "time": 1, "parent": ids[0], "prob": 0.5} for nid in ids[1:]
     ]
@@ -211,18 +211,30 @@ class TestEmitBytes:
     @pytest.mark.parametrize("mode", ["sim", "seq", "zs"])
     def test_profile_matches_json_dumps(self, mode):
         doc = gamefile.generate_random_game(3, 2, seed=12, zero_sum=mode == "zs")
-        tree = doc.tree
-        if mode == "sim":
-            sol = sg.sim_equilibrium(doc.payoff_field())
-            profile = (sol.rho, sol.tau)
-        elif mode == "seq":
-            sol = sg.seq_equilibrium(doc.payoff_field())
-            profile = (sol.rho_star, sol.tau_star)
-        else:
-            saddle = sg.zero_sum_saddle(doc.zero_sum_field())
-            profile = (saddle.rho_star, saddle.tau_star)
-        text = gamefile.profile_to_json(tree, mode, profile)
-        assert text == _reference_profile_text(tree, mode, profile)
+        profile = _solved_profile(doc, mode)
+        text = gamefile.profile_to_json(doc.tree, mode, profile)
+        assert text == _reference_profile_text(doc.tree, mode, profile)
+
+    @pytest.mark.parametrize("mode", ["sim", "seq", "zs"])
+    def test_profile_with_odd_node_ids_matches_json_dumps(self, mode):
+        doc = _odd_ids_game()
+        if mode == "zs":
+            doc = dataclasses.replace(doc, sections={1: doc.sections[1]})
+        profile = _solved_profile(doc, mode)
+        text = gamefile.profile_to_json(doc.tree, mode, profile)
+        assert text == _reference_profile_text(doc.tree, mode, profile)
+
+
+def _solved_profile(doc: gamefile.GameDocument, mode: str) -> tuple:
+    """The profile that the solver of `mode` finds for `doc`."""
+    if mode == "sim":
+        sol = sg.sim_equilibrium(doc.payoff_field())
+        return (sol.rho, sol.tau)
+    if mode == "seq":
+        sol = sg.seq_equilibrium(doc.payoff_field())
+        return (sol.rho_star, sol.tau_star)
+    saddle = sg.zero_sum_saddle(doc.zero_sum_field())
+    return (saddle.rho_star, saddle.tau_star)
 
 
 class TestPayoffField:
@@ -407,6 +419,7 @@ class TestBulkRead:
             raise AssertionError("a valid document entered a per-block loop")
 
         for module, name in (
+            (gamefile, "_block_fault"),
             (gamefile, "_slices_by_block"),
             (gamefile, "_negation_by_block"),
             (strategies, "_first_row_fault"),
@@ -423,6 +436,18 @@ class TestBulkRead:
                 doc.payoff_field()
             if case[2]:
                 doc.zero_sum_field()
+
+    @pytest.mark.parametrize("game", ["gen", "odd-node-ids"])
+    def test_valid_profiles_never_enter_the_per_node_loop(self, monkeypatch, game):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid profile entered the per-node loop")
+
+        monkeypatch.setattr(gamefile, "_per_node_fault", refuse)
+        doc = gamefile.generate_random_game(3, 2, seed=4) if game == "gen" else _odd_ids_game()
+        for mode in ("sim", "seq"):
+            profile = _solved_profile(doc, mode)
+            text = gamefile.profile_to_json(doc.tree, mode, profile)
+            assert gamefile.profile_from_json(doc.tree, text, mode) == profile
 
 
 def _pop(block: dict, nid: str) -> None:
@@ -583,6 +608,36 @@ class TestParsing:
         )
         with pytest.raises(sg.GameSpecError, match=r"missing entry \(0,1\)"):
             gamefile.parse(text)
+
+    @pytest.mark.parametrize("key", ["00,1", " 0,1", "0,+1", "0,0_1", "0, 1", "0,1 "])
+    @pytest.mark.parametrize("replace", [True, False], ids=["renamed", "added"])
+    def test_a_non_canonical_payoff_key_is_refused(self, key, replace):
+        # Each key reads through int() as (0, 1): renamed, it would stand in
+        # for "0,1"; added, it would overwrite that block.
+        obj = _game_object(2, 2, seed=3)
+        section = obj["payoffs"]["1"]
+        block = section.pop("0,1") if replace else dict(section["0,1"])
+        section[key] = block
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.parse(json.dumps(obj))
+        assert str(exc.value) == f"malformed payoff key {key!r}"
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("0,3", "payoff key '0,3' outside 0..2"),
+            ("-1,0", "payoff key '-1,0' outside 0..2"),
+            ("0,03", "malformed payoff key '0,03'"),
+            ("0,1,2", "malformed payoff key '0,1,2'"),
+            ("a,b", "malformed payoff key 'a,b'"),
+        ],
+    )
+    def test_a_key_off_the_horizon_is_named(self, key, message):
+        obj = _game_object(2, 2, seed=3)
+        obj["payoffs"]["2"][key] = {}
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.parse(json.dumps(obj))
+        assert str(exc.value) == message
 
     def test_payoff_for_unknown_node(self):
         text = (

@@ -107,9 +107,24 @@ def test_cached_tables_match_a_fresh_field():
             assert cached.family == again.family
             assert sg.reaction_value(field, *key) is cached
         else:
-            again = stop_alone_values(fresh, *key)
-            assert _hex(cached) == _hex(again)
-            assert stop_alone_values(field, *key) is cached
+            # A lone-stopper entry is keyed by its family's id and holds it.
+            player, stopper, _ = key
+            family, table = cached
+            again = stop_alone_values(fresh, player, stopper, family)
+            assert _hex(table) == _hex(again)
+            assert stop_alone_values(field, player, stopper, family) is table
+
+
+def test_a_lone_stopper_lookup_hashes_no_family(monkeypatch):
+    field = gamefile.generate_random_game(HORIZON, 2, seed=3).payoff_field()
+    family = sg.reaction_value(field, 1, "first", "strict", "max").family
+
+    def refuse(self):
+        raise AssertionError("an adjustment family was hashed")
+
+    monkeypatch.setattr(strategies.AdjustmentFamily, "__hash__", refuse)
+    table = stop_alone_values(field, 2, 2, family)
+    assert stop_alone_values(field, 2, 2, family) is table
 
 
 def test_fields_on_twin_trees_compute_their_own_tables(computed):

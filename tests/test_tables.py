@@ -35,11 +35,11 @@ DRAWS = {
 }
 
 
-def random_tree(rng: random.Random, nudge: float = 1.0) -> sg.EventTree:
-    """Horizon 0-5, 1-3 children per node, so that a level mixes child
-    counts; edge weights from 1e-6 to 1 and node ids in random order.  Each
-    probability is scaled by `nudge`, which the tree check allows within
-    1e-12."""
+def random_spec(rng: random.Random, nudge: float = 1.0) -> dict:
+    """A tree spec of horizon 0-5, 1-3 children per node, so that a level
+    mixes child counts; edge weights from 1e-6 to 1 and node ids in random
+    order.  Each probability is scaled by `nudge`, which the tree check
+    allows within 1e-12."""
     horizon = rng.randint(0, 5)
     ids = iter(rng.sample(range(10**6), 400))
     root = f"n{next(ids)}"
@@ -57,7 +57,12 @@ def random_tree(rng: random.Random, nudge: float = 1.0) -> sg.EventTree:
                 nodes.append({"id": nid, "time": t, "parent": parent, "prob": prob})
                 below.append(nid)
         level = below
-    return sg.build_tree({"horizon": horizon, "nodes": nodes})
+    return {"horizon": horizon, "nodes": nodes}
+
+
+def random_tree(rng: random.Random, nudge: float = 1.0) -> sg.EventTree:
+    """The tree of a ``random_spec``."""
+    return sg.build_tree(random_spec(rng, nudge))
 
 
 def random_field(tree: sg.EventTree, rng: random.Random, draw) -> sg.PayoffField:

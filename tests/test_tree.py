@@ -11,6 +11,8 @@ from pytest import approx
 
 import stopgames as sg
 from stopgames import gamefile
+from stopgames import tree as tree_module
+from stopgames.tree import Node
 
 from conftest import (
     canonical_stopping_time,
@@ -23,6 +25,7 @@ from conftest import (
     stopping_time_from_realized,
     three_node_tree,
 )
+from test_tables import random_spec, random_tree
 
 
 class TestBuildTree:
@@ -161,12 +164,40 @@ class TestBuildTreeFields:
                 for n in tree.nodes
             )
             assert nodes == ref["nodes"]
-            for name in (
-                "levels", "level_start", "node_prob", "leaf_probs", "_level_edges"
-            ):
+            for name in ("levels", "level_start", "node_prob", "leaf_probs"):
                 assert getattr(tree, name) == ref[name], name
             assert tree.leaves == ref["levels"][-1]
             assert tree.by_id == {n[1]: n[0] for n in ref["nodes"]}
+
+    def test_shuffled_irregular_specs_match_the_reference(self, monkeypatch):
+        # 1-3 children per node, so each level mixes child counts; every
+        # spec is valid, so none is built by the checked loop.
+        def refuse(*args):
+            raise AssertionError("a valid spec entered the checked loop")
+
+        monkeypatch.setattr(tree_module, "_checked_tree", refuse)
+        rng = random.Random(11)
+        for _ in range(60):
+            spec = random_spec(rng)
+            rng.shuffle(spec["nodes"])
+            tree = sg.build_tree(spec)
+            ref = reference_tree(spec)
+            assert tuple(map(tuple, tree.nodes)) == ref["nodes"]
+            assert all(type(node) is Node for node in tree.nodes)
+            for name in ("levels", "level_start", "node_prob", "leaf_probs"):
+                assert getattr(tree, name) == ref[name], name
+            assert tree.by_id == {n[1]: n[0] for n in ref["nodes"]}
+
+    def test_valid_specs_never_enter_the_checked_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a valid spec entered the checked loop")
+
+        monkeypatch.setattr(tree_module, "_checked_tree", refuse)
+        for spec in _shuffled_gen_specs():
+            sg.build_tree(spec)
+        sg.build_tree({"horizon": 0, "nodes": [{"id": "r", "time": 0}]})
+        chain_tree(50)
+        three_node_tree()
 
     def test_a_tree_keeps_linear_state(self):
         # A 3,000-node chain: state quadratic in the depth, such as a root
@@ -325,6 +356,35 @@ class TestExpectNext:
                 for given in (values, nxt):
                     got = tree.expect_next(given, t)
                     assert [float.hex(x) for x in got] == expected
+
+    def test_a_pair_has_the_bits_of_two_single_calls(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            tree = random_tree(rng)
+            x = _random_values(rng, tree.n_nodes)
+            y = _random_values(rng, tree.n_nodes)
+            for t in range(tree.horizon):
+                pair = tree.expect_next_pair(x, y, t)
+                singles = (tree.expect_next(x, t), tree.expect_next(y, t))
+                assert [list(map(float.hex, v)) for v in pair] == [
+                    list(map(float.hex, v)) for v in singles
+                ]
+
+    def test_a_batch_of_any_count_has_the_bits_of_single_calls(self):
+        # Counts in random order, so a call may read the first blocks of a
+        # gather built for more processes.
+        rng = random.Random(8)
+        for _ in range(30):
+            tree = random_tree(rng)
+            for t in range(tree.horizon):
+                counts = list(range(1, t + 3))
+                rng.shuffle(counts)
+                for count in counts:
+                    procs = [_random_values(rng, tree.n_nodes) for _ in range(count)]
+                    flat = [x[i] for x in procs for i in tree.levels[t + 1]]
+                    got = tree.expect_batch(flat, t, count)
+                    want = [v for x in procs for v in tree.expect_next(x, t)]
+                    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_signed_zeros_sum_to_positive_zero(self):
         tree = three_node_tree()
