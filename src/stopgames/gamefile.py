@@ -35,7 +35,7 @@ from importlib import resources
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import add, eq, getitem, is_, itemgetter, neg
+from operator import add, eq, getitem, is_, itemgetter, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GameSpecError
@@ -328,14 +328,24 @@ def parse(text: str) -> GameDocument:
         if key not in raw:
             raise GameSpecError(f"game file missing field {key!r}")
     tree = build_tree({"horizon": raw["horizon"], "nodes": raw["nodes"]})
-
     horizon = tree.horizon
+    payoffs = raw["payoffs"]
+    if not isinstance(payoffs, dict) or not payoffs:
+        raise GameSpecError("payoffs must map player ids to payoff sections")
+    # A section holds 2u + 1 entries per level-u node, and an entry takes at
+    # least 5 characters ('"":0' and a comma or brace), so a text too short
+    # for its sections is refused before anything of size (T + 1)^2 exists.
+    starts = tree.level_start
+    entries = sum(map(mul, range(1, 2 * horizon + 2, 2), map(sub, starts[1:], starts)))
+    if len(text) < 5 * entries * (("1" in payoffs) + ("2" in payoffs)):
+        raise GameSpecError(
+            f"game file of {len(text)} characters cannot hold {entries} payoff entries per section"
+        )
+
     pairs = tree.stop_pairs  # shared by the sections and fields on the tree
     keys = dict(zip(_st_texts(horizon + 1, "", ""), pairs))
     sections: dict[int, dict[tuple[int, int], dict[str, float]]] = {}
-    if not isinstance(raw["payoffs"], dict) or not raw["payoffs"]:
-        raise GameSpecError("payoffs must map player ids to payoff sections")
-    for player_key, by_st in raw["payoffs"].items():
+    for player_key, by_st in payoffs.items():
         if player_key not in ("1", "2"):
             raise GameSpecError(f"unknown payoff section {player_key!r}")
         if not isinstance(by_st, dict):
@@ -495,6 +505,11 @@ def save(doc: GameDocument, path: str) -> None:
         fh.write(emit(doc))
 
 
+#: The most payoff entries per player that ``generate_random_game`` builds:
+#: about 89 times the 188,419 of horizon 12, branching 2.
+GEN_BUDGET = 2**24
+
+
 def generate_random_game(
     horizon: int,
     branching: int,
@@ -507,12 +522,24 @@ def generate_random_game(
 
     Edge probabilities are normalized positive weights; payoffs are i.i.d.
     uniform over ``payoff_range``, one per (player, s, t, node).  Zero-sum
-    games carry a single payoff section.
+    games carry a single payoff section.  A shape of more than
+    ``GEN_BUDGET`` payoff entries per player is refused before anything is
+    built.
     """
     if horizon < 0:
         raise GameSpecError(f"horizon must be >= 0, got {horizon}")
     if branching < 1:
         raise GameSpecError(f"branching must be >= 1, got {branching}")
+    # Level u holds branching**u nodes of 2u + 1 entries each; the sum stops
+    # once it passes the budget, so a huge horizon is refused at once.
+    entries = 0
+    for u in range(horizon + 1):
+        entries += (2 * u + 1) * branching**u
+        if entries > GEN_BUDGET:
+            raise GameSpecError(
+                f"horizon {horizon}, branching {branching} needs more than {GEN_BUDGET} "
+                f"payoff entries per player"
+            )
     lo, hi = payoff_range
     if not lo < hi:
         raise GameSpecError(f"empty payoff range ({lo:g}, {hi:g})")

@@ -15,8 +15,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, groupby, islice, product, repeat
-from operator import add, attrgetter, itemgetter, mul, sub
-from types import NoneType
+from operator import add, attrgetter, contains, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import GameSpecError
@@ -272,8 +271,13 @@ def build_tree(spec: Mapping) -> EventTree:
 
     ``spec`` maps ``horizon`` to an integer and ``nodes`` to a list of
     mappings with keys ``id``, ``time`` (an integer) and, for non-root
-    nodes, ``parent`` and ``prob`` (a number).  Node ordering in the input
-    is irrelevant; the result uses the canonical (time, id) ordering.
+    nodes, ``parent`` and ``prob`` (a number).  Ids and parents are read as
+    ``str`` writes them.  Node ordering in the input is irrelevant; the
+    result uses the canonical (time, id) ordering.
+
+    Four stages of whole-list passes check the spec; a stage that finds a
+    fault calls a fault function, which walks its columns node by node and
+    raises the first fault, so a faulty spec always gets the same message.
     """
     try:
         horizon = checked_int(spec["horizon"], "horizon")
@@ -284,122 +288,97 @@ def build_tree(spec: Mapping) -> EventTree:
         raise GameSpecError("nodes must be a list")
     if horizon < 0:
         raise GameSpecError(f"horizon must be >= 0, got {horizon}")
+    order, time_of, parents, edge = _canonical_columns(horizon, raw_nodes)
 
-    tree = _whole_list_tree(horizon, raw_nodes)
-    return tree if tree is not None else _checked_tree(horizon, raw_nodes)
-
-
-def _whole_list_tree(horizon: int, raw_nodes: Sequence) -> EventTree | None:
-    """The tree of a valid spec in the common case, built in whole-list
-    passes with no Python step per node: every node a dict with a str
-    ``id``, an int ``time`` and a str ``parent`` (none for the root).
-
-    None when the spec is out of that case or any check fails; the checked
-    loop then builds the tree or words the first fault.  Each check here is
-    one of the loop's, on the same values, so a tree built here is the one
-    the loop builds.
-    """
-    columns = _canonical_columns(horizon, raw_nodes)
-    if columns is None:
-        return None
-    order, time_of, parents, edge = columns
+    # 4. Each node's children, which must exist before the horizon and
+    # whose probabilities must sum, as `left_sum` adds them, to 1 within
+    # PROB_TOL.  A stable sort of the non-root nodes by parent lists each
+    # node's children together, in canonical order, one run per parent.
+    # Every parent is before the horizon, so the runs are those of nodes
+    # 0..inner-1 exactly when there are `inner` of them.
+    n = len(order)
     inner = bisect_left(time_of, horizon)
-    children = _children(parents, edge, inner)
-    if children is None:
-        return None
-    kids, child_probs = children
-    # The children's probabilities sum, as `left_sum` adds them, to 1 within
-    # PROB_TOL.
-    totals = map(reduce, repeat(add), child_probs[:inner], repeat(0))
-    if not all(map(PROB_TOL.__ge__, map(abs, map(sub, totals, repeat(1.0))))):
-        return None
-    rows = zip(range(len(order)), order, time_of, parents, edge, kids, child_probs)
+    by_parent = sorted(range(1, n), key=parents.__getitem__)
+    kids = list(map(tuple, map(itemgetter(1), groupby(by_parent, parents.__getitem__))))
+    child_probs = list(map(tuple, map(map, repeat(edge.__getitem__), kids)))
+    errors = map(sub, map(reduce, repeat(add), child_probs, repeat(0)), repeat(1.0))
+    if len(kids) != inner or not all(map(PROB_TOL.__ge__, map(abs, errors))):
+        _children_fault(horizon, order, time_of, parents, edge)
+    leaves = [()] * (n - inner)
+    rows = zip(range(n), order, time_of, parents, edge, kids + leaves, child_probs + leaves)
     return EventTree(horizon, map(tuple.__new__, repeat(Node), rows))
 
 
 def _canonical_columns(
     horizon: int, raw_nodes: Sequence
-) -> tuple[list[str], list[int], list[int | None], list[float]] | None:
-    """For ``_whole_list_tree``: the ids, times, parent indices and edge
-    probabilities of the nodes in canonical order, once every node's own
-    checks pass; else None."""
-    if set(map(type, raw_nodes)) != {dict}:
-        return None
-    field = dict.get
-    ids = list(map(field, raw_nodes, repeat("id")))
-    times = list(map(field, raw_nodes, repeat("time")))
-    parent_ids = list(map(field, raw_nodes, repeat("parent")))
-    if (
-        set(map(type, ids)) != {str}
-        or set(map(type, times)) != {int}
-        or not set(map(type, parent_ids)) <= {str, NoneType}
-        or parent_ids.count(None) != 1
-    ):
-        return None
+) -> tuple[list[str], list[int], list[int | None], list[float]]:
+    """For ``build_tree``, stages 1-3: the ids, times, parent indices (None
+    for the root) and edge probabilities of the nodes in canonical order.
+    Its input columns are freed on return, before the tree is built."""
+    # 1. Each node's own fields: an object with an id and an integer time,
+    # and no id twice.
+    kinds = set(map(type, raw_nodes))
+    if kinds != {dict} and not all(map(issubclass, kinds, repeat(Mapping))):
+        _input_fault(raw_nodes)
+    get = dict.get if kinds == {dict} else Mapping.get
+    ids = list(map(get, raw_nodes, repeat("id")))
+    times = list(map(get, raw_nodes, repeat("time")))
+    parent_ids = list(map(get, raw_nodes, repeat("parent")))
+    probs_in = list(map(get, raw_nodes, repeat("prob")))
+    if not set(map(type, ids)) <= {str}:
+        if not all(map(contains, raw_nodes, repeat("id"))):
+            _input_fault(raw_nodes)
+        ids = list(map(str, ids))
+    kinds = set(map(type, times))
+    if kinds != {int} and (bool in kinds or not all(map(issubclass, kinds, repeat(int)))):
+        _input_fault(raw_nodes)
     # Canonical order: by time, then id (a stable sort by time of the ids).
     n = len(ids)
     perm = sorted(range(n), key=ids.__getitem__)
     perm.sort(key=times.__getitem__)
     order = list(map(ids.__getitem__, perm))
-    time_of = list(map(times.__getitem__, perm))
     index_of = dict(zip(order, range(n)))
-    # The root must come first at time 0; every other node is then one
-    # level below a known parent, so all times lie in 0..horizon once the
-    # last one does.
+    if len(index_of) != n:
+        _input_fault(raw_nodes)
+
+    # 2. The root count.
+    n_roots = parent_ids.count(None)
+    if n_roots != 1:
+        raise GameSpecError(f"expected exactly one root node, found {n_roots}")
+
+    # 3. Each node's link to its parent.  The root must come first at time
+    # 0; every other node is then one level below a known parent, so all
+    # times lie in 0..horizon once the last one does.  NaN fails both
+    # probability comparisons, and an int compares exactly, so one in range
+    # converts to a float in range.
+    time_of = list(map(times.__getitem__, perm))
+    rest = perm[1:]
+    up = list(map(parent_ids.__getitem__, rest))
+    if not set(map(type, up)) <= {str}:
+        up = list(map(str, up))
+    up = list(map(index_of.get, up))
+    probs = list(map(probs_in.__getitem__, rest))
+    kinds = set(map(type, probs))
     if (
-        len(index_of) != n
-        or parent_ids[perm[0]] is not None
+        parent_ids[perm[0]] is not None
         or time_of[0] != 0
+        or None in up
+        or not set(map(sub, time_of[1:], map(time_of.__getitem__, up))) <= {1}
+        or not kinds <= {float}
+        and (bool in kinds or not all(map(issubclass, kinds, repeat((int, float)))))
+        or not (all(map((0.0).__lt__, probs)) and all(map((1.0).__ge__, probs)))
         or time_of[-1] > horizon
     ):
-        return None
-    up = list(map(index_of.get, map(parent_ids.__getitem__, perm[1:])))
-    if None in up or not set(map(sub, time_of[1:], map(time_of.__getitem__, up))) <= {1}:
-        return None
-    probs = list(map(field, map(raw_nodes.__getitem__, perm[1:]), repeat("prob")))
-    kinds = set(map(type, probs))
-    if not kinds <= {float, int}:
-        return None
-    if int in kinds:
-        try:
-            probs = list(map(float, probs))
-        except OverflowError:
-            return None
-    # NaN fails both comparisons.
-    if not (all(map((0.0).__lt__, probs)) and all(map((1.0).__ge__, probs))):
-        return None
+        parent_of = map(parent_ids.__getitem__, perm)
+        _link_fault(horizon, order, time_of, index_of, parent_of, map(probs_in.__getitem__, perm))
+    if not kinds <= {float}:
+        probs = list(map(float, probs))
     return order, time_of, [None, *up], [1.0, *probs]
 
 
-def _children(
-    parents: list[int | None], edge: list[float], inner: int
-) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]]] | None:
-    """Each node's children in canonical order, and their edge
-    probabilities, from every node's parent (None for the root, node 0),
-    when each of the `inner` nodes before the horizon has a child; else
-    None.  No node at the horizon has one: its child would be past it."""
-    # A stable sort of the non-root nodes by parent lists each node's
-    # children together, in canonical order, one run per parent.  Every
-    # parent is before the horizon, so the runs are those of nodes
-    # 0..inner-1 exactly when there are `inner` of them.
-    n = len(parents)
-    by_parent = sorted(range(1, n), key=parents.__getitem__)
-    kids = list(map(tuple, map(itemgetter(1), groupby(by_parent, parents.__getitem__))))
-    if len(kids) != inner:
-        return None
-    child_probs = list(map(tuple, map(map, repeat(edge.__getitem__), kids)))
-    leaves = [()] * (n - inner)
-    return kids + leaves, child_probs + leaves
-
-
-def _checked_tree(horizon: int, raw_nodes: Sequence) -> EventTree:
-    """Build the tree of a spec node by node, raising at its first fault."""
-    # Checks run in a fixed order, so a spec with several faults always
-    # gets the same message: the nodes in input order, the root count, the
-    # nodes in canonical order, then each node's children.
-    seen: dict[str, Mapping] = {}
-    times: dict[str, int] = {}
-    n_roots = 0
+def _input_fault(raw_nodes: Sequence) -> None:
+    """Raise the first fault of the nodes' own fields, in input order."""
+    seen = set()
     for raw in raw_nodes:
         if not isinstance(raw, Mapping):
             raise GameSpecError("each node must be an object")
@@ -408,27 +387,17 @@ def _checked_tree(horizon: int, raw_nodes: Sequence) -> EventTree:
         nid = str(raw["id"])
         if nid in seen:
             raise GameSpecError(f"duplicate node id {nid}")
-        times[nid] = checked_int(raw.get("time"), f"time of node {nid}")
-        seen[nid] = raw
-        if raw.get("parent") is None:
-            n_roots += 1
-    if n_roots != 1:
-        raise GameSpecError(f"expected exactly one root node, found {n_roots}")
+        checked_int(raw.get("time"), f"time of node {nid}")
+        seen.add(nid)
 
-    # Canonical order: by time, then id (a stable sort by time of the ids).
-    order = sorted(seen)
-    order.sort(key=times.__getitem__)
-    n = len(order)
-    index_of = dict(zip(order, range(n)))
-    time_of = list(map(times.__getitem__, order))
 
-    parents: list[int | None] = [None] * n
-    probs = [1.0] * n
-    kids: list[list[int]] = [[] for _ in order]
-    for i, nid in enumerate(order):
-        raw = seen[nid]
-        t = time_of[i]
-        parent = raw.get("parent")
+def _link_fault(
+    horizon: int, order: list, time_of: list, index_of: dict, parents: Iterable, probs: Iterable
+) -> None:
+    """Raise the first fault of the nodes' links to their parents, in
+    canonical order: per node, the root's time or the parent, the time
+    step, the probability's type and range, then the time's range."""
+    for nid, t, parent, prob in zip(order, time_of, parents, probs):
         if parent is None:
             if t != 0:
                 raise GameSpecError(f"root node {nid} has time {t}, expected 0")
@@ -441,7 +410,6 @@ def _checked_tree(horizon: int, raw_nodes: Sequence) -> EventTree:
                 raise GameSpecError(
                     f"time inconsistency at node {nid}: time {t}, parent at {time_of[p]}"
                 )
-            prob = raw.get("prob")
             if isinstance(prob, bool) or not isinstance(prob, (int, float)):
                 raise GameSpecError(f"node {nid} needs a numeric 'prob'")
             try:
@@ -454,29 +422,25 @@ def _checked_tree(horizon: int, raw_nodes: Sequence) -> EventTree:
                 raise GameSpecError(
                     f"transition probability {prob:g} at node {nid} outside (0, 1]"
                 )
-            parents[i] = p
-            probs[i] = prob
-            # Appended in canonical order, so each child list is in id order.
-            kids[p].append(i)
         if not 0 <= t <= horizon:
             raise GameSpecError(f"node {nid} at time {t} outside 0..{horizon}")
 
-    child_probs = [()] * n
-    for i, nid in enumerate(order):
-        if time_of[i] < horizon:
-            if not kids[i]:
-                raise GameSpecError(
-                    f"leaf before horizon: node {nid} at time {time_of[i]} < {horizon}"
-                )
-            child_probs[i] = tuple(map(probs.__getitem__, kids[i]))
-            total = left_sum(child_probs[i])
+
+def _children_fault(horizon: int, order: list, time_of: list, parents: list, edge: list) -> None:
+    """Raise the first node before the horizon, in canonical order, with no
+    children or with children whose probabilities do not sum to 1.  No node
+    at the horizon has a child: it would be past the horizon, which the
+    link checks refuse."""
+    kids: list[list[int]] = [[] for _ in order]
+    for i, p in enumerate(parents[1:], 1):
+        kids[p].append(i)
+    for nid, t, mine in zip(order, time_of, kids):
+        if t < horizon:
+            if not mine:
+                raise GameSpecError(f"leaf before horizon: node {nid} at time {t} < {horizon}")
+            total = left_sum(map(edge.__getitem__, mine))
             if abs(total - 1.0) > PROB_TOL:
                 raise GameSpecError(f"probabilities sum to {total:g} at {nid}")
-        elif kids[i]:
-            raise GameSpecError(f"node {nid} at the horizon has children")
-
-    nodes = map(Node, range(n), order, time_of, parents, probs, map(tuple, kids), child_probs)
-    return EventTree(horizon, nodes)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -639,6 +644,58 @@ class TestGenCommand:
         assert code == 1
         assert text == ""
         assert err.startswith("error: payoff range ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _refused_in_one_gib(argv) -> str:
+    """The one ``error:`` line of a CLI run in a child process limited to
+    1 GiB of address space, which must exit 1 within seconds."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(sg.__file__)))
+    python_path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stopgames", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=python_path),
+        preexec_fn=limit,
+        timeout=120,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
+
+
+class TestRefusedBeforeAllocating:
+    """Inputs that would need gigabytes are refused before anything of
+    their size is built."""
+
+    def test_a_game_file_too_short_for_its_payoffs(self, tmp_path):
+        # A 20,001-node chain with empty sections: about 1.2 MB of text
+        # for (T + 1)**2 = 4 * 10**8 pairs (s, t).
+        nodes = [{"id": "0", "time": 0}]
+        nodes += [
+            {"id": str(t), "time": t, "parent": str(t - 1), "prob": 1.0} for t in range(1, 20001)
+        ]
+        path = tmp_path / "chain.json"
+        path.write_text(
+            json.dumps({"horizon": 20000, "nodes": nodes, "payoffs": {"1": {}, "2": {}}})
+        )
+        error = _refused_in_one_gib(["solve-sim", str(path)])
+        assert error.endswith("cannot hold 400040001 payoff entries per section")
+
+    @pytest.mark.parametrize("horizon", ["40", "1000000000"])
+    def test_gen_over_its_budget(self, tmp_path, horizon):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--horizon", horizon, "--branching", "2", "--seed", "1", "-o", str(out)]
+        error = _refused_in_one_gib(argv)
+        assert error.endswith("needs more than 16777216 payoff entries per player")
         assert not out.exists()
 
 

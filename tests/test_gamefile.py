@@ -609,6 +609,36 @@ class TestParsing:
         with pytest.raises(sg.GameSpecError, match=r"missing entry \(0,1\)"):
             gamefile.parse(text)
 
+    def test_a_text_too_short_for_its_payoffs_is_refused(self):
+        # A horizon-30 chain needs 31**2 = 961 entries per section, at least
+        # 4,805 characters each.
+        nodes = [{"id": "0", "time": 0}]
+        nodes += [{"id": str(t), "time": t, "parent": str(t - 1), "prob": 1.0} for t in range(1, 31)]
+        for payoffs, sections in (({"1": {}, "2": {}}, 2), ({"1": {}, "3": {}}, 1)):
+            text = json.dumps({"horizon": 30, "nodes": nodes, "payoffs": payoffs})
+            assert len(text) < 5 * 961 * sections
+            with pytest.raises(sg.GameSpecError) as exc:
+                gamefile.parse(text)
+            assert str(exc.value) == (
+                f"game file of {len(text)} characters cannot hold 961 payoff entries per section"
+            )
+
+    def test_a_compact_valid_file_is_not_refused_for_its_length(self):
+        # One-character ids and payoffs of 0 written without spaces: each
+        # entry takes 6 characters, more than the 5 the bound counts.
+        nodes = [{"id": "0", "time": 0}]
+        nodes += [{"id": str(t), "time": t, "parent": str(t - 1), "prob": 1} for t in range(1, 10)]
+        payoffs = {
+            str(player): {
+                f"{s},{t}": {str(max(s, t)): 0} for s in range(10) for t in range(10)
+            }
+            for player in (1, 2)
+        }
+        text = json.dumps(
+            {"horizon": 9, "nodes": nodes, "payoffs": payoffs}, separators=(",", ":")
+        )
+        assert gamefile.parse(text).tree.n_nodes == 10
+
     @pytest.mark.parametrize("key", ["00,1", " 0,1", "0,+1", "0,0_1", "0, 1", "0,1 "])
     @pytest.mark.parametrize("replace", [True, False], ids=["renamed", "added"])
     def test_a_non_canonical_payoff_key_is_refused(self, key, replace):
@@ -836,6 +866,20 @@ class TestGeneration:
     def test_branching_validation(self):
         with pytest.raises(sg.GameSpecError, match="branching"):
             gamefile.generate_random_game(1, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "horizon, branching",
+        # A chain of horizon T has (T + 1)**2 entries: 4097**2 > 2**24.
+        [(40, 2), (4096, 1), (10**9, 1), (10**9, 10**9), (1, 2**24)],
+    )
+    def test_a_shape_over_the_budget_is_refused(self, horizon, branching):
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.generate_random_game(horizon, branching, seed=0)
+        assert str(exc.value) == (
+            f"horizon {horizon}, branching {branching} needs more than 16777216 "
+            f"payoff entries per player"
+        )
+        assert gamefile.GEN_BUDGET == 2**24
 
 
 class TestProfiles:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from types import MappingProxyType
 
 import pytest
 from pytest import approx
@@ -154,6 +155,22 @@ def _spec(horizon, *nodes):
     return {"horizon": horizon, "nodes": rows}
 
 
+def _assert_same_tree(got, want):
+    assert tuple(map(tuple, got.nodes)) == tuple(map(tuple, want.nodes))
+    for name in ("horizon", "levels", "level_start", "node_prob", "leaf_probs", "by_id"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _refuse_fault_walks(monkeypatch):
+    """Make each of `build_tree`'s per-node fault walks fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("a valid spec entered a per-node fault walk")
+
+    for name in ("_input_fault", "_link_fault", "_children_fault"):
+        monkeypatch.setattr(tree_module, name, refuse)
+
+
 class TestBuildTreeFields:
     def test_every_field_matches_a_reference_built_from_the_spec(self):
         for spec in _shuffled_gen_specs():
@@ -171,11 +188,8 @@ class TestBuildTreeFields:
 
     def test_shuffled_irregular_specs_match_the_reference(self, monkeypatch):
         # 1-3 children per node, so each level mixes child counts; every
-        # spec is valid, so none is built by the checked loop.
-        def refuse(*args):
-            raise AssertionError("a valid spec entered the checked loop")
-
-        monkeypatch.setattr(tree_module, "_checked_tree", refuse)
+        # spec is valid, so none reaches a per-node fault walk.
+        _refuse_fault_walks(monkeypatch)
         rng = random.Random(11)
         for _ in range(60):
             spec = random_spec(rng)
@@ -188,16 +202,45 @@ class TestBuildTreeFields:
                 assert getattr(tree, name) == ref[name], name
             assert tree.by_id == {n[1]: n[0] for n in ref["nodes"]}
 
-    def test_valid_specs_never_enter_the_checked_loop(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a valid spec entered the checked loop")
-
-        monkeypatch.setattr(tree_module, "_checked_tree", refuse)
+    def test_valid_specs_never_enter_a_fault_walk(self, monkeypatch):
+        _refuse_fault_walks(monkeypatch)
         for spec in _shuffled_gen_specs():
             sg.build_tree(spec)
         sg.build_tree({"horizon": 0, "nodes": [{"id": "r", "time": 0}]})
         chain_tree(50)
         three_node_tree()
+
+    def test_int_ids_and_parents_read_as_str_writes_them(self):
+        # Ids such as 10 and 9 sort as their text, "10" < "9".
+        rng = random.Random(23)
+        for _ in range(30):
+            spec = random_spec(rng)
+            rng.shuffle(spec["nodes"])
+            # Ids "n123" become 123 or "123".
+            spelled = [
+                {
+                    "horizon": spec["horizon"],
+                    "nodes": [
+                        {k: word(v[1:]) if k in ("id", "parent") else v for k, v in node.items()}
+                        for node in spec["nodes"]
+                    ],
+                }
+                for word in (int, str)
+            ]
+            as_ints, as_strs = map(sg.build_tree, spelled)
+            _assert_same_tree(as_ints, as_strs)
+            assert all(type(node.id) is str for node in as_ints.nodes)
+
+    def test_mapping_nodes_build_the_tree_of_dicts(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            spec = random_spec(rng)
+            rng.shuffle(spec["nodes"])
+            proxies = [MappingProxyType(node) for node in spec["nodes"]]
+            mixed = [MappingProxyType(n) if k % 2 else n for k, n in enumerate(spec["nodes"])]
+            for nodes in (proxies, mixed):
+                got = sg.build_tree({"horizon": spec["horizon"], "nodes": nodes})
+                _assert_same_tree(got, sg.build_tree(spec))
 
     def test_a_tree_keeps_linear_state(self):
         # A 3,000-node chain: state quadratic in the depth, such as a root
@@ -279,6 +322,55 @@ class TestBuildTreeFields:
                 _spec(2, ("r", 0, None, 0), ("b", 1, "r", 0.5), ("a", 1, "r", 0.5),
                       ("c", 2, "b", 0.5)),
                 "leaf before horizon: node a at time 1 < 2",
+            ),
+            # Each fault function on a spec that a later stage would also
+            # refuse.  Input order: a non-object before an orphan.
+            (
+                {
+                    "horizon": 1,
+                    "nodes": [
+                        MappingProxyType({"id": "r", "time": 0}),
+                        ["a"],
+                        {"id": "b", "time": 1, "parent": "ghost", "prob": 1.0},
+                    ],
+                },
+                "each node must be an object",
+            ),
+            # Ids read as `str` writes them: 1 and "1", None and "None" clash.
+            (
+                {"horizon": 0, "nodes": [{"id": 1, "time": 0}, {"id": "1", "time": 0}]},
+                "duplicate node id 1",
+            ),
+            (
+                {"horizon": 0, "nodes": [{"id": None, "time": 0}, {"id": "None", "time": 0}]},
+                "duplicate node id None",
+            ),
+            (
+                {"horizon": 1, "nodes": [{"time": 0}, {"id": "r", "time": 0, "parent": "r"}]},
+                "node without 'id'",
+            ),
+            # Canonical order: an int parent that names no node, before a
+            # time out of range and a leaf before the horizon.
+            (
+                {
+                    "horizon": 2,
+                    "nodes": [
+                        MappingProxyType(row)
+                        for row in _spec(2, ("r", 0, None, 0), ("a", 1, 7, 1.0),
+                                         ("b", 3, "a", 1.0))["nodes"]
+                    ],
+                },
+                "orphan node a: unknown parent 7",
+            ),
+            (
+                _spec(1, ("r", 0, None, 0), ("a", 1, "r", 10**400), ("b", 1, "r", 2.0)),
+                "transition probability at node a outside (0, 1]",
+            ),
+            # The children in canonical order: a sum at int-named node 1
+            # before the leaf at node 2.
+            (
+                _spec(2, (0, 0, None, 0), (2, 1, 0, 0.5), (1, 1, 0, 0.5), (3, 2, 1, 0.5)),
+                "probabilities sum to 0.5 at 1",
             ),
         ],
         ids=repr,
