@@ -30,16 +30,17 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import add, eq, getitem, is_, itemgetter, mul, neg, sub
+from operator import add, is_, itemgetter, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GameSpecError
-from .strategies import AdjustmentFamily, PayoffField, RandomizedStoppingTime, Strategy
+from .strategies import AdjustmentFamily, CheckedRows, PayoffField, RandomizedStoppingTime
+from .strategies import Strategy
 from .tree import EventTree, StoppingTime, build_tree, checked_int, left_sum
 
 FORMAT_NAME = "stopping-game-v1"
@@ -151,46 +152,10 @@ def _level_ids(tree: EventTree) -> list[list[str]]:
     return [[tree.nodes[idx].id for idx in level] for level in tree.levels]
 
 
-def _rows(tree: EventTree, sections: list[Mapping]) -> list[tuple] | None:
-    """The blocks of the given payoff sections as value tuples, in field
-    order: section by section, each in canonical (s, t) order and each block
-    in canonical node order, whatever the order in the file.
-
-    None when a section's (s, t) entries are not exactly the horizon's, or a
-    block does not hold exactly the nodes of its level; ``_slices_by_block``
-    then words the fault.
-    """
-    pairs, levels = tree.stop_pairs, tree.stop_levels
-    level_ids = _level_ids(tree)
-    level_sizes = list(map(len, level_ids))
-    sizes = list(map(level_sizes.__getitem__, levels))
-    # Each level's getter reads its nodes in canonical order.  For a one-node
-    # level it returns the bare value.  Those levels come first, since no
-    # node before the horizon is a leaf, so in each row s < lone of the
-    # (s, t) grid the first `lone` values are wrapped into 1-tuples.
-    level_getters = [itemgetter(*ids) for ids in level_ids]
-    getters = list(map(level_getters.__getitem__, levels))
-    lone = level_sizes.count(1)
-    n = tree.horizon + 1
-    rows: list[tuple] = []
-    try:
-        for by_st in sections:
-            blocks = list(map(by_st.__getitem__, pairs))
-            if len(by_st) != len(pairs) or list(map(len, blocks)) != sizes:
-                return None
-            values = list(map(itemgetter.__call__, getters, blocks))
-            for start in range(0, lone * n, n):
-                values[start : start + lone] = zip(values[start : start + lone])
-            rows += values
-    except KeyError:
-        return None
-    return rows
-
-
 def _slices_by_block(sections: Iterable[Mapping], tree: EventTree) -> None:
-    """Word the first fault ``_rows`` found, one block at a time in file
-    order: a node off the block's level, else a node of the level that the
-    block lacks."""
+    """Word the first fault of blocks that do not gather into rows, one
+    block at a time in file order: a node off the block's level, else a
+    node of the level that the block lacks."""
     level_ids = _level_ids(tree)
     for by_st in sections:
         for st, per_node in by_st.items():
@@ -225,24 +190,51 @@ def _negation_by_block(
 
 @dataclass(frozen=True)
 class GameDocument:
-    """A parsed game file: the tree plus raw per-player payoff sections."""
+    """A game: the tree plus, per player present (in a file's section order),
+    the payoff rows that ``PayoffField`` takes: one tuple per (s, t) in
+    ``tree.stop_pairs`` order, of the values of level max(s, t)'s nodes in
+    canonical order.  ``generate_random_game`` gives ``CheckedRows``, and so
+    does ``parse`` for a section of finite values; it gives None for one whose
+    blocks do not hold exactly their levels' nodes, and keeps the decoded
+    sections to word such faults.
+    """
 
     tree: EventTree
-    sections: dict[int, dict[tuple[int, int], dict[str, float]]]
+    rows: dict[int, list[tuple[float, ...]] | None]
     name: str | None = None
     seed: int | None = None
+    _decoded: dict[int, dict] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
         return self.tree.horizon
 
+    def _blocks(self) -> dict[int, dict[tuple[int, int], Mapping[str, float]]]:
+        """Each player's payoff blocks by (s, t), to word a fault: a parsed
+        file's, in its order and with float values; else the rows'."""
+        tree = self.tree
+        if self._decoded is None:
+            ids = _level_ids(tree)
+            return {
+                p: {st: dict(zip(ids[max(st)], row)) for st, row in zip(tree.stop_pairs, rows)}
+                for p, rows in self.rows.items()
+            }
+        keys = _pair_keys(tree)
+        return {
+            p: {keys[k]: dict(zip(b, map(float, b.values()))) for k, b in by_st.items()}
+            for p, by_st in self._decoded.items()
+        }
+
     def payoff_field(self) -> PayoffField:
         """Two-player field; both payoff sections must be present."""
-        if set(self.sections) != {1, 2}:
+        if set(self.rows) != {1, 2}:
             raise GameSpecError("game file needs payoff sections for players 1 and 2")
-        rows = _rows(self.tree, [self.sections[1], self.sections[2]])
-        if rows is None:
-            _slices_by_block(self.sections.values(), self.tree)
+        rows1, rows2 = self.rows[1], self.rows[2]
+        if rows1 is None or rows2 is None:
+            _slices_by_block(self._blocks().values(), self.tree)
+        rows = [*rows1, *rows2]
+        if type(rows1) is type(rows2) is CheckedRows:
+            rows = CheckedRows(rows, max(rows1.bound, rows2.bound))
         return PayoffField(self.tree, rows)
 
     def zero_sum_field(self) -> PayoffField:
@@ -251,19 +243,23 @@ class GameDocument:
         A present section 2 must already equal the negation exactly.  Its
         faults are named before section 1's.
         """
-        if 1 not in self.sections:
+        if 1 not in self.rows:
             raise GameSpecError("game file needs a payoff section for player 1")
-        tree = self.tree
-        rows = _rows(tree, [self.sections[p] for p in (1, 2) if p in self.sections])
-        n = len(tree.stop_pairs)
-        # Section 2's rows, if any, follow section 1's and must negate them.
-        if rows is None or not all(
-            map(eq, chain.from_iterable(rows[n:]), map(neg, chain.from_iterable(rows[:n])))
+        rows1, rows2, flat = self.rows[1], self.rows.get(2, ()), chain.from_iterable
+        # Section 2, if any, must hold the negation of section 1's values.
+        if rows1 is None or rows2 is None or (
+            2 in self.rows and list(flat(rows2)) != list(map(neg, flat(rows1)))
         ):
-            if 2 in self.sections:
-                _negation_by_block(self.sections, tree)
-            _slices_by_block([self.sections[1]], tree)
-        return PayoffField.zero_sum(tree, rows[:n])
+            blocks = self._blocks()
+            if 2 in blocks:
+                _negation_by_block(blocks, self.tree)
+            _slices_by_block([blocks[1]], self.tree)
+        return PayoffField.zero_sum(self.tree, rows1)
+
+
+def _pair_keys(tree: EventTree) -> dict[str, tuple[int, int]]:
+    """Each stop pair of the tree by its "s,t" text."""
+    return dict(zip(_st_texts(tree.horizon + 1, "", ""), tree.stop_pairs))
 
 
 def _st_key_fault(st_key: str, horizon: int) -> GameSpecError:
@@ -292,29 +288,68 @@ def _block_fault(by_st: Mapping, keys: Mapping[str, tuple[int, int]], horizon: i
             raise _st_key_fault(st_key, horizon)
 
 
-def _float_payoffs(section: dict, player: int) -> dict:
-    """`section` with every payoff a float; each must be a JSON number."""
-    kinds = set(map(type, chain.from_iterable(map(dict.values, section.values()))))
-    if kinds <= {float}:
-        return section
-    if kinds <= {float, int}:
-        try:
-            return {
-                st: dict(zip(per_node, map(float, per_node.values())))
-                for st, per_node in section.items()
-            }
-        except OverflowError:
-            pass
-    for st, per_node in section.items():
-        for nid, val in per_node.items():
-            if type(val) not in (float, int):
+class _SectionReader:
+    """Reads a file's payoff sections on one tree into rows in field order,
+    each block looked up by its "s,t" text and read by its level's getter."""
+
+    def __init__(self, tree: EventTree):
+        self.tree = tree
+        self.texts = list(_st_texts(tree.horizon + 1, "", ""))
+        level_ids = _level_ids(tree)
+        level_sizes = list(map(len, level_ids))
+        self.sizes = list(map(level_sizes.__getitem__, tree.stop_levels))
+        getters = [itemgetter(*ids) for ids in level_ids]
+        self.getters = list(map(getters.__getitem__, tree.stop_levels))
+        self.lone = level_sizes.count(1)
+
+    def __call__(self, by_st: Mapping, player: int) -> list[tuple[float, ...]] | None:
+        """Section `player` as ``CheckedRows`` when every value is finite,
+        else a plain list, or None when a block does not hold exactly its
+        level's nodes (a field words that).  Other faults are raised, walked
+        in file order only when a whole-list pass fails."""
+        tree = self.tree
+        blocks = list(map(by_st.get, self.texts))
+        if len(by_st) != len(blocks) or not set(map(type, blocks)) <= {dict}:
+            keys = _pair_keys(tree)
+            _block_fault(by_st, keys, tree.horizon)
+            s, t = next(st for st_key, st in keys.items() if st_key not in by_st)
+            raise GameSpecError(f"payoff section {player} missing entry ({s},{t})")
+        kinds = set(map(type, chain.from_iterable(map(dict.values, blocks))))
+        if not kinds <= {float, int}:
+            keys = _pair_keys(tree)
+            for st_key, per_node in by_st.items():
+                for nid, val in per_node.items():
+                    if type(val) not in (float, int):
+                        raise GameSpecError(
+                            f"payoff for node {nid} at (s,t)={keys[st_key]} in section {player} "
+                            f"is not a number"
+                        )
+        if int in kinds:
+            try:
+                blocks = [dict(zip(block, map(float, block.values()))) for block in blocks]
+            except OverflowError:
                 raise GameSpecError(
-                    f"payoff for node {nid} at (s,t)={st} in section {player} "
-                    f"is not a number"
-                )
-    raise GameSpecError(
-        f"payoff section {player} holds an integer too large for a float"
-    )
+                    f"payoff section {player} holds an integer too large for a float"
+                ) from None
+        if list(map(len, blocks)) != self.sizes:
+            return None
+        try:
+            rows = list(map(itemgetter.__call__, self.getters, blocks))
+        except KeyError:
+            return None
+        # A getter returns a bare value for a one-node level.  Those levels
+        # come first, as no node before the horizon is a leaf, so in each row
+        # s < lone of the (s, t) grid the first `lone` values are wrapped.
+        n = tree.horizon + 1
+        for start in range(0, self.lone * n, n):
+            rows[start : start + self.lone] = zip(rows[start : start + self.lone])
+        # A sum of finite floats can overflow, but a sum that is finite has
+        # no infinite or NaN term, so that one C-level pass stands for the
+        # test of each value in the common case.
+        flat = chain.from_iterable
+        if not (isfinite(sum(flat(rows))) or all(map(isfinite, flat(rows)))):
+            return rows
+        return CheckedRows(rows, max(map(abs, flat(rows)), default=0.0))
 
 
 def parse(text: str) -> GameDocument:
@@ -342,34 +377,25 @@ def parse(text: str) -> GameDocument:
             f"game file of {len(text)} characters cannot hold {entries} payoff entries per section"
         )
 
-    pairs = tree.stop_pairs  # shared by the sections and fields on the tree
-    keys = dict(zip(_st_texts(horizon + 1, "", ""), pairs))
-    sections: dict[int, dict[tuple[int, int], dict[str, float]]] = {}
+    read = _SectionReader(tree)
+    rows: dict[int, list[tuple[float, ...]] | None] = {}
     for player_key, by_st in payoffs.items():
         if player_key not in ("1", "2"):
             raise GameSpecError(f"unknown payoff section {player_key!r}")
         if not isinstance(by_st, dict):
             raise GameSpecError(f"payoff section {player_key} must be an object")
-        player = int(player_key)
-        # Only a section with a bad key or block is walked one entry at a time.
-        sts = list(map(keys.get, by_st))
-        blocks = list(by_st.values())
-        if not (all(sts) and set(map(type, blocks)) <= {dict}):
-            _block_fault(by_st, keys, horizon)
-        section = dict(zip(sts, blocks))
-        if len(section) != len(keys):
-            s, t = next(st for st in keys.values() if st not in section)
-            raise GameSpecError(f"payoff section {player} missing entry ({s},{t})")
-        sections[player] = _float_payoffs(section, player)
+        rows[int(player_key)] = read(by_st, int(player_key))
 
     name = raw.get("name")
     seed = raw.get("seed")
-    return GameDocument(
+    doc = GameDocument(
         tree=tree,
-        sections=sections,
+        rows=rows,
         name=None if name is None else str(name),
         seed=None if seed is None else checked_int(seed, "seed"),
     )
+    object.__setattr__(doc, "_decoded", {int(key): by_st for key, by_st in payoffs.items()})
+    return doc
 
 
 def read_text(path: str, document: str) -> str:
@@ -439,30 +465,30 @@ def _json_numbers(values: Sequence) -> Sequence:
     return list(map(_SCALAR, values))
 
 
-def _payoff_parts(tree: EventTree, sections: Mapping[int, Mapping]) -> list[str]:
+def _payoff_parts(doc: GameDocument) -> list[str]:
     """The text of a game file's payoffs object, in parts that the whole
     document is joined from, so no section's text is copied on the way.
-
-    Each section is one ``format`` of the tree's section template, with the
-    values of the level's nodes in each block gathered in field order by
-    one C-level ``map``; other entries of a block are not read.  The values
-    go into the template as ``_json_numbers`` gives them.
-    """
-    if not sections:
+    Each section is one ``format`` of the tree's section template with its
+    rows' values, as ``_json_numbers`` gives them, once the rows are seen to
+    fit the tree: ``str.format`` would ignore surplus values."""
+    if not doc.rows:
         return ["{}"]
+    tree = doc.tree
     level_ids = _level_ids(tree)
     sizes = list(map(len, map(level_ids.__getitem__, tree.stop_levels)))
-    ids = list(chain.from_iterable(map(level_ids.__getitem__, tree.stop_levels)))
     template = _section_template(tree, level_ids)
     parts = ["{\n"]
-    for player in sorted(sections):
-        section = sections[player]
-        blocks = map(section.__getitem__, tree.stop_pairs)
+    for player in sorted(doc.rows):
+        rows = doc.rows[player]
+        if rows is None:
+            _slices_by_block([doc._blocks()[player]], tree)
         try:
-            values = list(map(getitem, chain.from_iterable(map(repeat, blocks, sizes)), ids))
-        except KeyError:
-            _slices_by_block([section], tree)
-            raise GameSpecError(f"payoff section {player} lacks an (s,t) entry") from None
+            fits = list(map(len, rows)) == sizes
+        except TypeError:
+            fits = False
+        if not fits:
+            raise GameSpecError(f"payoff section {player} rows do not fit the (s,t) levels")
+        values = list(chain.from_iterable(rows))
         parts += [f'    "{player}": {{\n', template.format(*_json_numbers(values)), "\n    },\n"]
     parts[-1] = "\n    }\n  }"
     return parts
@@ -494,7 +520,7 @@ def emit(doc: GameDocument) -> str:
             f"{{\n  {_FLAT[0].encode(head)[1:-1]},\n",
             f'  "nodes": {_flat_list(nodes, 1)},\n',
             '  "payoffs": ',
-            *_payoff_parts(tree, doc.sections),
+            *_payoff_parts(doc),
             "\n}\n",
         ]
     )
@@ -551,29 +577,27 @@ def generate_random_game(
     level_ids = ["0:0"]
     for t in range(1, horizon + 1):
         next_ids = []
-        counter = 0
         for parent in level_ids:
             weights = [0.1 + 0.9 * rng.random() for _ in range(branching)]
             total = left_sum(weights)
             for w in weights:
-                nid = f"{t}:{counter}"
-                counter += 1
-                nodes.append(
-                    {"id": nid, "time": t, "parent": parent, "prob": w / total}
-                )
+                nid = f"{t}:{len(next_ids)}"
+                nodes.append({"id": nid, "time": t, "parent": parent, "prob": w / total})
                 next_ids.append(nid)
         level_ids = next_ids
     tree = build_tree({"horizon": horizon, "nodes": nodes})
 
-    players = (1,) if zero_sum else (1, 2)
-    level_ids = _level_ids(tree)
-    sections: dict[int, dict[tuple[int, int], dict[str, float]]] = {}
-    for player in players:
-        sections[player] = {
-            st: {nid: lo + (hi - lo) * rng.random() for nid in level_ids[level]}
-            for st, level in zip(tree.stop_pairs, tree.stop_levels)
-        }
-    return GameDocument(tree=tree, sections=sections, name=name, seed=seed)
+    # Payoffs are drawn in field order, one rng.random() per node of each
+    # (s, t) block, and cut into rows; a finite range keeps each draw finite.
+    level_sizes = list(map(len, tree.levels))
+    ends = list(accumulate(map(level_sizes.__getitem__, tree.stop_levels)))
+    cuts = list(map(slice, [0, *ends[:-1]], ends))
+    rand = rng.random
+    rows = {}
+    for player in (1,) if zero_sum else (1, 2):
+        draws = [lo + (hi - lo) * rand() for _ in range(ends[-1])]
+        rows[player] = CheckedRows(map(tuple, map(draws.__getitem__, cuts)), max(map(abs, draws)))
+    return GameDocument(tree=tree, rows=rows, name=name, seed=seed)
 
 
 # -- Strategy profile serialization -------------------------------------------

@@ -116,38 +116,39 @@ def check_class(strategy, mixed: bool, strict: bool, message: str) -> None:
         raise GameSpecError(message)
 
 
-def _float_rows(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]] | None:
-    """`rows` as tuples of floats, or None when a row or a value is not one
-    ``float`` accepts; a tuple that holds only floats is kept.  Anything but
-    a sequence is refused: a mapping's keys are not payoff rows."""
+class CheckedRows(list):
+    """Payoff rows in field order, each a tuple of finite floats sized to the
+    level of its (s, t), with ``bound``, their largest payoff magnitude, so
+    that a field built from them does not check each value again."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, rows: Iterable[tuple[float, ...]], bound: float):
+        super().__init__(rows)
+        self.bound = bound
+
+
+def _checked_rows(
+    tree: EventTree, rows: Sequence[Sequence[float]], players: tuple[int, ...]
+) -> CheckedRows:
+    """The given players' payoff rows as ``CheckedRows``: `rows` itself when
+    it is such rows sized to the tree, else each row read as a tuple of
+    floats, or the first fault: anything but a sequence (a mapping's keys
+    are not rows), a wrong number of rows, then, row by row in field order,
+    a row that is not a sequence of values ``float`` accepts, a wrong size,
+    then a non-finite value.  A row is named by its position (player, s, t)."""
+    level_sizes = list(map(len, tree.levels))
+    sizes = list(map(level_sizes.__getitem__, tree.stop_levels)) * len(players)
+    if type(rows) is CheckedRows and list(map(len, rows)) == sizes:
+        return rows
     if not isinstance(rows, Sequence):
         raise GameSpecError(f"payoff rows must be a sequence, not {type(rows).__name__}")
-    try:
-        rows = list(map(tuple, rows))
-        if set(map(type, chain.from_iterable(rows))) <= {float}:
-            return rows
-        return list(map(tuple, map(map, repeat(float), rows)))
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
-def _first_row_fault(
-    tree: EventTree, rows: Sequence[Sequence[float]], players: tuple[int, ...] = (1, 2)
-) -> None:
-    """Raise the first fault of the given players' payoff rows: a wrong
-    number of rows, then, one row at a time in field order, a row that is
-    not a sequence of values ``float`` accepts, a wrong size, then a
-    non-finite value.  A row is named by its position, shown as
-    (player, s, t)."""
-    pairs = tree.stop_pairs
-    if len(rows) != len(players) * len(pairs):
+    if len(rows) != len(sizes):
         whose = "" if len(players) == 2 else f" for player {players[0]}"
-        raise GameSpecError(
-            f"payoff field needs {len(players) * len(pairs)} rows{whose}, got {len(rows)}"
-        )
-    for (player, (s, t)), row in zip(product(players, pairs), rows):
-        key = (player, s, t)
-        size = len(tree.levels[max(s, t)])
+        raise GameSpecError(f"payoff field needs {len(sizes)} rows{whose}, got {len(rows)}")
+    data = []
+    n = tree.horizon + 1
+    for key, row, size in zip(product(players, range(n), range(n)), rows, sizes):
         try:
             vals = tuple(map(float, row))
         except (TypeError, ValueError, OverflowError):
@@ -156,40 +157,8 @@ def _first_row_fault(
             raise GameSpecError(f"payoff slice {key} needs {size} values, got {len(vals)}")
         if not all(map(isfinite, vals)):
             raise GameSpecError(f"non-finite payoff in slice {key}")
-
-
-def _checked_rows(
-    tree: EventTree, rows: Sequence[Sequence[float]], players: tuple[int, ...]
-) -> tuple[list[tuple[float, ...]], float]:
-    """The given players' payoff rows as tuples of floats, and the largest
-    payoff magnitude among them; a fault is raised as ``_first_row_fault``
-    words it.
-
-    A sum of finite floats can overflow, but a sum that is finite has no
-    infinite or NaN term, so that one C-level pass stands for the test of
-    each value in the common case.
-    """
-    level_sizes = list(map(len, tree.levels))
-    sizes = list(map(level_sizes.__getitem__, tree.stop_levels)) * len(players)
-    data = _float_rows(rows)
-    if (
-        data is None
-        or list(map(len, data)) != sizes
-        or not (
-            isfinite(sum(chain.from_iterable(data)))
-            or all(map(isfinite, chain.from_iterable(data)))
-        )
-    ):
-        _first_row_fault(tree, rows, players)
-    return data, max(map(abs, chain.from_iterable(data)), default=0.0)
-
-
-class _CheckedRows(list):
-    """Rows in field order that ``PayoffField.zero_sum`` has checked, with
-    their largest payoff magnitude, so that the field's constructor does not
-    check each value again."""
-
-    __slots__ = ("bound",)
+        data.append(vals)
+    return CheckedRows(data, max(map(abs, chain.from_iterable(data)), default=0.0))
 
 
 class PayoffField:
@@ -210,7 +179,7 @@ class PayoffField:
     family of a lone-stopper table keyed by the object, and the mixed payoffs
     of :func:`payoff_mixed_sim`, keyed by the strategy objects, so the
     solvers and the certificate share each result for as long as the field
-    lives.
+    lives, and records each strategy that passed :func:`validate_once`.
 
     ``unit`` is the least power of two >= ``bound``, the largest payoff
     magnitude (1.0 for an all-zero field; 2**1023, the largest finite power
@@ -221,17 +190,15 @@ class PayoffField:
 
     def __init__(self, tree: EventTree, rows: Sequence[Sequence[float]]):
         self.tree = tree
-        if type(rows) is _CheckedRows:
-            data, self.bound = rows, rows.bound
-        else:
-            data, self.bound = _checked_rows(tree, rows, (1, 2))
-        self._data: list[tuple[float, ...]] = data
+        self._data = _checked_rows(tree, rows, (1, 2))
+        self.bound = self._data.bound
         self._width = tree.horizon + 1
         mantissa, exponent = frexp(self.bound)  # 0 or in [0.5, 1)
         self.unit = ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
         self.tol = 1e-9 * self.unit
         self._tables: dict[tuple, object] = {}
         self._payoffs: dict[tuple, tuple] = {}
+        self._valid: dict[int, object] = {}
 
     @classmethod
     def zero_sum(cls, tree: EventTree, rows1: Sequence[Sequence[float]]) -> "PayoffField":
@@ -242,9 +209,8 @@ class PayoffField:
         finiteness and magnitudes, so player 2's could add no fault and
         would not change ``bound``.
         """
-        data, bound = _checked_rows(tree, rows1, (1,))
-        rows = _CheckedRows([*data, *map(tuple, map(map, repeat(neg), data))])
-        rows.bound = bound
+        data = _checked_rows(tree, rows1, (1,))
+        rows = CheckedRows([*data, *map(tuple, map(map, repeat(neg), data))], data.bound)
         return cls(tree, rows)
 
     def value(self, player: int, s: int, t: int, node: int) -> float:
@@ -277,6 +243,16 @@ class PayoffField:
         if side == "first":
             return self._data[base + level * n : base + level * n + count]
         return self._data[base + level : base + level + count * n : n]
+
+
+def validate_once(field: PayoffField, *items) -> None:
+    """Validate each strategy or stopping time against the field's tree once
+    per field.  The record is keyed by id and holds the object, so the id
+    stays unique while it lives; an object that fails is not recorded."""
+    for item in items:
+        if field._valid.get(id(item)) is not item:
+            item.validate(field.tree)
+            field._valid[id(item)] = item
 
 
 def _payoff_pure_core(
@@ -329,8 +305,9 @@ def payoff_pure(
 ) -> tuple[float, float]:
     """Exact expected payoffs of a pure strategy profile, both players.
 
-    The strategies are validated on every call; the payoffs are memoized on
-    the field, as in :func:`payoff_mixed_sim`.
+    The strategies' classes are checked on every call and each is validated
+    once per field; the payoffs are memoized on the field, as in
+    :func:`payoff_mixed_sim`.
     """
     if mode == "sim":
         for strategy in (rho, tau):
@@ -340,8 +317,7 @@ def payoff_pure(
         check_class(rho, False, True, "sequential mode needs a type-A first strategy")
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
-    rho.validate(field.tree)
-    tau.validate(field.tree)
+    validate_once(field, rho, tau)
     key = (mode, id(rho), id(tau))
     cached = field._payoffs.get(key)
     if cached is None:
@@ -442,13 +418,12 @@ def payoff_mixed_sim(
     weighting the four stage outcomes (both stop, one stops, none stops) by
     the independent per-node stop probabilities.  Once a single player has
     stopped, the other's deterministic adjustment rule takes over.  The
-    strategies are validated on every call; the payoffs are memoized on the
-    field.
+    strategies' classes are checked on every call and each is validated
+    once per field; the payoffs are memoized on the field.
     """
     for strategy in (rho, tau):
         check_class(strategy, True, True, "mixed payoffs need two mixed type-A strategies")
-    rho.validate(field.tree)
-    tau.validate(field.tree)
+    validate_once(field, rho, tau)
     # Keyed on the strategy objects, not on equality: two equal profiles may
     # differ in the sign of a zero probability.  The entry holds both
     # objects, so their ids stay unique for as long as it lives.

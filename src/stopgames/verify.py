@@ -47,6 +47,7 @@ from .strategies import (
     payoff_mixed_sim,
     payoff_pure,
     stop_alone_values,
+    validate_once,
 )
 from .tree import EventTree, StoppingTime
 
@@ -81,9 +82,7 @@ def best_response(
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
     tree = field.tree
-    opponent.validate(tree)
-    if not_before is not None:
-        not_before.validate(tree)
+    validate_once(field, *filter(None, (opponent, not_before)))
 
     T = tree.horizon
     side = "first" if player == 1 else "second"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import random
 import weakref
 
 import pytest
@@ -96,6 +99,71 @@ def reference_payoff_rows(obj: dict, zero_sum: bool) -> dict:
                     row = tuple(-v for v in row)
                 rows[(player, s, t)] = row
     return rows
+
+
+def payoff_blocks(doc: gamefile.GameDocument) -> dict:
+    """A document's payoffs as its file's payoffs object holds them:
+    {player: {(s, t): {node id: value}}}, in canonical order."""
+    tree = doc.tree
+    return {
+        player: {
+            st: {tree.nodes[idx].id: v for idx, v in zip(tree.levels[max(st)], row)}
+            for st, row in zip(tree.stop_pairs, rows)
+        }
+        for player, rows in doc.rows.items()
+    }
+
+
+def map_payoffs(doc: gamefile.GameDocument, fn) -> gamefile.GameDocument:
+    """`doc` with payoff k, counted in section then field order, replaced by
+    fn(k, value)."""
+    counter = itertools.count()
+    rows = {
+        player: [tuple(fn(next(counter), v) for v in row) for row in section]
+        for player, section in doc.rows.items()
+    }
+    return dataclasses.replace(doc, rows=rows)
+
+
+def reference_random_game(
+    horizon: int,
+    branching: int,
+    seed: int,
+    payoff_range: tuple[float, float] = (-1.0, 1.0),
+    zero_sum: bool = False,
+) -> dict:
+    """The game object that ``gamefile.generate_random_game`` draws, built by
+    per-block loops that share nothing with its row layout: nodes level by
+    level with normalized edge weights (summed left to right from 0, as
+    ``tree.left_sum`` does), then per player one dict of node values per
+    (s, t), in row-major (s, t) and canonical node order, each value
+    lo + (hi - lo) * u."""
+    rng = random.Random(seed)
+    nodes = [{"id": "0:0", "time": 0}]
+    levels = [["0:0"]]
+    for t in range(1, horizon + 1):
+        below = []
+        for parent in levels[-1]:
+            weights = [0.1 + 0.9 * rng.random() for _ in range(branching)]
+            total = 0
+            for w in weights:
+                total += w
+            for w in weights:
+                nid = f"{t}:{len(below)}"
+                nodes.append({"id": nid, "time": t, "parent": parent, "prob": w / total})
+                below.append(nid)
+        levels.append(below)
+    # Canonical order within a level sorts the ids as strings.
+    levels = [sorted(ids) for ids in levels]
+    lo, hi = payoff_range
+    payoffs = {}
+    for player in (1,) if zero_sum else (1, 2):
+        payoffs[player] = {
+            (s, t): {nid: lo + (hi - lo) * rng.random() for nid in levels[max(s, t)]}
+            for s in range(horizon + 1)
+            for t in range(horizon + 1)
+        }
+    return {"horizon": horizon, "nodes": nodes, "payoffs": payoffs}
 
 
 def field_from_function(tree: sg.EventTree, fn) -> sg.PayoffField:

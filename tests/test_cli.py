@@ -174,6 +174,33 @@ class TestSolveCommands:
         code, text = _run(["solve-zs", str(path)])
         assert (code, text, capsys.readouterr().err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (
+                "solve-zs",
+                "payoff section 2 is not the negation of section 1 at (s,t)=(0, 1), node 1:1",
+            ),
+            ("solve-sim", "payoff missing for node 1:1 at (s,t)=(0, 1)"),
+        ],
+    )
+    def test_a_short_section_2_is_named_by_each_solver(self, tmp_path, capsys, command, message):
+        # Section 2 is the negation of section 1 but for one node it lacks:
+        # a zero-sum read names the broken negation, a general read the node.
+        path = tmp_path / "zs.json"
+        gen = ["gen", "--horizon", "2", "--branching", "2", "--seed", "3", "--zero-sum"]
+        assert _run(gen + ["-o", str(path)])[0] == 0
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        payoffs = obj["payoffs"]
+        payoffs["2"] = {
+            st: {nid: -val for nid, val in block.items()} for st, block in payoffs["1"].items()
+        }
+        del payoffs["2"]["0,1"]["1:1"]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        code, text = _run([command, str(path)])
+        assert (code, text, capsys.readouterr().err) == (1, "", f"error: {message}\n")
+
     def test_input_validation_error(self, tmp_path):
         doc = {
             "format": "stopping-game-v1",
@@ -576,7 +603,7 @@ class TestGenCommand:
         )
         assert code == 0
         doc = gamefile.load(str(out))
-        assert set(doc.sections) == {1}
+        assert set(doc.rows) == {1}
 
     def test_gen_bad_range(self, tmp_path):
         code, _ = _run(
@@ -606,10 +633,7 @@ class TestGenCommand:
         assert code == 0 and capsys.readouterr().err == ""
         assert text.startswith(f"wrote {out} ")
         values = [
-            v
-            for section in gamefile.load(str(out)).sections.values()
-            for block in section.values()
-            for v in block.values()
+            v for rows in gamefile.load(str(out)).rows.values() for row in rows for v in row
         ]
         lo, hi = bounds
         assert all(lo <= v <= hi for v in values)

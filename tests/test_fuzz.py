@@ -174,11 +174,12 @@ class TestZeroSumBlocks:
         except sg.GameSpecError:
             return
         tree = doc.tree
-        u1, u2 = doc.sections[1], doc.sections[2]
-        for (s, t), block in u1.items():
+        u1, u2 = obj["payoffs"]["1"], obj["payoffs"]["2"]
+        for st_key, block in u1.items():
+            s, t = map(int, st_key.split(","))
             ids = {tree.nodes[idx].id for idx in tree.levels[max(s, t)]}
-            assert set(block) == set(u2[(s, t)]) == ids
-            assert all(u2[(s, t)][nid] == -val for nid, val in block.items())
+            assert set(block) == set(u2[st_key]) == ids
+            assert all(u2[st_key][nid] == -val for nid, val in block.items())
 
 
 class TestProfileReader:

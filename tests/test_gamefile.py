@@ -13,7 +13,8 @@ import pytest
 import stopgames as sg
 from stopgames import gamefile, strategies
 
-from conftest import reference_payoff_rows
+from conftest import map_payoffs, payoff_blocks, reference_payoff_rows, reference_random_game
+from test_tables import random_spec
 
 
 def _reference_game_text(doc: gamefile.GameDocument) -> str:
@@ -34,16 +35,10 @@ def _reference_game_text(doc: gamefile.GameDocument) -> str:
             entry["prob"] = node.edge_prob
         nodes.append(entry)
     obj["nodes"] = nodes
+    blocks = payoff_blocks(doc)
     obj["payoffs"] = {
-        str(player): {
-            f"{s},{t}": {
-                tree.nodes[idx].id: doc.sections[player][(s, t)][tree.nodes[idx].id]
-                for idx in tree.levels[max(s, t)]
-            }
-            for s in range(tree.horizon + 1)
-            for t in range(tree.horizon + 1)
-        }
-        for player in sorted(doc.sections)
+        str(player): {f"{s},{t}": block for (s, t), block in blocks[player].items()}
+        for player in sorted(blocks)
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -65,19 +60,6 @@ def _reference_profile_text(tree: sg.EventTree, mode: str, profile: tuple) -> st
     rho, tau = profile
     obj = {"mode": mode, "player1": strategy(rho), "player2": strategy(tau)}
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _map_payoffs(doc: gamefile.GameDocument, fn) -> gamefile.GameDocument:
-    """`doc` with payoff k (counted in section order) replaced by fn(k, value)."""
-    counter = itertools.count()
-    sections = {
-        player: {
-            st: {nid: fn(next(counter), v) for nid, v in per_node.items()}
-            for st, per_node in by_st.items()
-        }
-        for player, by_st in doc.sections.items()
-    }
-    return dataclasses.replace(doc, sections=sections)
 
 
 def _odd_values(k: int, v: float):
@@ -105,12 +87,13 @@ def _odd_ids_game() -> gamefile.GameDocument:
 
 
 def _reversed_blocks(doc: gamefile.GameDocument) -> gamefile.GameDocument:
-    """`doc` with every payoff block's nodes listed in reverse order."""
-    sections = {
-        player: {st: dict(reversed(per_node.items())) for st, per_node in by_st.items()}
-        for player, by_st in doc.sections.items()
-    }
-    return dataclasses.replace(doc, sections=sections)
+    """`doc` read back from its file with every payoff block's nodes listed
+    in reverse order."""
+    obj = json.loads(gamefile.emit(doc))
+    for section in obj["payoffs"].values():
+        for st, block in section.items():
+            section[st] = dict(reversed(block.items()))
+    return gamefile.parse(json.dumps(obj))
 
 
 def _non_finite_game() -> gamefile.GameDocument:
@@ -119,10 +102,8 @@ def _non_finite_game() -> gamefile.GameDocument:
     section 1 is all finite."""
     doc = gamefile.generate_random_game(2, 2, seed=10)
     odd = itertools.cycle((math.inf, 0.5, -math.inf, -0.0, math.nan, 1))
-    section = {
-        st: {nid: next(odd) for nid in block} for st, block in doc.sections[2].items()
-    }
-    doc = dataclasses.replace(doc, sections={**doc.sections, 2: section})
+    section = [tuple(next(odd) for _ in row) for row in doc.rows[2]]
+    doc = dataclasses.replace(doc, rows={**doc.rows, 2: section})
     return gamefile.parse(_reference_game_text(doc))
 
 
@@ -135,10 +116,10 @@ _EMIT_CASES = {
     "chain-200": lambda: gamefile.generate_random_game(200, 1, seed=1),
     "non-finite": _non_finite_game,
     "zero-sum": lambda: gamefile.generate_random_game(3, 2, seed=9, zero_sum=True),
-    "int-and-signed-zero": lambda: _map_payoffs(
+    "int-and-signed-zero": lambda: map_payoffs(
         gamefile.generate_random_game(3, 2, seed=3), _odd_values
     ),
-    "rounded-zero-sum": lambda: _map_payoffs(
+    "rounded-zero-sum": lambda: map_payoffs(
         gamefile.generate_random_game(2, 3, seed=5, zero_sum=True), lambda k, v: round(v)
     ),
     "no-name-no-seed": lambda: dataclasses.replace(
@@ -159,7 +140,7 @@ class TestRoundTrip:
         assert again.name == "roundtrip"
         assert again.seed == 5
         assert [n.id for n in again.tree.nodes] == [n.id for n in doc.tree.nodes]
-        assert again.sections == doc.sections
+        assert again.rows == doc.rows
 
     def test_bundled_game_loads(self):
         doc = gamefile.load_bundled("matching_times")
@@ -171,7 +152,7 @@ class TestRoundTrip:
 
     def test_zero_sum_single_section(self):
         doc = gamefile.generate_random_game(2, 2, seed=9, zero_sum=True)
-        assert set(doc.sections) == {1}
+        assert set(doc.rows) == {1}
         field = doc.zero_sum_field()
         for s in range(3):
             for t in range(3):
@@ -199,14 +180,40 @@ class TestEmitBytes:
             gamefile.parse(text)
         )
 
-    def test_emit_names_a_block_fault(self):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows.__setitem__(5, rows[5] + (0.5,)),
+            lambda rows: rows.__setitem__(5, rows[5][:-1]),
+            lambda rows: rows.pop(),
+            lambda rows: rows.append((0.5,)),
+            lambda rows: rows.__setitem__(0, 0.5),
+            lambda rows: (rows.__setitem__(1, rows[1] + rows[2]), rows.pop(2)),
+        ],
+        ids=["long-row", "short-row", "row-missing", "extra-row", "bare-value", "merged-rows"],
+    )
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_emit_refuses_rows_that_do_not_fit_the_tree(self, edit, player):
+        # str.format ignores surplus arguments, so rows that hold more values
+        # than the template's slots would otherwise be written silently.
         doc = gamefile.generate_random_game(2, 2, seed=4)
-        del doc.sections[2][(0, 2)]["2:3"]
-        with pytest.raises(sg.GameSpecError, match=r"missing for node 2:3 at \(s,t\)=\(0, 2\)"):
+        rows = list(doc.rows[player])
+        edit(rows)
+        doc = dataclasses.replace(doc, rows={**doc.rows, player: rows})
+        with pytest.raises(sg.GameSpecError) as exc:
             gamefile.emit(doc)
-        del doc.sections[1][(1, 1)]
-        with pytest.raises(sg.GameSpecError, match=r"^payoff section 1 lacks an \(s,t\) entry$"):
+        assert str(exc.value) == (
+            f"payoff section {player} rows do not fit the (s,t) levels"
+        )
+
+    def test_emit_names_a_parsed_blocks_fault(self):
+        obj = json.loads(gamefile.emit(gamefile.generate_random_game(2, 2, seed=4)))
+        del obj["payoffs"]["2"]["0,2"]["2:3"]
+        doc = gamefile.parse(json.dumps(obj))
+        assert doc.rows[2] is None
+        with pytest.raises(sg.GameSpecError) as exc:
             gamefile.emit(doc)
+        assert str(exc.value) == "payoff missing for node 2:3 at (s,t)=(0, 2)"
 
     @pytest.mark.parametrize("mode", ["sim", "seq", "zs"])
     def test_profile_matches_json_dumps(self, mode):
@@ -219,7 +226,7 @@ class TestEmitBytes:
     def test_profile_with_odd_node_ids_matches_json_dumps(self, mode):
         doc = _odd_ids_game()
         if mode == "zs":
-            doc = dataclasses.replace(doc, sections={1: doc.sections[1]})
+            doc = dataclasses.replace(doc, rows={1: doc.rows[1]})
         profile = _solved_profile(doc, mode)
         text = gamefile.profile_to_json(doc.tree, mode, profile)
         assert text == _reference_profile_text(doc.tree, mode, profile)
@@ -239,20 +246,15 @@ def _solved_profile(doc: gamefile.GameDocument, mode: str) -> tuple:
 
 class TestPayoffField:
     def test_int_payoffs_read_as_floats(self):
-        doc = _map_payoffs(gamefile.generate_random_game(2, 2, seed=1), lambda k, v: round(v))
+        doc = map_payoffs(gamefile.generate_random_game(2, 2, seed=1), lambda k, v: round(v))
         field = doc.payoff_field()
         assert all(type(v) is float for vals in field._data for v in vals)
         parsed = gamefile.parse(gamefile.emit(doc))
-        assert all(
-            type(v) is float
-            for by_st in parsed.sections.values()
-            for per_node in by_st.values()
-            for v in per_node.values()
-        )
+        assert all(type(v) is float for rows in parsed.rows.values() for row in rows for v in row)
         assert parsed.payoff_field()._data == field._data
 
     def test_zero_sum_negates_int_zero_to_negative_zero(self):
-        doc = _map_payoffs(
+        doc = map_payoffs(
             gamefile.generate_random_game(1, 1, seed=2, zero_sum=True), lambda k, v: 0
         )
         field = doc.zero_sum_field()
@@ -395,16 +397,13 @@ class TestBulkRead:
     def test_sections_keep_the_file_order(self, case):
         obj = _odd_document(*case)
         doc = gamefile.parse(json.dumps(obj))
-        assert list(doc.sections) == list(map(int, obj["payoffs"]))
+        assert list(doc.rows) == list(map(int, obj["payoffs"]))
         for key, section in obj["payoffs"].items():
-            parsed = doc.sections[int(key)]
-            assert [f"{s},{t}" for s, t in parsed] == list(section)
-            for (s, t), block in parsed.items():
-                want = section[f"{s},{t}"]
-                assert list(block) == list(want)
-                assert list(map(float.hex, block.values())) == [
-                    float.hex(float(v)) for v in want.values()
-                ]
+            # The section read entry by entry as a zero-sum game's player 1.
+            reference = reference_payoff_rows({**obj, "payoffs": {"1": section}}, zero_sum=True)
+            assert [list(map(float.hex, row)) for row in doc.rows[int(key)]] == [
+                list(map(float.hex, reference[(1, s, t)])) for s, t in doc.tree.stop_pairs
+            ]
 
     @pytest.mark.parametrize("case", _ODD_DOCUMENTS, ids=repr)
     def test_a_field_rebuilds_from_its_own_rows(self, case):
@@ -418,13 +417,16 @@ class TestBulkRead:
         def refuse(*args, **kwargs):
             raise AssertionError("a valid document entered a per-block loop")
 
-        for module, name in (
-            (gamefile, "_block_fault"),
-            (gamefile, "_slices_by_block"),
-            (gamefile, "_negation_by_block"),
-            (strategies, "_first_row_fault"),
-        ):
-            monkeypatch.setattr(module, name, refuse)
+        for name in ("_block_fault", "_slices_by_block", "_negation_by_block"):
+            monkeypatch.setattr(gamefile, name, refuse)
+        checked_rows = strategies._checked_rows
+
+        def taken_as_they_are(tree, rows, players):
+            # The per-row walk would read each row into a new tuple.
+            assert checked_rows(tree, rows, players) is rows, "a valid document's rows were walked"
+            return rows
+
+        monkeypatch.setattr(strategies, "_checked_rows", taken_as_they_are)
         for horizon, branching, seed in ((4, 2, 1), (30, 1, 2), (2, 3, 3), (0, 1, 4)):
             doc = gamefile.parse(json.dumps(_game_object(horizon, branching, seed)))
             doc.payoff_field()
@@ -432,10 +434,23 @@ class TestBulkRead:
             zs.zero_sum_field()
         for case in _ODD_DOCUMENTS:
             doc = gamefile.parse(json.dumps(_odd_document(*case)))
-            if 2 in doc.sections:
+            if 2 in doc.rows:
                 doc.payoff_field()
             if case[2]:
                 doc.zero_sum_field()
+
+    def test_checked_rows_of_another_tree_are_walked(self):
+        # Rows checked on a branching-2 tree hold the wrong number of values
+        # for each block of a branching-3 tree of the same horizon.
+        doc = gamefile.generate_random_game(2, 2, seed=1)
+        rows = doc.payoff_field()._data
+        other = gamefile.generate_random_game(2, 3, seed=1)
+        with pytest.raises(sg.GameSpecError) as exc:
+            gamefile.GameDocument(other.tree, doc.rows).payoff_field()
+        assert str(exc.value) == "payoff slice (1, 0, 1) needs 3 values, got 2"
+        with pytest.raises(sg.GameSpecError) as exc:
+            sg.PayoffField(other.tree, rows)
+        assert str(exc.value) == "payoff slice (1, 0, 1) needs 3 values, got 2"
 
     @pytest.mark.parametrize("game", ["gen", "odd-node-ids"])
     def test_valid_profiles_never_enter_the_per_node_loop(self, monkeypatch, game):
@@ -448,6 +463,154 @@ class TestBulkRead:
             profile = _solved_profile(doc, mode)
             text = gamefile.profile_to_json(doc.tree, mode, profile)
             assert gamefile.profile_from_json(doc.tree, text, mode) == profile
+
+
+def _shuffled_spec_file(seed: int) -> tuple[dict, str, bool]:
+    """A game file on a ``test_tables.random_spec`` tree: its object, its
+    text and whether it is zero-sum.  Payoffs mix floats, ints, signed
+    zeros and, in one file of three, an Infinity or NaN; sections, blocks
+    and the node keys of each block are listed in shuffled order.  A
+    zero-sum file holds section 1 alone, or also section 2 as its
+    negation."""
+    rng = random.Random(seed)
+    spec = random_spec(rng)
+    levels: dict[int, list[str]] = {}
+    for node in spec["nodes"]:
+        levels.setdefault(node["time"], []).append(node["id"])
+    draws = [lambda: rng.uniform(-2, 2), lambda: rng.randint(-3, 3), lambda: -0.0, lambda: 0.0]
+    if seed % 3 == 0:
+        draws.append(lambda: rng.choice((math.inf, -math.inf, math.nan)))
+    zero_sum = seed % 2 == 1
+    horizon = spec["horizon"]
+    section = {
+        f"{s},{t}": {nid: rng.choice(draws)() for nid in levels[max(s, t)]}
+        for s in range(horizon + 1)
+        for t in range(horizon + 1)
+    }
+    if zero_sum:
+        payoffs = {"1": section}
+        if rng.random() < 0.5:
+            payoffs["2"] = {
+                st: {nid: -val for nid, val in block.items()} for st, block in section.items()
+            }
+    else:
+        payoffs = {
+            "1": section,
+            "2": {
+                st: {nid: rng.choice(draws)() for nid in block} for st, block in section.items()
+            },
+        }
+    shuffled = {}
+    for key in rng.sample(sorted(payoffs), len(payoffs)):
+        blocks = list(payoffs[key].items())
+        rng.shuffle(blocks)
+        shuffled[key] = {st: dict(rng.sample(list(b.items()), len(b))) for st, b in blocks}
+    obj = {"horizon": horizon, "nodes": spec["nodes"], "payoffs": shuffled}
+    return obj, json.dumps(obj), zero_sum
+
+
+def _canonical_text(obj: dict) -> str:
+    """The canonical text of a decoded game object, without ``gamefile``:
+    nodes sorted by (time, id), sections by player, blocks in row-major
+    (s, t) order, each block's nodes in canonical order, numbers as floats."""
+    nodes = sorted(obj["nodes"], key=lambda n: (n["time"], n["id"]))
+    levels: dict[int, list[str]] = {}
+    for node in nodes:
+        levels.setdefault(node["time"], []).append(node["id"])
+    horizon = obj["horizon"]
+    out = {"format": gamefile.FORMAT_NAME, "horizon": horizon}
+    out["nodes"] = [
+        {"id": n["id"], "time": n["time"]}
+        if n.get("parent") is None
+        else {"id": n["id"], "time": n["time"], "parent": n["parent"], "prob": float(n["prob"])}
+        for n in nodes
+    ]
+    out["payoffs"] = {
+        key: {
+            f"{s},{t}": {
+                nid: float(obj["payoffs"][key][f"{s},{t}"][nid]) for nid in levels[max(s, t)]
+            }
+            for s in range(horizon + 1)
+            for t in range(horizon + 1)
+        }
+        for key in sorted(obj["payoffs"])
+    }
+    return json.dumps(out, indent=2) + "\n"
+
+
+class TestReadPath:
+    """Parsed rows against ``conftest.reference_payoff_rows``, which reads a
+    file's blocks entry by entry, on irregular trees."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rows_match_a_reference_read_entry_by_entry(self, seed):
+        obj, text, zero_sum = _shuffled_spec_file(seed)
+        doc = gamefile.parse(text)
+        assert list(doc.rows) == list(map(int, obj["payoffs"]))
+        finite = all(
+            math.isfinite(v)
+            for section in obj["payoffs"].values()
+            for block in section.values()
+            for v in block.values()
+        )
+        for key, section in obj["payoffs"].items():
+            # The section read entry by entry as a zero-sum game's player 1.
+            reference = reference_payoff_rows({**obj, "payoffs": {"1": section}}, zero_sum=True)
+            rows = doc.rows[int(key)]
+            assert type(rows) is (strategies.CheckedRows if finite else list)
+            assert [list(map(float.hex, row)) for row in rows] == [
+                list(map(float.hex, reference[(1, s, t)])) for s, t in doc.tree.stop_pairs
+            ]
+        read = doc.zero_sum_field if zero_sum else doc.payoff_field
+        if finite:
+            assert _hex_field(read()) == _hex_reference(obj, zero_sum)
+        else:
+            with pytest.raises(sg.GameSpecError, match="non-finite payoff in slice|negation"):
+                read()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_emit_writes_the_canonical_text(self, seed):
+        obj, text, _ = _shuffled_spec_file(seed)
+        canonical = _canonical_text(obj)
+        assert gamefile.emit(gamefile.parse(text)) == canonical
+        assert gamefile.emit(gamefile.parse(canonical)) == canonical
+
+    @pytest.mark.parametrize(
+        "horizon, branching, seed, payoff_range, zero_sum",
+        [
+            (0, 1, 1, (-1.0, 1.0), False),
+            (7, 1, 2, (-1.0, 1.0), False),
+            (9, 1, 3, (0, 5), True),
+            (4, 2, 4, (-1.0, 1.0), False),
+            (5, 2, 5, (-1e9, 1e9), True),
+            (3, 3, 6, (-0.5, -0.25), False),
+            (3, 3, 7, (-1.0, 1.0), True),
+        ],
+    )
+    def test_generated_rows_are_the_reference_draws(
+        self, horizon, branching, seed, payoff_range, zero_sum
+    ):
+        want = reference_random_game(horizon, branching, seed, payoff_range, zero_sum)
+        doc = gamefile.generate_random_game(
+            horizon, branching, seed, payoff_range, zero_sum, name="g"
+        )
+        assert list(doc.rows) == list(want["payoffs"])
+        for player, blocks in want["payoffs"].items():
+            assert [list(map(float.hex, row)) for row in doc.rows[player]] == [
+                list(map(float.hex, blocks[st].values())) for st in doc.tree.stop_pairs
+            ]
+        obj = {
+            "format": gamefile.FORMAT_NAME,
+            "name": "g",
+            "seed": seed,
+            "horizon": horizon,
+            "nodes": sorted(want["nodes"], key=lambda n: (n["time"], n["id"])),
+            "payoffs": {
+                str(player): {f"{s},{t}": block for (s, t), block in blocks.items()}
+                for player, blocks in want["payoffs"].items()
+            },
+        }
+        assert gamefile.emit(doc) == json.dumps(obj, indent=2) + "\n"
 
 
 def _pop(block: dict, nid: str) -> None:
@@ -550,6 +713,36 @@ _TWO_FAULTS = {
         "zero-sum+2",
         "zero_sum_field",
         "payoff section 2 is not the negation of section 1 at (s,t)=(0, 1), node 1:1",
+    ),
+    "non-number-and-missing-node-in-one-block": (
+        lambda p: (_pop(p["1"]["1,1"], "1:0"), p["1"]["1,1"].update({"1:1": "x"})),
+        "general",
+        "parse",
+        "payoff for node 1:1 at (s,t)=(1, 1) in section 1 is not a number",
+    ),
+    "missing-node-then-non-number-in-one-block": (
+        lambda p: (_pop(p["2"]["2,0"], "2:0"), p["2"]["2,0"].update({"2:3": None})),
+        "general",
+        "parse",
+        "payoff for node 2:3 at (s,t)=(2, 0) in section 2 is not a number",
+    ),
+    "off-level-node-and-nan-elsewhere": (
+        lambda p: (
+            p["1"]["0,0"].update({"0:0": float("nan")}),
+            p["2"]["2,2"].update({"1:0": 0.5}),
+        ),
+        "general",
+        "payoff_field",
+        "payoff for unknown or off-level node 1:0 at (s,t)=(2, 2)",
+    ),
+    "off-level-node-and-infinity-elsewhere-zero-sum": (
+        lambda p: (
+            p["1"]["1,2"].update({"1:0": 0.5}),
+            p["1"]["0,0"].update({"0:0": float("-inf")}),
+        ),
+        "zero-sum",
+        "zero_sum_field",
+        "payoff for unknown or off-level node 1:0 at (s,t)=(1, 2)",
     ),
     "missing-node-in-section-1-and-nan": (
         lambda p: (_pop(p["1"]["1,0"], "1:1"), p["1"]["0,0"].update({"0:0": float("nan")})),
@@ -858,9 +1051,9 @@ class TestGeneration:
 
     def test_payoffs_in_range(self):
         doc = gamefile.generate_random_game(2, 2, seed=6, payoff_range=(-0.25, 0.5))
-        for section in doc.sections.values():
-            for per_node in section.values():
-                for val in per_node.values():
+        for rows in doc.rows.values():
+            for row in rows:
+                for val in row:
                     assert -0.25 <= val <= 0.5
 
     def test_branching_validation(self):

@@ -15,7 +15,6 @@ and record the change in the change log.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
@@ -28,6 +27,8 @@ from stopgames import gamefile
 from stopgames.cli import run
 from stopgames.tree import constant_stopping_time
 from stopgames.verify import check_equilibrium
+
+from conftest import map_payoffs
 
 #: (name, horizon, branching, seed, zero_sum, rounded); rounded games carry
 #: payoffs in {-1, 0, 1}, so exact zeros and ties occur.
@@ -208,14 +209,7 @@ def _corpus():
             horizon, branching, seed, zero_sum=zero_sum, name=name
         )
         if rounded:
-            sections = {
-                player: {
-                    st: {nid: round(v) for nid, v in per_node.items()}
-                    for st, per_node in by_st.items()
-                }
-                for player, by_st in doc.sections.items()
-            }
-            doc = dataclasses.replace(doc, sections=sections)
+            doc = map_payoffs(doc, lambda k, v: round(v))
         yield name, doc, zero_sum
 
 

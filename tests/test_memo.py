@@ -206,7 +206,7 @@ def test_equal_profiles_with_a_zero_of_other_sign_are_not_shared(mixed_calls):
     assert _hex(values) == _hex(sg.payoff_mixed_sim(doc.payoff_field(), rho, tau))
 
 
-def test_every_call_validates_the_profile(monkeypatch):
+def test_each_mixed_strategy_is_validated_once_per_field(monkeypatch):
     doc, rho, tau = _sim_profile()
     field = doc.payoff_field()
     validated = Counter()
@@ -219,11 +219,16 @@ def test_every_call_validates_the_profile(monkeypatch):
     monkeypatch.setattr(sg.Strategy, "validate", counted)
     for _ in range(3):
         sg.payoff_mixed_sim(field, rho, tau)
-    assert validated == {id(rho): 3, id(tau): 3}
-    # A profile built for another tree is refused, cached payoff or not.
+    sg.best_response(field, "sim", 1, tau)
+    sg.best_response(field, "sim", 2, rho)
+    assert validated == {id(rho): 1, id(tau): 1}
+    # A profile built for another tree is refused on that tree's field,
+    # cached payoff or not, and on every call.
     other = gamefile.generate_random_game(HORIZON + 1, 2, seed=11).payoff_field()
-    with pytest.raises(sg.GameSpecError):
-        sg.payoff_mixed_sim(other, rho, tau)
+    for _ in range(2):
+        with pytest.raises(sg.GameSpecError, match="do not cover the tree"):
+            sg.payoff_mixed_sim(other, rho, tau)
+    assert validated == {id(rho): 3, id(tau): 1}
 
 
 @pytest.fixture()
@@ -258,10 +263,10 @@ def test_cached_pure_payoff_matches_a_fresh_field():
     assert _hex(first) == _hex(again)
 
 
-def test_every_pure_call_validates_the_profile(monkeypatch, pure_calls):
+def test_each_pure_strategy_is_validated_once_per_field(monkeypatch, pure_calls):
     doc = gamefile.generate_random_game(HORIZON, 2, seed=13)
+    sol = sg.seq_equilibrium(doc.payoff_field())
     field = doc.payoff_field()
-    sol = sg.seq_equilibrium(field)
     validated = Counter()
     original = sg.Strategy.validate
 
@@ -273,8 +278,13 @@ def test_every_pure_call_validates_the_profile(monkeypatch, pure_calls):
     pure_calls.clear()
     for _ in range(3):
         sg.payoff_pure(field, "seq", sol.rho_star, sol.tau_star)
-    assert validated == {id(sol.rho_star): 3, id(sol.tau_star): 3}
-    assert pure_calls == {}
+    sg.best_response(field, "seq", 1, sol.tau_star)
+    sg.best_response(field, "seq", 2, sol.rho_star)
+    assert validated == {id(sol.rho_star): 1, id(sol.tau_star): 1}
+    assert pure_calls == {"seq": 1}
     # The sim mode checks its own strategy classes, cached payoff or not.
     with pytest.raises(sg.GameSpecError, match="two type-A"):
         sg.payoff_pure(field, "sim", sol.rho_star, sol.tau_star)
+    # A fresh field validates again.
+    sg.payoff_pure(doc.payoff_field(), "seq", sol.rho_star, sol.tau_star)
+    assert validated == {id(sol.rho_star): 2, id(sol.tau_star): 2}
