@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from importlib import resources
 from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import add, is_, itemgetter, mul, neg, sub
+from operator import add, is_, itemgetter, mul, ne, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GameSpecError
@@ -152,40 +152,39 @@ def _level_ids(tree: EventTree) -> list[list[str]]:
     return [[tree.nodes[idx].id for idx in level] for level in tree.levels]
 
 
-def _slices_by_block(sections: Iterable[Mapping], tree: EventTree) -> None:
-    """Word the first fault of blocks that do not gather into rows, one
-    block at a time in file order: a node off the block's level, else a
-    node of the level that the block lacks."""
-    level_ids = _level_ids(tree)
-    for by_st in sections:
-        for st, per_node in by_st.items():
-            ids = level_ids[max(st)]
-            extra = per_node.keys() - set(ids)
-            if extra:
-                raise GameSpecError(
-                    f"payoff for unknown or off-level node {sorted(extra)[0]} "
-                    f"at (s,t)={st}"
-                )
-            if len(per_node) != len(ids):
-                missing = next(nid for nid in ids if nid not in per_node)
-                raise GameSpecError(f"payoff missing for node {missing} at (s,t)={st}")
+def _block_faults(section: Mapping, base: Mapping | None, level_ids: list[list[str]]) -> tuple:
+    """The first fault of each kind in a decoded payoff section, as the error
+    that a field raises, or None, in one walk of its blocks in file order: a
+    block without exactly its level's nodes (a node off the level, else one it
+    lacks), and a payoff that does not negate section 1's, `base` (the block's
+    own nodes first, then those it lacks)."""
+    slices = negation = None
+    for st_key, block in section.items():
+        st = tuple(map(int, st_key.split(",")))
+        ids = level_ids[max(st)]
+        extra = block.keys() - set(ids)
+        if slices is None and extra:
+            slices = GameSpecError(
+                f"payoff for unknown or off-level node {min(extra)} at (s,t)={st}"
+            )
+        elif slices is None and len(block) != len(ids):
+            missing = next(nid for nid in ids if nid not in block)
+            slices = GameSpecError(f"payoff missing for node {missing} at (s,t)={st}")
+        if base is not None and negation is None:
+            other = base[st_key]
+            for nid in chain(block, ids):
+                if nid not in block or nid not in other or float(block[nid]) != -float(other[nid]):
+                    negation = _negation_fault(st, nid)
+                    break
+        if slices is not None and (base is None or negation is not None):
+            break
+    return slices, negation
 
 
-def _negation_by_block(
-    sections: Mapping[int, Mapping[tuple[int, int], Mapping[str, float]]], tree: EventTree
-) -> None:
-    """Word the first payoff of section 2 that is not the negation of
-    section 1's, one block at a time in file order: the block's own nodes
-    first, then the nodes of its level that it lacks."""
-    level_ids = _level_ids(tree)
-    for st, per_node in sections[2].items():
-        base = sections[1][st]
-        for nid in chain(per_node, level_ids[max(st)]):
-            if nid not in per_node or nid not in base or per_node[nid] != -base[nid]:
-                raise GameSpecError(
-                    f"payoff section 2 is not the negation of section 1 "
-                    f"at (s,t)={st}, node {nid}"
-                )
+def _negation_fault(st: tuple[int, int], nid: str) -> GameSpecError:
+    return GameSpecError(
+        f"payoff section 2 is not the negation of section 1 at (s,t)={st}, node {nid}"
+    )
 
 
 @dataclass(frozen=True)
@@ -195,35 +194,24 @@ class GameDocument:
     ``tree.stop_pairs`` order, of the values of level max(s, t)'s nodes in
     canonical order.  ``generate_random_game`` gives ``CheckedRows``, and so
     does ``parse`` for a section of finite values; it gives None for one whose
-    blocks do not hold exactly their levels' nodes, and keeps the decoded
-    sections to word such faults.
+    blocks do not hold exactly their levels' nodes.
+
+    A parsed document keeps no decoded section, only its fields' fault messages,
+    which ``parse`` passes as `_faults` and ``dataclasses.replace`` drops.
     """
 
     tree: EventTree
     rows: dict[int, list[tuple[float, ...]] | None]
     name: str | None = None
     seed: int | None = None
-    _decoded: dict[int, dict] | None = field(default=None, init=False, repr=False, compare=False)
+    _faults: InitVar[tuple[dict[int, str], str | None] | None] = None
+
+    def __post_init__(self, _faults) -> None:
+        object.__setattr__(self, "_messages", _faults)
 
     @property
     def horizon(self) -> int:
         return self.tree.horizon
-
-    def _blocks(self) -> dict[int, dict[tuple[int, int], Mapping[str, float]]]:
-        """Each player's payoff blocks by (s, t), to word a fault: a parsed
-        file's, in its order and with float values; else the rows'."""
-        tree = self.tree
-        if self._decoded is None:
-            ids = _level_ids(tree)
-            return {
-                p: {st: dict(zip(ids[max(st)], row)) for st, row in zip(tree.stop_pairs, rows)}
-                for p, rows in self.rows.items()
-            }
-        keys = _pair_keys(tree)
-        return {
-            p: {keys[k]: dict(zip(b, map(float, b.values()))) for k, b in by_st.items()}
-            for p, by_st in self._decoded.items()
-        }
 
     def payoff_field(self) -> PayoffField:
         """Two-player field; both payoff sections must be present."""
@@ -231,35 +219,25 @@ class GameDocument:
             raise GameSpecError("game file needs payoff sections for players 1 and 2")
         rows1, rows2 = self.rows[1], self.rows[2]
         if rows1 is None or rows2 is None:
-            _slices_by_block(self._blocks().values(), self.tree)
+            raise GameSpecError(next(iter(self._messages[0].values())))
         rows = [*rows1, *rows2]
         if type(rows1) is type(rows2) is CheckedRows:
             rows = CheckedRows(rows, max(rows1.bound, rows2.bound))
         return PayoffField(self.tree, rows)
 
     def zero_sum_field(self) -> PayoffField:
-        """Field with player 2's payoffs the negation of player 1's.
-
-        A present section 2 must already equal the negation exactly.  Its
-        faults are named before section 1's.
-        """
+        """Field with player 2's payoffs the negation of player 1's.  A present
+        section 2 must already equal the negation exactly; its faults come first."""
         if 1 not in self.rows:
             raise GameSpecError("game file needs a payoff section for player 1")
-        rows1, rows2, flat = self.rows[1], self.rows.get(2, ()), chain.from_iterable
-        # Section 2, if any, must hold the negation of section 1's values.
-        if rows1 is None or rows2 is None or (
-            2 in self.rows and list(flat(rows2)) != list(map(neg, flat(rows1)))
-        ):
-            blocks = self._blocks()
-            if 2 in blocks:
-                _negation_by_block(blocks, self.tree)
-            _slices_by_block([blocks[1]], self.tree)
-        return PayoffField.zero_sum(self.tree, rows1)
-
-
-def _pair_keys(tree: EventTree) -> dict[str, tuple[int, int]]:
-    """Each stop pair of the tree by its "s,t" text."""
-    return dict(zip(_st_texts(tree.horizon + 1, "", ""), tree.stop_pairs))
+        messages = self._messages
+        if messages is None and 2 in self.rows:  # worded as its file would be
+            messages = parse(emit(self))._messages
+        sections, negation = messages or ({}, None)
+        for message in (negation, sections.get(1)):
+            if message is not None:
+                raise GameSpecError(message)
+        return PayoffField.zero_sum(self.tree, self.rows[1])
 
 
 def _st_key_fault(st_key: str, horizon: int) -> GameSpecError:
@@ -277,14 +255,14 @@ def _st_key_fault(st_key: str, horizon: int) -> GameSpecError:
     return GameSpecError(f"malformed payoff key {st_key!r}")
 
 
-def _block_fault(by_st: Mapping, keys: Mapping[str, tuple[int, int]], horizon: int) -> None:
+def _block_fault(by_st: Mapping, texts: set[str], horizon: int) -> None:
     """Raise the first fault of a payoff section's entries, one at a time
-    in file order: a block that is not an object, or a key that is not an
-    (s, t) of the horizon."""
+    in file order: a block that is not an object, or a key that is not one
+    of the `texts`, the "s,t" of each stop pair of the horizon."""
     for st_key, per_node in by_st.items():
         if not isinstance(per_node, dict):
             raise GameSpecError(f"payoff entry {st_key!r} must be an object")
-        if st_key not in keys:
+        if st_key not in texts:
             raise _st_key_fault(st_key, horizon)
 
 
@@ -295,7 +273,7 @@ class _SectionReader:
     def __init__(self, tree: EventTree):
         self.tree = tree
         self.texts = list(_st_texts(tree.horizon + 1, "", ""))
-        level_ids = _level_ids(tree)
+        self.level_ids = level_ids = _level_ids(tree)
         level_sizes = list(map(len, level_ids))
         self.sizes = list(map(level_sizes.__getitem__, tree.stop_levels))
         getters = [itemgetter(*ids) for ids in level_ids]
@@ -310,18 +288,17 @@ class _SectionReader:
         tree = self.tree
         blocks = list(map(by_st.get, self.texts))
         if len(by_st) != len(blocks) or not set(map(type, blocks)) <= {dict}:
-            keys = _pair_keys(tree)
-            _block_fault(by_st, keys, tree.horizon)
-            s, t = next(st for st_key, st in keys.items() if st_key not in by_st)
-            raise GameSpecError(f"payoff section {player} missing entry ({s},{t})")
+            _block_fault(by_st, set(self.texts), tree.horizon)
+            missing = next(st_key for st_key in self.texts if st_key not in by_st)
+            raise GameSpecError(f"payoff section {player} missing entry ({missing})")
         kinds = set(map(type, chain.from_iterable(map(dict.values, blocks))))
         if not kinds <= {float, int}:
-            keys = _pair_keys(tree)
             for st_key, per_node in by_st.items():
                 for nid, val in per_node.items():
                     if type(val) not in (float, int):
+                        st = tuple(map(int, st_key.split(",")))
                         raise GameSpecError(
-                            f"payoff for node {nid} at (s,t)={keys[st_key]} in section {player} "
+                            f"payoff for node {nid} at (s,t)={st} in section {player} "
                             f"is not a number"
                         )
         if int in kinds:
@@ -350,6 +327,29 @@ class _SectionReader:
         if not (isfinite(sum(flat(rows))) or all(map(isfinite, flat(rows)))):
             return rows
         return CheckedRows(rows, max(map(abs, flat(rows)), default=0.0))
+
+    def faults(self, rows: Mapping, payoffs: Mapping) -> tuple:
+        """The messages of the faults that the fields raise, worded from the
+        decoded `payoffs` that gave `rows`: by player in file order, of each
+        section that does not gather, and of section 2's first payoff that
+        does not negate section 1's, found by a lazy compare of the rows."""
+        flat = chain.from_iterable
+        if None not in rows.values():
+            if len(rows) < 2 or not any(map(ne, flat(rows[2]), map(neg, flat(rows[1])))):
+                return {}, None
+            for st_key, block in payoffs["2"].items():
+                other = map(float, map(payoffs["1"][st_key].__getitem__, block))
+                for nid in compress(block, map(ne, map(float, block.values()), map(neg, other))):
+                    return {}, str(_negation_fault(tuple(map(int, st_key.split(","))), nid))
+        sections, negation = {}, None
+        for player, section_rows in rows.items():
+            base = payoffs["1"] if player == 2 and len(rows) == 2 else None
+            if section_rows is None or base is not None:
+                slices, found = _block_faults(payoffs[str(player)], base, self.level_ids)
+                negation = negation or found
+            if section_rows is None:
+                sections[player] = str(slices)
+        return sections, negation and str(negation)
 
 
 def parse(text: str) -> GameDocument:
@@ -388,14 +388,13 @@ def parse(text: str) -> GameDocument:
 
     name = raw.get("name")
     seed = raw.get("seed")
-    doc = GameDocument(
+    return GameDocument(
         tree=tree,
         rows=rows,
         name=None if name is None else str(name),
         seed=None if seed is None else checked_int(seed, "seed"),
+        _faults=read.faults(rows, payoffs),
     )
-    object.__setattr__(doc, "_decoded", {int(key): by_st for key, by_st in payoffs.items()})
-    return doc
 
 
 def read_text(path: str, document: str) -> str:
@@ -481,7 +480,7 @@ def _payoff_parts(doc: GameDocument) -> list[str]:
     for player in sorted(doc.rows):
         rows = doc.rows[player]
         if rows is None:
-            _slices_by_block([doc._blocks()[player]], tree)
+            raise GameSpecError(doc._messages[0][player])
         try:
             fits = list(map(len, rows)) == sizes
         except TypeError:

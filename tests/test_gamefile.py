@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import random
+import re
+import types
 
 import pytest
 
@@ -382,6 +385,20 @@ def _hex_reference(obj: dict, zero_sum: bool) -> dict:
     }
 
 
+def _held_objects(root) -> list:
+    """Every object that `root` holds, through containers and the package's
+    own objects, but not through types, modules or functions."""
+    seen, stack, held = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        held.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return held
+
+
 class TestBulkRead:
     @pytest.mark.parametrize("case", _ODD_DOCUMENTS, ids=repr)
     def test_fields_match_a_reference_read_entry_by_entry(self, case):
@@ -417,7 +434,7 @@ class TestBulkRead:
         def refuse(*args, **kwargs):
             raise AssertionError("a valid document entered a per-block loop")
 
-        for name in ("_block_fault", "_slices_by_block", "_negation_by_block"):
+        for name in ("_block_fault", "_block_faults"):
             monkeypatch.setattr(gamefile, name, refuse)
         checked_rows = strategies._checked_rows
 
@@ -438,6 +455,24 @@ class TestBulkRead:
                 doc.payoff_field()
             if case[2]:
                 doc.zero_sum_field()
+
+    @pytest.mark.parametrize("case", [*_ODD_DOCUMENTS, "blocks-fault"], ids=repr)
+    def test_a_parsed_document_holds_no_decoded_section(self, case):
+        # A decoded payoff section is a dict keyed by "s,t" texts; the rows
+        # and the fault messages are all that a parsed document keeps.
+        if case == "blocks-fault":
+            obj = _game_object(2, 2, seed=4)
+            del obj["payoffs"]["2"]["0,2"]["2:3"]
+        else:
+            obj = _odd_document(*case)
+        doc = gamefile.parse(json.dumps(obj))
+        assert case != "blocks-fault" or doc.rows[2] is None
+        st_keyed = [
+            held
+            for held in _held_objects(doc)
+            if isinstance(held, dict) and any(re.fullmatch(r"\d+,\d+", str(k)) for k in held)
+        ]
+        assert st_keyed == []
 
     def test_checked_rows_of_another_tree_are_walked(self):
         # Rows checked on a branching-2 tree hold the wrong number of values
