@@ -16,16 +16,17 @@ import math
 import sys
 from itertools import compress
 from operator import eq
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from . import gamefile
-from .dynkin import zero_sum_saddle
-from .errors import EnumerationCapError, GameSpecError, SolverDefectError
-from .sequential import seq_equilibrium
-from .simultaneous import sim_equilibrium
-from .strategies import Strategy
-from .tree import EventTree, StoppingTime, constant_stopping_time
-from .verify import DEFAULT_EPS, EquilibriumReport, check_equilibrium, enumerate_oracle
+from .errors import DEFAULT_EPS, EnumerationCapError, GameSpecError, SolverDefectError
+
+# Each command imports the modules it runs when it runs, so a fresh process
+# loads only those; the names below serve the annotations.
+if TYPE_CHECKING:
+    from .gamefile import GameDocument
+    from .strategies import Strategy
+    from .tree import EventTree, StoppingTime
+    from .verify import EquilibriumReport
 
 
 def fmt(x: float) -> str:
@@ -63,7 +64,7 @@ def _print_strategy(out: IO[str], tree: EventTree, label: str, strategy: Strateg
     out.write("\n".join(lines))
 
 
-def _print_header(out: IO[str], doc: gamefile.GameDocument, mode: str) -> None:
+def _print_header(out: IO[str], doc: GameDocument, mode: str) -> None:
     print(f"game: {doc.name or '-'}", file=out)
     print(f"mode: {mode}", file=out)
     print(f"horizon: {doc.horizon}", file=out)
@@ -83,11 +84,17 @@ def _print_certification(out: IO[str], report: EquilibriumReport) -> None:
 
 def _write_profile(tree: EventTree, mode: str, profile, path: str | None) -> None:
     if path:
+        from . import gamefile
+
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(gamefile.profile_to_json(tree, mode, profile))
 
 
 def _cmd_solve_sim(args, out: IO[str]) -> int:
+    from . import gamefile
+    from .simultaneous import sim_equilibrium
+    from .verify import check_equilibrium
+
     doc = gamefile.load(args.file)
     field = doc.payoff_field()
     solution = sim_equilibrium(field)
@@ -102,6 +109,10 @@ def _cmd_solve_sim(args, out: IO[str]) -> int:
 
 
 def _cmd_solve_seq(args, out: IO[str]) -> int:
+    from . import gamefile
+    from .sequential import seq_equilibrium
+    from .verify import check_equilibrium
+
     doc = gamefile.load(args.file)
     field = doc.payoff_field()
     solution = seq_equilibrium(field)
@@ -118,6 +129,10 @@ def _cmd_solve_seq(args, out: IO[str]) -> int:
 
 
 def _cmd_solve_zs(args, out: IO[str]) -> int:
+    from . import gamefile
+    from .dynkin import zero_sum_saddle
+    from .verify import check_equilibrium
+
     doc = gamefile.load(args.file)
     field = doc.zero_sum_field()
     sigma = _sigma(doc.tree, args.sigma)
@@ -135,12 +150,17 @@ def _cmd_solve_zs(args, out: IO[str]) -> int:
 
 
 def _sigma(tree: EventTree, t: int) -> StoppingTime:
+    from .tree import constant_stopping_time
+
     if not 0 <= t <= tree.horizon:
         raise GameSpecError(f"sigma {t} outside 0..{tree.horizon}")
     return constant_stopping_time(tree, t)
 
 
 def _cmd_verify(args, out: IO[str]) -> int:
+    from . import gamefile
+    from .verify import check_equilibrium
+
     doc = gamefile.load(args.file)
     if args.mode == "zs":
         field = doc.zero_sum_field()
@@ -156,6 +176,9 @@ def _cmd_verify(args, out: IO[str]) -> int:
 
 
 def _cmd_enumerate(args, out: IO[str]) -> int:
+    from . import gamefile
+    from .verify import enumerate_oracle
+
     doc = gamefile.load(args.file)
     field = doc.payoff_field()
     result = enumerate_oracle(field, args.mode, cap=args.cap)
@@ -186,6 +209,8 @@ def _cmd_enumerate(args, out: IO[str]) -> int:
 
 
 def _cmd_gen(args, out: IO[str]) -> int:
+    from . import gamefile
+
     try:
         lo_str, hi_str = args.range.split(",")
         payoff_range = (float(lo_str), float(hi_str))

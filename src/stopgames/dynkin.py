@@ -10,8 +10,7 @@ One recursion therefore serves both stage-game orientations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GameSpecError
 from .snell import reaction_value
@@ -73,8 +72,7 @@ def dynkin_hitting_saddle(
     return rho.stop, tau
 
 
-@dataclass(frozen=True)
-class ZeroSumSaddle:
+class ZeroSumSaddle(NamedTuple):
     """Saddle point of the zero-sum strategy game started at sigma.
 
     Player 1 (maximizer) plays the type-A strategy ``rho_star``; player 2

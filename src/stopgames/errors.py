@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and the default certification tolerance, shared across
+the package; the CLI's parser reads the tolerance without loading a solver."""
 
 from __future__ import annotations
 
 import math
+
+#: The default certification tolerance ``eps``, in units of the field's
+#: ``unit``.
+DEFAULT_EPS = 1e-9
 
 
 class GameSpecError(ValueError):

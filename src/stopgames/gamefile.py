@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, dataclass
-from importlib import resources
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -187,6 +186,15 @@ def _negation_fault(st: tuple[int, int], nid: str) -> GameSpecError:
     )
 
 
+class _ParsedRows(dict):
+    """A parsed document's rows by player, with ``faults``: the messages of
+    the faults that its fields raise, as ``_SectionReader.faults`` gives them.
+    They travel with the rows they describe, so a document made by
+    ``dataclasses.replace`` keeps them exactly when it keeps the rows."""
+
+    __slots__ = ("faults",)
+
+
 @dataclass(frozen=True)
 class GameDocument:
     """A game: the tree plus, per player present (in a file's section order),
@@ -196,22 +204,30 @@ class GameDocument:
     does ``parse`` for a section of finite values; it gives None for one whose
     blocks do not hold exactly their levels' nodes.
 
-    A parsed document keeps no decoded section, only its fields' fault messages,
-    which ``parse`` passes as `_faults` and ``dataclasses.replace`` drops.
+    A parsed document keeps no decoded section, only its fields' fault
+    messages, held by its rows (``_ParsedRows``).
     """
 
     tree: EventTree
     rows: dict[int, list[tuple[float, ...]] | None]
     name: str | None = None
     seed: int | None = None
-    _faults: InitVar[tuple[dict[int, str], str | None] | None] = None
-
-    def __post_init__(self, _faults) -> None:
-        object.__setattr__(self, "_messages", _faults)
 
     @property
     def horizon(self) -> int:
         return self.tree.horizon
+
+    @property
+    def _messages(self) -> tuple[dict[int, str], str | None] | None:
+        return getattr(self.rows, "faults", None)
+
+    def _section_fault(self, player: int) -> GameSpecError:
+        """The fault of `player`'s payoff section, whose rows are None: as its
+        file was parsed, or, for rows that do not come from a parse, in terms
+        of the rows."""
+        if self._messages and player in self._messages[0]:
+            return GameSpecError(self._messages[0][player])
+        return GameSpecError(f"payoff section {player} has no rows for the (s,t) levels")
 
     def payoff_field(self) -> PayoffField:
         """Two-player field; both payoff sections must be present."""
@@ -219,7 +235,7 @@ class GameDocument:
             raise GameSpecError("game file needs payoff sections for players 1 and 2")
         rows1, rows2 = self.rows[1], self.rows[2]
         if rows1 is None or rows2 is None:
-            raise GameSpecError(next(iter(self._messages[0].values())))
+            raise self._section_fault(next(p for p, rows in self.rows.items() if rows is None))
         rows = [*rows1, *rows2]
         if type(rows1) is type(rows2) is CheckedRows:
             rows = CheckedRows(rows, max(rows1.bound, rows2.bound))
@@ -237,6 +253,8 @@ class GameDocument:
         for message in (negation, sections.get(1)):
             if message is not None:
                 raise GameSpecError(message)
+        if self.rows[1] is None:
+            raise self._section_fault(1)
         return PayoffField.zero_sum(self.tree, self.rows[1])
 
 
@@ -378,13 +396,14 @@ def parse(text: str) -> GameDocument:
         )
 
     read = _SectionReader(tree)
-    rows: dict[int, list[tuple[float, ...]] | None] = {}
+    rows = _ParsedRows()
     for player_key, by_st in payoffs.items():
         if player_key not in ("1", "2"):
             raise GameSpecError(f"unknown payoff section {player_key!r}")
         if not isinstance(by_st, dict):
             raise GameSpecError(f"payoff section {player_key} must be an object")
         rows[int(player_key)] = read(by_st, int(player_key))
+    rows.faults = read.faults(rows, payoffs)
 
     name = raw.get("name")
     seed = raw.get("seed")
@@ -393,7 +412,6 @@ def parse(text: str) -> GameDocument:
         rows=rows,
         name=None if name is None else str(name),
         seed=None if seed is None else checked_int(seed, "seed"),
-        _faults=read.faults(rows, payoffs),
     )
 
 
@@ -412,6 +430,8 @@ def load(path: str) -> GameDocument:
 
 def load_bundled(name: str) -> GameDocument:
     """Load a game file shipped with the package, e.g. ``matching_times``."""
+    from importlib import resources
+
     return parse(
         resources.files("stopgames").joinpath("data", f"{name}.json").read_text("utf-8")
     )
@@ -480,7 +500,7 @@ def _payoff_parts(doc: GameDocument) -> list[str]:
     for player in sorted(doc.rows):
         rows = doc.rows[player]
         if rows is None:
-            raise GameSpecError(doc._messages[0][player])
+            raise doc._section_fault(player)
         try:
             fits = list(map(len, rows)) == sizes
         except TypeError:

@@ -19,7 +19,7 @@ that every solved instance must satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import dynkin_value
 from .errors import SolverDefectError
@@ -33,8 +33,7 @@ from .strategies import (
 )
 from .tree import StoppingTime, constant_stopping_time, hitting_time
 
-@dataclass(frozen=True)
-class SeqProcessBundle:
+class SeqProcessBundle(NamedTuple):
     """Boundary, value, and settle processes for both players.
 
     f: the player's payoff when she stops now and the opponent replies
@@ -96,8 +95,7 @@ def seq_processes(field: PayoffField) -> SeqProcessBundle:
     )
 
 
-@dataclass(frozen=True)
-class SeqDiagnostics:
+class SeqDiagnostics(NamedTuple):
     """Internal consistency record for one solved instance.
 
     The settle and reply hitting times must fire before the horizon forces
@@ -132,8 +130,7 @@ class SeqDiagnostics:
         return not self.defects
 
 
-@dataclass(frozen=True)
-class SeqEquilibrium:
+class SeqEquilibrium(NamedTuple):
     """Pure equilibrium of the sequential-move game.
 
     ``p1_settle`` / ``p2_settle`` are the threshold times at which each

@@ -12,9 +12,9 @@ game; the caller certifies it with the best-response oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import isfinite
+from typing import NamedTuple
 
 from .errors import SolverDefectError
 from .snell import reaction_value
@@ -28,8 +28,7 @@ from .strategies import (
 )
 from .tree import EventTree
 
-@dataclass(frozen=True)
-class SimProcessBundle:
+class SimProcessBundle(NamedTuple):
     """Adapted processes of the reduced simultaneous stopping game.
 
     Each is indexed by node; at a level-t node, x1/x2 are the players'
@@ -68,8 +67,7 @@ def sim_processes(field: PayoffField) -> SimProcessBundle:
     )
 
 
-@dataclass(frozen=True)
-class StageSolution:
+class StageSolution(NamedTuple):
     """One 2x2 stage equilibrium: stop probabilities, values, and how it
     was selected ("pure:<row><col>" or "mixed")."""
 
@@ -148,8 +146,7 @@ def stage_nash_2x2(
     )
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """The stage game solved at one node, kept for audit."""
 
     node: int
@@ -158,8 +155,7 @@ class StageRecord:
     solution: StageSolution
 
 
-@dataclass(frozen=True)
-class RandomizedDynkinEquilibrium:
+class RandomizedDynkinEquilibrium(NamedTuple):
     """Behavioral equilibrium of the reduced stopping game."""
 
     alpha: RandomizedStoppingTime
@@ -210,8 +206,7 @@ def randomized_dynkin_equilibrium(
     )
 
 
-@dataclass(frozen=True)
-class SimEquilibrium:
+class SimEquilibrium(NamedTuple):
     """Mixed equilibrium of the simultaneous-move game."""
 
     rho: Strategy

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from math import isnan
 from operator import getitem, gt, le, lt, sub
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, adjustment_floor
@@ -25,8 +24,7 @@ from .tree import EventTree, StoppingTime, left_sum
 Window = Literal["inclusive", "strict"]
 Direction = Literal["max", "min"]
 
-@dataclass(frozen=True)
-class SnellResult:
+class SnellResult(NamedTuple):
     """Value, earliest optimizer, and envelope of one stopping problem.
 
     ``value`` holds the level-t values in level order; ``envelope`` is
@@ -157,8 +155,7 @@ def snell(
     return SnellResult(tuple(values[0]), optimizers[0], envelope)
 
 
-@dataclass(frozen=True)
-class ReactionValue:
+class ReactionValue(NamedTuple):
     """One-sided stopping values against every possible opponent stop time.
 
     ``process`` collects, per node, the value of the stopping problem rooted

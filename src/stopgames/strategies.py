@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product, repeat
 from math import frexp, isfinite, ldexp
 from operator import ge, getitem, le, neg
+from typing import NamedTuple
 
 from .errors import GameSpecError
 from .tree import EventTree, StoppingTime
@@ -27,8 +27,7 @@ from .tree import EventTree, StoppingTime
 Mode = str  # "sim" | "seq"
 
 
-@dataclass(frozen=True)
-class RandomizedStoppingTime:
+class RandomizedStoppingTime(NamedTuple):
     """Behavioral stop rule: an independent stop probability per node.
 
     On a finite tree every distribution over pure stopping times is realized
@@ -62,8 +61,7 @@ def adjustment_floor(horizon: int, t: int, strict: bool) -> int:
     return min(t + 1, horizon) if strict else t
 
 
-@dataclass(frozen=True)
-class AdjustmentFamily:
+class AdjustmentFamily(NamedTuple):
     """Follow-up rules indexed by the observed stop time t.
 
     ``rules[t]`` must realize a time >= adjustment_floor(horizon, t, strict)
@@ -90,8 +88,7 @@ class AdjustmentFamily:
                 )
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """An initial stopping rule, pure or randomized, plus an adjustment family."""
 
     initial: StoppingTime | RandomizedStoppingTime

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, groupby, islice, product, repeat
 from operator import add, attrgetter, contains, itemgetter, mul, sub
@@ -213,8 +212,7 @@ class EventTree:
         return tuple(chain.from_iterable(chain(repeat(s, s), range(s, n)) for s in range(n)))
 
 
-@dataclass(frozen=True)
-class StoppingTime:
+class StoppingTime(NamedTuple):
     """Adapted stop/continue decision per node; every horizon node stops.
 
     The realized time of a path is the time of its first stop node.
@@ -443,8 +441,7 @@ def _children_fault(horizon: int, order: list, time_of: list, parents: list, edg
                 raise GameSpecError(f"probabilities sum to {total:g} at {nid}")
 
 
-@dataclass(frozen=True)
-class HittingResult:
+class HittingResult(NamedTuple):
     """First hitting time of a node predicate, clamped to the horizon.
 
     ``clamped`` holds the leaf positions of paths on which the predicate

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import EnumerationCapError, GameSpecError, SolverDefectError
+from .errors import DEFAULT_EPS, EnumerationCapError, GameSpecError, SolverDefectError
 from .snell import reaction_value
 from .strategies import (
     AdjustmentFamily,
@@ -131,13 +131,7 @@ def best_response(
     return values[0], Strategy(StoppingTime(tuple(marks)), own.family)
 
 
-#: The default certification tolerance ``eps``, in units of the field's
-#: ``unit``.
-DEFAULT_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Certification of a candidate profile by exact best responses.
 
     ``eps`` is the tolerance as given, in units of the field's ``unit``.
@@ -259,8 +253,7 @@ def enumerate_strategies(
     ]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Exhaustive payoff table over all pure profiles plus its Nash set."""
 
     mode: str

@@ -92,6 +92,8 @@ UNREACHED = {
     "keeps the nodes' text, which outweighs five characters per payoff entry",
     "payoff section {} rows do not fit the (s,t) levels": "parse gives rows that fit "
     "the tree; only a document built from rows can hold others",
+    "payoff section {} has no rows for the (s,t) levels": "parse keeps each section's "
+    "message with its rows; only a document given new rows lacks it",
     "horizon must be >= 0, got {}": "gen is not run on the corpus",
     "branching must be >= 1, got {}": "gen is not run on the corpus",
     "horizon {}, branching {} needs more than {} payoff entries per player": "gen is not "

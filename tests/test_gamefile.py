@@ -218,6 +218,30 @@ class TestEmitBytes:
             gamefile.emit(doc)
         assert str(exc.value) == "payoff missing for node 2:3 at (s,t)=(0, 2)"
 
+    def test_a_replaced_document_keeps_its_blocks_fault(self):
+        # The messages travel with the rows: a document made by
+        # dataclasses.replace that keeps the rows raises what the parsed one
+        # raises, and one given new rows words the fault from them.
+        obj = json.loads(gamefile.emit(gamefile.generate_random_game(2, 2, seed=4)))
+        del obj["payoffs"]["2"]["0,2"]["2:3"]
+        parsed = gamefile.parse(json.dumps(obj))
+        renamed = dataclasses.replace(parsed, name="x")
+        new_rows = dataclasses.replace(parsed, rows=dict(parsed.rows))
+        builds = {
+            "payoff_field": lambda doc: doc.payoff_field(),
+            "zero_sum_field": lambda doc: doc.zero_sum_field(),
+            "emit": gamefile.emit,
+        }
+        for name, build in builds.items():
+            messages = []
+            for doc in (parsed, renamed, new_rows):
+                with pytest.raises(sg.GameSpecError) as exc:
+                    build(doc)
+                messages.append(str(exc.value))
+            assert messages[1] == messages[0], name
+            assert messages[2] == "payoff section 2 has no rows for the (s,t) levels", name
+        assert messages[0] == "payoff missing for node 2:3 at (s,t)=(0, 2)"
+
     @pytest.mark.parametrize("mode", ["sim", "seq", "zs"])
     def test_profile_matches_json_dumps(self, mode):
         doc = gamefile.generate_random_game(3, 2, seed=12, zero_sum=mode == "zs")

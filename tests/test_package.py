@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import io
 import pkgutil
+import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import stopgames
 from stopgames import gamefile
+from stopgames.cli import run
 
 from conftest import RewardRows
 
@@ -169,3 +174,145 @@ def test_no_function_takes_both_a_tree_and_a_field():
     assert {"snell.reaction_value", "verify.check_equilibrium", "cli._cmd_verify"} <= checked
     assert {"strategies.PayoffField.zero_sum", "strategies.PayoffField.__init__"} <= checked
     assert both == []
+
+
+#: Every record type: a ``typing.NamedTuple``.
+RECORDS = [
+    "dynkin.ZeroSumSaddle",
+    "sequential.SeqDiagnostics",
+    "sequential.SeqEquilibrium",
+    "sequential.SeqProcessBundle",
+    "simultaneous.RandomizedDynkinEquilibrium",
+    "simultaneous.SimEquilibrium",
+    "simultaneous.SimProcessBundle",
+    "simultaneous.StageRecord",
+    "simultaneous.StageSolution",
+    "snell.ReactionValue",
+    "snell.SnellResult",
+    "strategies.AdjustmentFamily",
+    "strategies.RandomizedStoppingTime",
+    "strategies.Strategy",
+    "tree.HittingResult",
+    "tree.Node",
+    "tree.StoppingTime",
+    "verify.EnumerationResult",
+    "verify.EquilibriumReport",
+]
+
+
+@pytest.mark.parametrize("path", RECORDS)
+def test_records_are_immutable_and_equal_by_fields(path):
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"stopgames.{module}"), name)
+    assert issubclass(cls, tuple) and cls._fields
+    record = cls._make(range(len(cls._fields)))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    twin = cls._make(range(len(cls._fields)))
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert cls._make(range(1, len(cls._fields) + 1)) != record
+
+
+def _fresh(code: str, *args: str) -> list[str]:
+    """The output lines of `code` run in a fresh interpreter that reads no
+    ``PYTHON*`` variable (``-E``) and imports the package from this source
+    tree, given as ``sys.argv[1]``, followed by `args`."""
+    src_dir = str(Path(stopgames.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-E", "-c", code, src_dir, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+_CENSUS = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+from stopgames.cli import run
+code = run(sys.argv[2:], io.StringIO())
+loaded = sorted(name[10:] for name in sys.modules if name.startswith("stopgames."))
+print(code)
+print(" ".join(loaded))
+print("dataclasses" in sys.modules)
+"""
+
+#: The package modules that each command leaves loaded in a fresh process.
+COMMAND_MODULES = {
+    "help": "cli errors",
+    "gen": "cli errors gamefile strategies tree",
+    "solve-sim": "cli errors gamefile simultaneous snell strategies tree verify",
+    "solve-seq": "cli dynkin errors gamefile sequential snell strategies tree verify",
+    "solve-zs": "cli dynkin errors gamefile snell strategies tree verify",
+    "verify": "cli errors gamefile snell strategies tree verify",
+    "enumerate": "cli errors gamefile snell strategies tree verify",
+}
+
+
+@pytest.fixture(scope="module")
+def small_game(tmp_path_factory):
+    """A horizon-1 game file, its solved sim profile and a zero-sum game file."""
+    base = tmp_path_factory.mktemp("census")
+    game, profile, zs = str(base / "g.json"), str(base / "p.json"), str(base / "zs.json")
+    gen = ["gen", "--horizon", "1", "--branching", "2", "--seed", "1"]
+    assert run([*gen, "-o", game], io.StringIO()) == 0
+    assert run([*gen, "--zero-sum", "-o", zs], io.StringIO()) == 0
+    assert run(["solve-sim", game, "--profile-out", profile], io.StringIO()) == 0
+    return game, profile, zs
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_a_fresh_command_loads_only_its_modules(command, small_game, tmp_path):
+    game, profile, zs = small_game
+    argv = {
+        "help": ["--help"],
+        "gen": ["gen", "--horizon", "1", "--branching", "2", "--seed", "1", "-o",
+                str(tmp_path / "out.json")],
+        "verify": ["verify", game, "--profile", profile, "--mode", "sim"],
+        "solve-zs": ["solve-zs", zs],
+        "enumerate": ["enumerate", game, "--mode", "sim"],
+    }.get(command, [command, game])
+    code, loaded, dataclasses_loaded = _fresh(_CENSUS, *argv)
+    assert (code, loaded) == ("0", COMMAND_MODULES[command])
+    # Only a game document is a dataclass; the usage text needs none.
+    assert dataclasses_loaded == str(command != "help")
+
+
+_SURFACE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import stopgames
+print(sorted(name for name in sys.modules if name.startswith("stopgames.")))
+if sys.argv[2] == "import":
+    import stopgames.snell
+else:
+    import io
+    from stopgames.cli import run
+    run(["solve-sim", sys.argv[2]], io.StringIO())
+print(stopgames.snell is sys.modules["stopgames.snell"].snell)
+print([name for name in stopgames.__all__ if not hasattr(stopgames, name)])
+print(stopgames.snell is sys.modules["stopgames.snell"].snell)
+print("__all__" in dir(stopgames) and set(stopgames.__all__) <= set(dir(stopgames)))
+try:
+    stopgames.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("first", ["import", "solve-sim"])
+def test_the_package_resolves_its_names_on_first_use(first, small_game):
+    # The submodule ``snell`` shares its name with a public function; once
+    # it loads, the package still binds the function.
+    arg = "import" if first == "import" else small_game[0]
+    assert _fresh(_SURFACE, arg) == [
+        "[]",
+        "True",
+        "[]",
+        "True",
+        "True",
+        "module 'stopgames' has no attribute 'no_such_name'",
+    ]

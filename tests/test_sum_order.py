@@ -10,12 +10,15 @@ solves must not change.
 
 from __future__ import annotations
 
+import importlib
 import io
 import math
+import pkgutil
 import sys
 from functools import reduce
 from operator import add
 
+import stopgames
 from stopgames.cli import run
 
 
@@ -67,6 +70,11 @@ def _outputs(tmp_path, tag: str) -> list[str]:
 
 def test_bytes_do_not_follow_the_interpreters_sum(tmp_path, monkeypatch):
     plain = _outputs(tmp_path, "plain")
+    # The package loads its modules on first use: load every one, so that
+    # none is loaded after the patch and escapes it.
+    for info in pkgutil.iter_modules(stopgames.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"stopgames.{info.name}")
     for name, module in list(sys.modules.items()):
         if name == "stopgames" or name.startswith("stopgames."):
             monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
