@@ -161,6 +161,8 @@ def _cmd_verify(args, out: IO[str]) -> int:
     from . import gamefile
     from .verify import check_equilibrium
 
+    if args.sigma is not None and args.mode != "zs":
+        raise GameSpecError("--sigma applies only to --mode zs")
     doc = gamefile.load(args.file)
     if args.mode == "zs":
         field = doc.zero_sum_field()
@@ -168,7 +170,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         field = doc.payoff_field()
     text = gamefile.read_text(args.profile, "profile")
     profile = gamefile.profile_from_json(doc.tree, text, args.mode)
-    not_before = _sigma(doc.tree, args.sigma) if args.mode == "zs" else None
+    not_before = _sigma(doc.tree, args.sigma or 0) if args.mode == "zs" else None
     report = check_equilibrium(field, args.mode, profile, eps=args.eps, not_before=not_before)
     _print_header(out, doc, args.mode)
     _print_certification(out, report)
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--profile", required=True, help="profile file (JSON)")
     ver.add_argument("--mode", required=True, choices=("sim", "seq", "zs"))
     ver.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    ver.add_argument("--sigma", type=int, default=0)
+    ver.add_argument("--sigma", type=int)
     ver.set_defaults(func=_cmd_verify)
 
     enum = sub.add_parser("enumerate", help="exhaustive profile table")

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import add, is_, itemgetter, mul, ne, neg, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, CheckedRows, PayoffField, RandomizedStoppingTime
@@ -190,13 +189,12 @@ class _ParsedRows(dict):
     """A parsed document's rows by player, with ``faults``: the messages of
     the faults that its fields raise, as ``_SectionReader.faults`` gives them.
     They travel with the rows they describe, so a document made by
-    ``dataclasses.replace`` keeps them exactly when it keeps the rows."""
+    ``GameDocument._replace`` keeps them exactly when it keeps the rows."""
 
     __slots__ = ("faults",)
 
 
-@dataclass(frozen=True)
-class GameDocument:
+class GameDocument(NamedTuple):
     """A game: the tree plus, per player present (in a file's section order),
     the payoff rows that ``PayoffField`` takes: one tuple per (s, t) in
     ``tree.stop_pairs`` order, of the values of level max(s, t)'s nodes in

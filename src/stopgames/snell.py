@@ -19,7 +19,7 @@ from typing import Literal, NamedTuple, Sequence
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, PayoffField, adjustment_floor
-from .tree import EventTree, StoppingTime, left_sum
+from .tree import EventTree, StoppingTime
 
 Window = Literal["inclusive", "strict"]
 Direction = Literal["max", "min"]
@@ -50,7 +50,7 @@ def _sweep(
     strict: bool,
     use_max: bool,
     tol: float,
-) -> tuple[list[list[float]], list[StoppingTime], list[list[float]]]:
+) -> tuple[list[list[float]], list[StoppingTime]]:
     """Solve the stopping problems rooted at the levels `roots` (increasing)
     in one backward sweep; ``rewards(u, count)`` gives the level-u reward
     rows of the first `count` problems.
@@ -65,8 +65,8 @@ def _sweep(
 
     Returns, per problem, its value at its root level (the envelope there,
     or for a strict window below the horizon the one-step expectation of
-    the envelope), its earliest optimizer, and the sweep's envelope lists
-    from the horizon down to ``roots[0]``.
+    the envelope) and its earliest optimizer.  The rewards are not checked:
+    a payoff field holds only finite values.
     """
     T = tree.horizon
     n = len(roots)
@@ -78,7 +78,6 @@ def _sweep(
     values: list[list[float]] = [[]] * n
     if roots[-1] == T:
         values[-1] = env[-size:]
-    envs = [env]
     # Per level from the horizon down, each problem's marks there: False
     # where its window has not reached the level.
     chunks = [repeat((True,) * size, n)]
@@ -95,33 +94,13 @@ def _sweep(
             repeat(False, (n - active) * size),
         )
         chunks.append(zip(*[marks] * size))
-        envs.append(env)
         k = rooted - 1
         if roots[k] == u:
             values[k] = (cont if strict else env)[k * size : (k + 1) * size]
-    # max and min keep a NaN reward and drop a NaN continuation, so a NaN
-    # stays at its own node; the envelopes are searched only if their sum
-    # is NaN.
-    if isnan(left_sum(map(left_sum, envs))):
-        _raise_missing(tree, n, envs)
     # One transposition gives each problem's marks over every node.
     below = repeat((False,) * tree.level_start[roots[0]], n)
     marks_of = map(tuple, map(chain.from_iterable, zip(below, *reversed(chunks))))
-    return values, list(map(StoppingTime, marks_of)), envs
-
-
-def _raise_missing(tree: EventTree, n: int, envs: list[list[float]]) -> None:
-    """Name the first NaN of the first of `n` problems, in t order, that
-    has one, visiting the sweep's envelope lists `envs` from the horizon
-    down and each level in node order."""
-    T = tree.horizon
-    for k in range(n):
-        for u, env in zip(range(T, -1, -1), envs):
-            size = len(tree.levels[u])
-            for i, x in enumerate(env[k * size : (k + 1) * size]):
-                if isnan(x):
-                    node = tree.nodes[tree.level_start[u] + i]
-                    raise GameSpecError(f"reward missing at node {node.id}")
+    return values, list(map(StoppingTime, marks_of))
 
 
 def snell(
@@ -140,19 +119,27 @@ def snell(
     window start; the value at a level-t node is S_t (inclusive window) or
     the one-step expectation of the envelope (strict window).  The optimizer
     stops at the first window node where the reward meets the envelope.
-    This is the one-problem run of the sweep behind :func:`reaction_value`.
+    A NaN reward is refused, naming the first met from the horizon down to
+    the window start, each level in node order.  The envelope at level u is
+    the value of the inclusive problem rooted at u, so the sweep behind
+    :func:`reaction_value`, run over those problems, gives it.
     """
     _check_problem(window, direction)
     T = tree.horizon
     if not 0 <= t <= T:
         raise GameSpecError(f"level {t} outside 0..{T}")
-    strict = window == "strict"
-    values, optimizers, envs = _sweep(
-        tree, lambda u, k: (rows[u],) if k else (), (t,), strict, direction == "max", tol
+    start = adjustment_floor(T, t, window == "strict")
+    read = {u: rows[u] for u in range(T, start - 1, -1)}
+    for u, row in read.items():
+        for idx, x in zip(tree.levels[u], row):
+            if isnan(x):
+                raise GameSpecError(f"reward missing at node {tree.nodes[idx].id}")
+    values, optimizers = _sweep(
+        tree, lambda u, k: repeat(read[u], k), range(start, T + 1), False, direction == "max", tol
     )
-    below = repeat(0.0, tree.level_start[adjustment_floor(T, t, strict)])
-    envelope = tuple(chain(below, *reversed(envs)))
-    return SnellResult(tuple(values[0]), optimizers[0], envelope)
+    envelope = tuple(chain(repeat(0.0, tree.level_start[start]), *values))
+    value = values[0] if t == start else tree.expect_next(envelope, t)
+    return SnellResult(tuple(value), optimizers[0], envelope)
 
 
 class ReactionValue(NamedTuple):
@@ -191,7 +178,7 @@ def reaction_value(
         return cached
     _check_problem(window, direction)
     strict = window == "strict"
-    values, optimizers, _ = _sweep(
+    values, optimizers = _sweep(
         field.tree,
         partial(field.rows_at, player, side),
         tuple(range(field.tree.horizon + 1)),

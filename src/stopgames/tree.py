@@ -76,7 +76,7 @@ class EventTree:
         self._parents = (-1, *parents[1:])
 
         self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
-        self._layouts: dict[tuple[int, int], tuple] = {}
+        self._layouts: dict[int, tuple] = {}
 
     def expect_next(
         self, values: Sequence[float] | Mapping[int, float], t: int
@@ -114,7 +114,10 @@ class EventTree:
         adding +0.0 leaves its bits as they were, where 0.0 times a child
         value could be NaN.
         """
-        size, n, slots = self._layouts.get((t, count)) or self._layout(t, count)
+        layout = self._layouts.get(t)
+        if layout is None or layout[1] < count:
+            layout = self._layout(t, count)
+        size, n, slots = layout
         src = values[: count * size]
         src.append(0.0)  # every pad reads src[-1]
         get = src.__getitem__
@@ -127,40 +130,35 @@ class EventTree:
         return list(total)
 
     def _layout(self, t: int, count: int) -> tuple[int, int, list[tuple[list[int], list[float]]]]:
-        """Level t's ``expect_batch`` gather for `count` processes: the size
-        of level t+1, the number n >= count of processes it gathers and, per
-        child slot j, the input position of each node's j-th child (-1 for a
-        pad), per process and per node, with the matching probabilities (0.0
-        for a pad).
+        """Level t's ``expect_batch`` gather for at least `count` processes:
+        the size of level t+1, the number n >= count of processes it gathers
+        and, per child slot j, the input position of each node's j-th child
+        (-1 for a pad), per process and per node, with the matching
+        probabilities (0.0 for a pad).
 
-        Kept with the tree.  A level keeps a gather for one process and one
-        for max(t + 1, count) processes, t + 1 being the most that the
-        stopping problems rooted at or above t ever batch; a call for fewer
-        processes than that reads the first blocks of the larger gather.
+        Kept with the tree, one per level.  It gathers max(t + 1, 2, count)
+        processes: t + 1 is the most that the stopping problems rooted at or
+        above t ever batch, and 2 a pair of ``expect_next_pair``.  A call for
+        fewer processes reads its first blocks; one for more rebuilds it.
         """
-        n = 1 if count == 1 else max(t + 1, count)
-        layout = self._layouts.get((t, n))
-        if layout is None:
-            lo, first, hi = self.level_start[t : t + 3]
-            size = hi - first
-            nodes = self.nodes[lo:first]
-            width = max(map(len, map(attrgetter("children"), nodes)))
-            ranks: list[int] = []
-            probs: list[float] = []
-            for node in nodes:
-                pad = width - len(node.children)
-                ranks += [c - first for c in node.children] + [-1] * pad
-                probs += node.child_probs + (0.0,) * pad
-            # Process k reads its block at k * size; a pad stays at -1.
-            positions = ranks + [
-                r + offset if r >= 0 else -1
-                for offset in range(size, n * size, size)
-                for r in ranks
-            ]
-            every = probs * n
-            slots = [(positions[j::width], every[j::width]) for j in range(width)]
-            layout = self._layouts[t, n] = (size, n, slots)
-        self._layouts[t, count] = layout
+        n = max(t + 1, 2, count)
+        lo, first, hi = self.level_start[t : t + 3]
+        size = hi - first
+        nodes = self.nodes[lo:first]
+        width = max(map(len, map(attrgetter("children"), nodes)))
+        ranks: list[int] = []
+        probs: list[float] = []
+        for node in nodes:
+            pad = width - len(node.children)
+            ranks += [c - first for c in node.children] + [-1] * pad
+            probs += node.child_probs + (0.0,) * pad
+        # Process k reads its block at k * size; a pad stays at -1.
+        positions = ranks + [
+            r + offset if r >= 0 else -1 for offset in range(size, n * size, size) for r in ranks
+        ]
+        every = probs * n
+        slots = [(positions[j::width], every[j::width]) for j in range(width)]
+        layout = self._layouts[t] = (size, n, slots)
         return layout
 
     def first_stops(self, marks: Sequence[bool]) -> list[int]:

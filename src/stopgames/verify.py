@@ -234,14 +234,12 @@ def count_strategies(tree: EventTree, kind: str) -> int:
     return total
 
 
-def enumerate_strategies(
-    tree: EventTree, kind: str, min_initial_time: int = 0
-) -> list[Strategy]:
+def enumerate_strategies(tree: EventTree, kind: str) -> list[Strategy]:
     """All pure strategies of one class, canonical components throughout."""
     if kind not in ("a", "b"):
         raise GameSpecError(f"unknown strategy kind {kind!r}")
     strict = kind == "a"
-    initials = enumerate_stopping_times(tree, min_initial_time)
+    initials = enumerate_stopping_times(tree)
     per_t = [
         enumerate_stopping_times(tree, adjustment_floor(tree.horizon, t, strict))
         for t in range(tree.horizon + 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import weakref
@@ -122,7 +121,7 @@ def map_payoffs(doc: gamefile.GameDocument, fn) -> gamefile.GameDocument:
         player: [tuple(fn(next(counter), v) for v in row) for row in section]
         for player, section in doc.rows.items()
     }
-    return dataclasses.replace(doc, rows=rows)
+    return doc._replace(rows=rows)
 
 
 def reference_random_game(

@@ -229,6 +229,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "certified: PASS" in text
 
+    def test_sigma_outside_zs_is_refused_before_the_game_is_read(
+        self, matching_file, tmp_path, capsys
+    ):
+        profile = tmp_path / "profile.json"
+        assert _run(["solve-sim", matching_file, "--profile-out", str(profile)])[0] == 0
+        missing = str(tmp_path / "missing.json")
+        for game in (matching_file, missing):
+            capsys.readouterr()
+            argv = ["verify", game, "--profile", str(profile), "--mode", "sim", "--sigma", "1"]
+            assert _run(argv) == (1, "")
+            assert capsys.readouterr().err == "error: --sigma applies only to --mode zs\n"
+
     def test_verify_rejects_bad_profile(self, matching_file, tmp_path):
         profile = tmp_path / "bad.json"
         doc = gamefile.load_bundled("matching_times")

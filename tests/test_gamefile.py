@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import json
@@ -106,7 +105,7 @@ def _non_finite_game() -> gamefile.GameDocument:
     doc = gamefile.generate_random_game(2, 2, seed=10)
     odd = itertools.cycle((math.inf, 0.5, -math.inf, -0.0, math.nan, 1))
     section = [tuple(next(odd) for _ in row) for row in doc.rows[2]]
-    doc = dataclasses.replace(doc, rows={**doc.rows, 2: section})
+    doc = doc._replace(rows={**doc.rows, 2: section})
     return gamefile.parse(_reference_game_text(doc))
 
 
@@ -125,8 +124,8 @@ _EMIT_CASES = {
     "rounded-zero-sum": lambda: map_payoffs(
         gamefile.generate_random_game(2, 3, seed=5, zero_sum=True), lambda k, v: round(v)
     ),
-    "no-name-no-seed": lambda: dataclasses.replace(
-        gamefile.generate_random_game(2, 2, seed=6, name="x"), name=None, seed=None
+    "no-name-no-seed": lambda: gamefile.generate_random_game(2, 2, seed=6, name="x")._replace(
+        name=None, seed=None
     ),
     "quoted-name": lambda: gamefile.generate_random_game(
         1, 2, seed=8, name='say "hi"\nna\u00efve \u4e2d\u6587 \\ \t'
@@ -202,7 +201,7 @@ class TestEmitBytes:
         doc = gamefile.generate_random_game(2, 2, seed=4)
         rows = list(doc.rows[player])
         edit(rows)
-        doc = dataclasses.replace(doc, rows={**doc.rows, player: rows})
+        doc = doc._replace(rows={**doc.rows, player: rows})
         with pytest.raises(sg.GameSpecError) as exc:
             gamefile.emit(doc)
         assert str(exc.value) == (
@@ -219,14 +218,14 @@ class TestEmitBytes:
         assert str(exc.value) == "payoff missing for node 2:3 at (s,t)=(0, 2)"
 
     def test_a_replaced_document_keeps_its_blocks_fault(self):
-        # The messages travel with the rows: a document made by
-        # dataclasses.replace that keeps the rows raises what the parsed one
-        # raises, and one given new rows words the fault from them.
+        # The messages travel with the rows: a document made by _replace
+        # that keeps the rows raises what the parsed one raises, and one
+        # given new rows words the fault from them.
         obj = json.loads(gamefile.emit(gamefile.generate_random_game(2, 2, seed=4)))
         del obj["payoffs"]["2"]["0,2"]["2:3"]
         parsed = gamefile.parse(json.dumps(obj))
-        renamed = dataclasses.replace(parsed, name="x")
-        new_rows = dataclasses.replace(parsed, rows=dict(parsed.rows))
+        renamed = parsed._replace(name="x")
+        new_rows = parsed._replace(rows=dict(parsed.rows))
         builds = {
             "payoff_field": lambda doc: doc.payoff_field(),
             "zero_sum_field": lambda doc: doc.zero_sum_field(),
@@ -253,7 +252,7 @@ class TestEmitBytes:
     def test_profile_with_odd_node_ids_matches_json_dumps(self, mode):
         doc = _odd_ids_game()
         if mode == "zs":
-            doc = dataclasses.replace(doc, rows={1: doc.rows[1]})
+            doc = doc._replace(rows={1: doc.rows[1]})
         profile = _solved_profile(doc, mode)
         text = gamefile.profile_to_json(doc.tree, mode, profile)
         assert text == _reference_profile_text(doc.tree, mode, profile)

@@ -179,6 +179,7 @@ def test_no_function_takes_both_a_tree_and_a_field():
 #: Every record type: a ``typing.NamedTuple``.
 RECORDS = [
     "dynkin.ZeroSumSaddle",
+    "gamefile.GameDocument",
     "sequential.SeqDiagnostics",
     "sequential.SeqEquilibrium",
     "sequential.SeqProcessBundle",
@@ -277,8 +278,8 @@ def test_a_fresh_command_loads_only_its_modules(command, small_game, tmp_path):
     }.get(command, [command, game])
     code, loaded, dataclasses_loaded = _fresh(_CENSUS, *argv)
     assert (code, loaded) == ("0", COMMAND_MODULES[command])
-    # Only a game document is a dataclass; the usage text needs none.
-    assert dataclasses_loaded == str(command != "help")
+    # Every record is a named tuple, so no command needs dataclasses.
+    assert dataclasses_loaded == "False"
 
 
 _SURFACE = """

@@ -91,6 +91,28 @@ class TestWorkedExamples:
         with pytest.raises(sg.GameSpecError, match=f"reward missing at node {named}$"):
             sg.snell(tree, RewardRows(tree, reward), 0, "inclusive", direction, TOL)
 
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    @pytest.mark.parametrize("t, nan_nodes, named", [(0, {0, 2}, "1:1"), (1, {1, 2, 4, 6}, "2:1")])
+    def test_strict_window_names_a_nan_at_the_next_level(self, direction, t, nan_nodes, named):
+        # The window starts at t + 1, so the NaN named is there, and one at
+        # level t is not read.
+        tree = gamefile.generate_random_game(3, 2, seed=1).tree
+        reward = lambda u, i: float("nan") if i in nan_nodes else float(i)
+        with pytest.raises(sg.GameSpecError, match=f"reward missing at node {named}$"):
+            sg.snell(tree, RewardRows(tree, reward), t, "strict", direction, TOL)
+
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_strict_window_never_reads_a_nan_at_or_below_its_level(self, direction, t):
+        tree = gamefile.generate_random_game(3, 2, seed=1).tree
+        finite = lambda u, i: float(i % 5)
+        below = lambda u, i: float("nan") if u <= t else finite(u, i)
+        want = sg.snell(tree, RewardRows(tree, finite), t, "strict", direction, TOL)
+        got = sg.snell(tree, RewardRows(tree, below), t, "strict", direction, TOL)
+        assert list(map(float.hex, got.value)) == list(map(float.hex, want.value))
+        assert list(map(float.hex, got.envelope)) == list(map(float.hex, want.envelope))
+        assert got.optimizer == want.optimizer
+
 
 class TestRewardRows:
     @pytest.mark.parametrize(

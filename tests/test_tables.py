@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from math import isinf, isnan
+from math import isinf
 
 import pytest
 
@@ -143,47 +143,6 @@ def test_tables_match_where_sums_overflow():
                 if len(counts) > 1 and any(isinf(env[c]) for c in tree.levels[u + 1]):
                     mixed_with_inf += 1
     assert mixed_with_inf > 0
-
-
-@pytest.mark.parametrize("window", ["inclusive", "strict"])
-def test_batched_nan_names_the_node_the_first_problem_names(window):
-    # No payoff field holds a NaN, so a NaN reward reaches the batched sweep
-    # only through its rewards callable.  It names the first problem, in t
-    # order, whose envelope has a NaN, and in it the first NaN node visited:
-    # levels from the horizon down to the window start, each in node order.
-    from stopgames.snell import _sweep
-
-    rng = random.Random(f"nan-{window}")
-    checked = 0
-    for _ in range(60):
-        tree = random_tree(rng)
-        T = tree.horizon
-        rows = {
-            (u, t): tuple(
-                float("nan") if rng.random() < 0.08 else rng.uniform(-1, 1)
-                for _ in tree.levels[max(u, t)]
-            )
-            for u in range(T + 1)
-            for t in range(T + 1)
-        }
-        expected = None
-        for t in range(T + 1):
-            one = [rows[u, t] if u >= t else None for u in range(T + 1)]
-            _, _, env = reference_snell(tree, one, t, window, "max", 1e-9)
-            start = min(t + 1, T) if window == "strict" else t
-            nan = [i for lv in reversed(tree.levels[start:]) for i in lv if isnan(env[i])]
-            if nan:
-                expected = f"reward missing at node {tree.nodes[nan[0]].id}"
-                break
-        rewards = lambda u, count: [rows[u, t] for t in range(count)]
-        if expected is None:
-            _sweep(tree, rewards, tuple(range(T + 1)), window == "strict", True, 1e-9)
-            continue
-        with pytest.raises(sg.GameSpecError) as exc:
-            _sweep(tree, rewards, tuple(range(T + 1)), window == "strict", True, 1e-9)
-        assert str(exc.value) == expected
-        checked += 1
-    assert checked > 10
 
 
 def test_first_stops_match_a_path_walk():

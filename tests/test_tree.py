@@ -478,6 +478,17 @@ class TestExpectNext:
                     want = [v for x in procs for v in tree.expect_next(x, t)]
                     assert list(map(float.hex, got)) == list(map(float.hex, want))
 
+    def test_a_solve_and_its_certificate_keep_one_gather_per_level(self):
+        doc = gamefile.generate_random_game(6, 2, seed=1)
+        field = doc.payoff_field()
+        solution = sg.sim_equilibrium(field)
+        assert sg.check_equilibrium(field, "sim", (solution.rho, solution.tau)).passed
+        # Keyed by level, each gathering as many processes as the level's
+        # sweeps batch.
+        layouts = doc.tree._layouts
+        assert sorted(layouts) == list(range(6))
+        assert [layouts[t][1] for t in range(6)] == [max(t + 1, 2) for t in range(6)]
+
     def test_signed_zeros_sum_to_positive_zero(self):
         tree = three_node_tree()
         assert float.hex(tree.expect_next([0.0, -0.0, -0.0], 0)[0]) == "0x0.0p+0"

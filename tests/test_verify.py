@@ -125,7 +125,8 @@ class TestBestResponse:
                     )
                     best = max(
                         payoff(own)
-                        for own in sg.enumerate_strategies(tree, kind, min_initial_time=s)
+                        for own in sg.enumerate_strategies(tree, kind)
+                        if min(own.initial.realized(tree)) >= s
                     )
                     assert value == approx(best, abs=1e-12)
                     assert min(strategy.initial.realized(tree)) >= s
