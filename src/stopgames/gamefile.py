@@ -34,7 +34,7 @@ from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import add, is_, itemgetter, mul, ne, neg, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GameSpecError
 from .strategies import AdjustmentFamily, CheckedRows, PayoffField, RandomizedStoppingTime
@@ -145,11 +145,6 @@ def _loads(text: str, document: str):
         raise GameSpecError(f"{document} nests too deeply") from None
 
 
-def _level_ids(tree: EventTree) -> list[list[str]]:
-    """Node ids of each level, in canonical order."""
-    return [[tree.nodes[idx].id for idx in level] for level in tree.levels]
-
-
 def _block_faults(section: Mapping, base: Mapping | None, level_ids: list[list[str]]) -> tuple:
     """The first fault of each kind in a decoded payoff section, as the error
     that a field raises, or None, in one walk of its blocks in file order: a
@@ -158,7 +153,7 @@ def _block_faults(section: Mapping, base: Mapping | None, level_ids: list[list[s
     own nodes first, then those it lacks)."""
     slices = negation = None
     for st_key, block in section.items():
-        st = tuple(map(int, st_key.split(",")))
+        st = _pair(st_key)
         ids = level_ids[max(st)]
         extra = block.keys() - set(ids)
         if slices is None and extra:
@@ -179,6 +174,11 @@ def _block_faults(section: Mapping, base: Mapping | None, level_ids: list[list[s
     return slices, negation
 
 
+def _pair(st_key: str) -> tuple[int, int]:
+    """The (s, t) of a payoff key that is one of the tree's "s,t" texts."""
+    return tuple(map(int, st_key.split(",")))
+
+
 def _negation_fault(st: tuple[int, int], nid: str) -> GameSpecError:
     return GameSpecError(
         f"payoff section 2 is not the negation of section 1 at (s,t)={st}, node {nid}"
@@ -187,7 +187,7 @@ def _negation_fault(st: tuple[int, int], nid: str) -> GameSpecError:
 
 class _ParsedRows(dict):
     """A parsed document's rows by player, with ``faults``: the messages of
-    the faults that its fields raise, as ``_SectionReader.faults`` gives them.
+    the faults that its fields raise, as ``_SectionLayout.faults`` gives them.
     They travel with the rows they describe, so a document made by
     ``GameDocument._replace`` keeps them exactly when it keeps the rows."""
 
@@ -282,21 +282,31 @@ def _block_fault(by_st: Mapping, texts: set[str], horizon: int) -> None:
             raise _st_key_fault(st_key, horizon)
 
 
-class _SectionReader:
-    """Reads a file's payoff sections on one tree into rows in field order,
-    each block looked up by its "s,t" text and read by its level's getter."""
+class _SectionLayout:
+    """The layout of a payoff section on one tree, which the reader, the
+    fault walk and the writer share: one block per (s, t) of
+    ``tree.stop_pairs``, keyed by its text "s,t" (``texts``), listing the
+    node ids of level max(s, t) in canonical order (``level_ids``)."""
 
     def __init__(self, tree: EventTree):
         self.tree = tree
-        self.texts = list(_st_texts(tree.horizon + 1, "", ""))
-        self.level_ids = level_ids = _level_ids(tree)
-        level_sizes = list(map(len, level_ids))
-        self.sizes = list(map(level_sizes.__getitem__, tree.stop_levels))
-        getters = [itemgetter(*ids) for ids in level_ids]
-        self.getters = list(map(getters.__getitem__, tree.stop_levels))
-        self.lone = level_sizes.count(1)
+        n = tree.horizon + 1
+        firsts = chain.from_iterable(map(repeat, [f"{s}," for s in range(n)], repeat(n)))
+        self.texts = list(map(add, firsts, list(map(str, range(n))) * n))
+        ids = list(tree.by_id)
+        starts = tree.level_start
+        self.level_ids = list(map(ids.__getitem__, map(slice, starts, starts[1:])))
 
-    def __call__(self, by_st: Mapping, player: int) -> list[tuple[float, ...]] | None:
+    def template(self) -> str:
+        """The ``str.format`` template of a section's blocks, as
+        ``json.dumps(..., indent=2)`` lays them out in a game file: each
+        block's key, then its level's ``_object_template``, which has one
+        ``{!s}`` slot per node for its value."""
+        by_level = ['": ' + _object_template(ids, 3) for ids in self.level_ids]
+        blocks = map(by_level.__getitem__, self.tree.stop_levels)
+        return '      "' + ',\n      "'.join(map(add, self.texts, blocks))
+
+    def read(self, by_st: Mapping, player: int) -> list[tuple[float, ...]] | None:
         """Section `player` as ``CheckedRows`` when every value is finite,
         else a plain list, or None when a block does not hold exactly its
         level's nodes (a field words that).  Other faults are raised, walked
@@ -312,9 +322,8 @@ class _SectionReader:
             for st_key, per_node in by_st.items():
                 for nid, val in per_node.items():
                     if type(val) not in (float, int):
-                        st = tuple(map(int, st_key.split(",")))
                         raise GameSpecError(
-                            f"payoff for node {nid} at (s,t)={st} in section {player} "
+                            f"payoff for node {nid} at (s,t)={_pair(st_key)} in section {player} "
                             f"is not a number"
                         )
         if int in kinds:
@@ -324,18 +333,21 @@ class _SectionReader:
                 raise GameSpecError(
                     f"payoff section {player} holds an integer too large for a float"
                 ) from None
-        if list(map(len, blocks)) != self.sizes:
+        if tuple(map(len, blocks)) != tree.stop_sizes:
             return None
+        by_level = [itemgetter(*ids) for ids in self.level_ids]
+        getters = map(by_level.__getitem__, tree.stop_levels)
         try:
-            rows = list(map(itemgetter.__call__, self.getters, blocks))
+            rows = list(map(itemgetter.__call__, getters, blocks))
         except KeyError:
             return None
         # A getter returns a bare value for a one-node level.  Those levels
         # come first, as no node before the horizon is a leaf, so in each row
         # s < lone of the (s, t) grid the first `lone` values are wrapped.
         n = tree.horizon + 1
-        for start in range(0, self.lone * n, n):
-            rows[start : start + self.lone] = zip(rows[start : start + self.lone])
+        lone = list(map(len, self.level_ids)).count(1)
+        for start in range(0, lone * n, n):
+            rows[start : start + lone] = zip(rows[start : start + lone])
         # A sum of finite floats can overflow, but a sum that is finite has
         # no infinite or NaN term, so that one C-level pass stands for the
         # test of each value in the common case.
@@ -356,7 +368,7 @@ class _SectionReader:
             for st_key, block in payoffs["2"].items():
                 other = map(float, map(payoffs["1"][st_key].__getitem__, block))
                 for nid in compress(block, map(ne, map(float, block.values()), map(neg, other))):
-                    return {}, str(_negation_fault(tuple(map(int, st_key.split(","))), nid))
+                    return {}, str(_negation_fault(_pair(st_key), nid))
         sections, negation = {}, None
         for player, section_rows in rows.items():
             base = payoffs["1"] if player == 2 and len(rows) == 2 else None
@@ -385,7 +397,8 @@ def parse(text: str) -> GameDocument:
         raise GameSpecError("payoffs must map player ids to payoff sections")
     # A section holds 2u + 1 entries per level-u node, and an entry takes at
     # least 5 characters ('"":0' and a comma or brace), so a text too short
-    # for its sections is refused before anything of size (T + 1)^2 exists.
+    # for its sections is refused before anything of size (T + 1)^2 exists,
+    # such as ``tree.stop_sizes``, whose sum this is.
     starts = tree.level_start
     entries = sum(map(mul, range(1, 2 * horizon + 2, 2), map(sub, starts[1:], starts)))
     if len(text) < 5 * entries * (("1" in payoffs) + ("2" in payoffs)):
@@ -393,15 +406,15 @@ def parse(text: str) -> GameDocument:
             f"game file of {len(text)} characters cannot hold {entries} payoff entries per section"
         )
 
-    read = _SectionReader(tree)
+    layout = _SectionLayout(tree)
     rows = _ParsedRows()
     for player_key, by_st in payoffs.items():
         if player_key not in ("1", "2"):
             raise GameSpecError(f"unknown payoff section {player_key!r}")
         if not isinstance(by_st, dict):
             raise GameSpecError(f"payoff section {player_key} must be an object")
-        rows[int(player_key)] = read(by_st, int(player_key))
-    rows.faults = read.faults(rows, payoffs)
+        rows[int(player_key)] = layout.read(by_st, int(player_key))
+    rows.faults = layout.faults(rows, payoffs)
 
     name = raw.get("name")
     seed = raw.get("seed")
@@ -435,37 +448,18 @@ def load_bundled(name: str) -> GameDocument:
     )
 
 
-def _st_texts(n: int, before: str, after: str) -> Iterator[str]:
-    """``before + "s,t" + after`` for every (s, t) in 0..n-1, in the
-    row-major order of ``EventTree.stop_pairs``, joined by C-level string
-    additions as they are drawn."""
-    firsts = [f"{before}{s}," for s in range(n)]
-    seconds = [f"{t}{after}" for t in range(n)]
-    return map(add, chain.from_iterable(map(repeat, firsts, repeat(n))), seconds * n)
-
-
-def _id_slots(ids: Iterable[str]) -> list[str]:
-    """Each node id as the key of a JSON object's item in a ``str.format``
-    template: JSON-encoded, its braces doubled, and followed by ``: {!s}``."""
-    return [
+def _object_template(ids: Iterable[str], depth: int) -> str:
+    """The ``str.format`` template of a flat object keyed by node ids, as
+    ``json.dumps(..., indent=2)`` lays it out at nesting `depth`: a payoff
+    block (depth 3) or a profile's per-node rule (depth 2 or 3).  Each id is
+    JSON-encoded, its braces doubled, and followed by a ``{!s}`` slot for
+    its value."""
+    pad = "  " * depth
+    slots = [
         encode_basestring_ascii(nid).replace("{", "{{").replace("}", "}}") + ": {!s}"
         for nid in ids
     ]
-
-
-def _section_template(tree: EventTree, level_ids: list[list[str]]) -> str:
-    """The ``str.format`` template of a payoff section's blocks, as
-    ``json.dumps(..., indent=2)`` lays them out in a game file.
-
-    Each level has one block template: its node ids in canonical order,
-    JSON-encoded with their braces doubled, each followed by a ``{!s}`` slot
-    for its value.  Each (s, t) puts its key before its level's template.
-    """
-    levels = [
-        "{{\n        " + ",\n        ".join(_id_slots(ids)) + "\n      }}" for ids in level_ids
-    ]
-    heads = _st_texts(tree.horizon + 1, '      "', '": ')
-    return ",\n".join(map(add, heads, map(levels.__getitem__, tree.stop_levels)))
+    return f"{{{{\n{pad}  " + f",\n{pad}  ".join(slots) + f"\n{pad}}}}}"
 
 
 #: The JSON text of one scalar, for numbers that ``str`` does not write as
@@ -491,16 +485,14 @@ def _payoff_parts(doc: GameDocument) -> list[str]:
     if not doc.rows:
         return ["{}"]
     tree = doc.tree
-    level_ids = _level_ids(tree)
-    sizes = list(map(len, map(level_ids.__getitem__, tree.stop_levels)))
-    template = _section_template(tree, level_ids)
+    template = _SectionLayout(tree).template()
     parts = ["{\n"]
     for player in sorted(doc.rows):
         rows = doc.rows[player]
         if rows is None:
             raise doc._section_fault(player)
         try:
-            fits = list(map(len, rows)) == sizes
+            fits = tuple(map(len, rows)) == tree.stop_sizes
         except TypeError:
             fits = False
         if not fits:
@@ -606,8 +598,7 @@ def generate_random_game(
 
     # Payoffs are drawn in field order, one rng.random() per node of each
     # (s, t) block, and cut into rows; a finite range keeps each draw finite.
-    level_sizes = list(map(len, tree.levels))
-    ends = list(accumulate(map(level_sizes.__getitem__, tree.stop_levels)))
+    ends = list(accumulate(tree.stop_sizes))
     cuts = list(map(slice, [0, *ends[:-1]], ends))
     rand = rng.random
     rows = {}
@@ -671,17 +662,6 @@ def _per_node_fault(tree: EventTree, data: Mapping, what: str, kind: str) -> Non
 _MARK = {False: "false", True: "true"}
 
 
-def _node_templates(tree: EventTree) -> tuple[str, str]:
-    """The ``str.format`` templates of a profile's per-node objects, as
-    ``json.dumps(..., indent=2)`` lays them out: a strategy's initial rule
-    (depth 2) and an adjustment rule (depth 3), with the ``_id_slots`` of the
-    node ids in canonical order."""
-    keys = _id_slots(tree.by_id)
-    return tuple(
-        f"{{{{\n{pad}  " + f",\n{pad}  ".join(keys) + f"\n{pad}}}}}" for pad in ("    ", "      ")
-    )
-
-
 def _marks_text(template: str, marks: Sequence) -> str:
     """A per-node template filled with the JSON text of each stop mark's
     truth value: ``_MARK`` of the mark, which is equal to that of
@@ -694,7 +674,8 @@ def _marks_text(template: str, marks: Sequence) -> str:
 
 def _strategy_to_json(templates: tuple[str, str], strategy: Strategy) -> str:
     """A strategy's object, as ``json.dumps(..., indent=2)`` writes it in a
-    profile, from the tree's ``_node_templates``."""
+    profile, from the ``_object_template`` of the tree's node ids at depths
+    2 (its initial rule) and 3 (each adjustment rule)."""
     initial, adjust = templates
     if strategy.mixed:
         head = f'"stop_prob": {initial.format(*_json_numbers(strategy.initial.probs))}'
@@ -742,7 +723,7 @@ def profile_to_json(tree: EventTree, mode: str, profile: tuple) -> str:
     if mode not in ("sim", "seq", "zs"):
         raise GameSpecError(f"unknown mode {mode!r}")
     rho, tau = profile
-    templates = _node_templates(tree)
+    templates = (_object_template(tree.by_id, 2), _object_template(tree.by_id, 3))
     return (
         f'{{\n  "mode": "{mode}",\n'
         f'  "player1": {_strategy_to_json(templates, rho)},\n'

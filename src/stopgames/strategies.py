@@ -134,9 +134,8 @@ def _checked_rows(
     are not rows), a wrong number of rows, then, row by row in field order,
     a row that is not a sequence of values ``float`` accepts, a wrong size,
     then a non-finite value.  A row is named by its position (player, s, t)."""
-    level_sizes = list(map(len, tree.levels))
-    sizes = list(map(level_sizes.__getitem__, tree.stop_levels)) * len(players)
-    if type(rows) is CheckedRows and list(map(len, rows)) == sizes:
+    sizes = tree.stop_sizes * len(players)
+    if type(rows) is CheckedRows and tuple(map(len, rows)) == sizes:
         return rows
     if not isinstance(rows, Sequence):
         raise GameSpecError(f"payoff rows must be a sequence, not {type(rows).__name__}")
@@ -156,6 +155,13 @@ def _checked_rows(
             raise GameSpecError(f"non-finite payoff in slice {key}")
         data.append(vals)
     return CheckedRows(data, max(map(abs, chain.from_iterable(data)), default=0.0))
+
+
+#: The least ``PayoffField.tol``: 64 steps of the subnormal float grid.
+#: Below 2**-1022 every float operation rounds to a multiple of 2**-1074, an
+#: error that does not shrink with the payoffs, so a tolerance of a few such
+#: steps no longer covers the rounding of a solve.
+_MIN_TOL = 2.0**-1068
 
 
 class PayoffField:
@@ -182,7 +188,10 @@ class PayoffField:
     magnitude (1.0 for an all-zero field; 2**1023, the largest finite power
     of two, caps it).  Every payoff equality test and certificate slack is
     ``tol = 1e-9 * unit``, so scaling all payoffs by 2**k scales each
-    comparison exactly and leaves every decision as it was.
+    comparison exactly and leaves every decision as it was.  A field whose
+    ``tol`` would fall below ``_MIN_TOL`` (``unit`` below 2**-1038) is
+    refused: its payoffs are too small for their rounding to be told apart
+    from a tie.
     """
 
     def __init__(self, tree: EventTree, rows: Sequence[Sequence[float]]):
@@ -193,6 +202,11 @@ class PayoffField:
         mantissa, exponent = frexp(self.bound)  # 0 or in [0.5, 1)
         self.unit = ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
         self.tol = 1e-9 * self.unit
+        if self.tol < _MIN_TOL:
+            raise GameSpecError(
+                f"payoffs of largest magnitude {self.bound:g} are too small to certify: "
+                f"their tolerance {self.tol:g} is below {_MIN_TOL:g}"
+            )
         self._tables: dict[tuple, object] = {}
         self._payoffs: dict[tuple, tuple] = {}
         self._valid: dict[int, object] = {}

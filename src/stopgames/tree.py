@@ -75,7 +75,6 @@ class EventTree:
         # sentinel of `first_stops`.
         self._parents = (-1, *parents[1:])
 
-        self._realized_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
         self._layouts: dict[int, tuple] = {}
 
     def expect_next(
@@ -181,17 +180,12 @@ class EventTree:
         return first
 
     def realized_times(self, marks: tuple[bool, ...]) -> tuple[int, ...]:
-        """Per path, the time of the first node marked stop (cached)."""
-        cached = self._realized_cache.get(marks)
-        if cached is not None:
-            return cached
+        """Per path, the time of the first node marked stop."""
         stops = self.first_stops(marks)[self.level_start[self.horizon] :]
         if -1 in stops:
             leaf = self.leaves[stops.index(-1)]
             raise GameSpecError(f"no stop on the path through node {self.nodes[leaf].id}")
-        result = tuple([self.nodes[idx].time for idx in stops])
-        self._realized_cache[marks] = result
-        return result
+        return tuple([self.nodes[idx].time for idx in stops])
 
     # The canonical order of payoff blocks on the tree.  Each is built on
     # first use and kept with the tree, so every payoff section on it shares
@@ -208,6 +202,13 @@ class EventTree:
         n = self.horizon + 1
         # Row s of the grid is s repeated s times, then s..horizon.
         return tuple(chain.from_iterable(chain(repeat(s, s), range(s, n)) for s in range(n)))
+
+    @cached_property
+    def stop_sizes(self) -> tuple[int, ...]:
+        """For each of ``stop_pairs``, the node count of its level max(s, t):
+        the length of its payoff row."""
+        sizes = list(map(len, self.levels))
+        return tuple(map(sizes.__getitem__, self.stop_levels))
 
 
 class StoppingTime(NamedTuple):

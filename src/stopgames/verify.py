@@ -112,16 +112,14 @@ def best_response(
         values[idx] = z
         marks[idx] = True
     adj = own.process
+    # Each node's tie value below the horizon, by the tie rule (module docstring).
+    if mode == "sim":
+        ties = [z for t in range(T) for z in field.row(player, t, t)]
+    else:
+        ties = alone if player == 1 else adj
     for t in range(T - 1, -1, -1):
-        conts = zip(tree.levels[t], field.row(player, t, t), tree.expect_next(values, t))
-        for idx, z, cont in conts:
-            if mode == "sim":
-                tie = z
-            elif player == 1:
-                tie = alone[idx]
-            else:
-                tie = adj[idx]
-            stop_v = mix(idx, tie, alone[idx])
+        for idx, cont in zip(tree.levels[t], tree.expect_next(values, t)):
+            stop_v = mix(idx, ties[idx], alone[idx])
             cont_v = mix(idx, adj[idx], cont)
             if allowed[idx] and stop_v >= cont_v:
                 values[idx] = stop_v

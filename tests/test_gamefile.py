@@ -257,6 +257,35 @@ class TestEmitBytes:
         text = gamefile.profile_to_json(doc.tree, mode, profile)
         assert text == _reference_profile_text(doc.tree, mode, profile)
 
+    def test_payoff_blocks_and_profile_rules_share_one_object_template(self, monkeypatch):
+        made = []
+        helper = gamefile._object_template
+
+        def recorded(ids, depth):
+            made.append((tuple(ids), depth, helper(ids, depth)))
+            return made[-1][2]
+
+        monkeypatch.setattr(gamefile, "_object_template", recorded)
+        for horizon in (2, 0):
+            made.clear()
+            doc = gamefile.generate_random_game(horizon, 2, seed=horizon)
+            text = gamefile.emit(doc)
+            gamefile.profile_to_json(doc.tree, "seq", _solved_profile(doc, "seq"))
+            # One payoff block template per level, then a profile's initial
+            # rule (depth 2) and its adjustment rules (depth 3), all made by
+            # the one helper.
+            ids = tuple(doc.tree.by_id)
+            levels = [tuple(ids[i] for i in level) for level in doc.tree.levels]
+            assert [call[:2] for call in made] == [
+                *((level, 3) for level in levels),
+                (ids, 2),
+                (ids, 3),
+            ]
+            assert text == _reference_game_text(doc)
+        # On a horizon-0 tree the one level holds every node, so a payoff
+        # block and an adjustment rule are the same template.
+        assert made[0] == made[-1]
+
 
 def _solved_profile(doc: gamefile.GameDocument, mode: str) -> tuple:
     """The profile that the solver of `mode` finds for `doc`."""

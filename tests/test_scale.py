@@ -9,6 +9,7 @@ and leaves every decision, profile and verdict as it was.
 from __future__ import annotations
 
 import io
+from contextlib import redirect_stderr
 from math import ldexp
 
 import pytest
@@ -89,3 +90,41 @@ def test_large_and_small_payoffs_certify(tmp_path, payoff_range):
             if code != 0 or "certified: PASS (eps=1e-09)" not in out.getvalue():
                 failures.append((seed, command, code))
     assert failures == []
+
+
+def test_every_scale_certifies_or_is_refused(tmp_path):
+    # Payoff ranges 0.999 * 2**k, k from the least subnormal to normal
+    # floats: below unit 2**-1038 a field is refused (exit 1, one error
+    # line); from there on every solve certifies.  Nothing is a solver
+    # defect (exit 2), as tolerances that rounded to a few subnormal steps
+    # or to 0.0 once gave.
+    outcomes = {}
+    exponents = (-1074, -1064, -1056, -1050, -1046, -1044, -1042, -1040, -1039, -1038, -1036)
+    for k in (*exponents, -1030, -1022, -1000):
+        bound = repr(ldexp(0.999, k))
+        for seed in range(1, 6):
+            games = {}
+            for kind, extra in (("general", []), ("zero-sum", ["--zero-sum"])):
+                path = str(tmp_path / f"{kind}.json")
+                argv = ["gen", "--horizon", "3", "--branching", "2", "--seed", str(seed)]
+                argv += [f"--range=-{bound},{bound}", *extra, "-o", path]
+                assert run(argv, io.StringIO()) == 0
+                games[kind] = path
+            for command, kind in (
+                ("solve-sim", "general"),
+                ("solve-seq", "general"),
+                ("solve-zs", "zero-sum"),
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stderr(err):
+                    code = run([command, games[kind]], out)
+                if code == 0:
+                    assert "certified: PASS (eps=1e-09)" in out.getvalue()
+                    outcome = "certified"
+                else:
+                    assert (code, out.getvalue()) == (1, ""), (k, seed, command, err.getvalue())
+                    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                    assert "too small to certify" in err.getvalue()
+                    outcome = "refused"
+                outcomes.setdefault(k, set()).add(outcome)
+    assert outcomes == {k: {"refused" if k < -1038 else "certified"} for k in outcomes}

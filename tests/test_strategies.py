@@ -298,7 +298,7 @@ class TestPayoffField:
             (1.0, 1.0),
             (3.0, 4.0),
             (1e9, 2.0**30),
-            (2.0**-1074, 2.0**-1074),
+            (2.0**-1039 + 2.0**-1074, 2.0**-1038),
             (1.7e308, 2.0**1023),
         ],
     )
@@ -306,6 +306,14 @@ class TestPayoffField:
         tree = chain_tree(1)
         field = field_from_function(tree, lambda i, s, t, n: -bound if s else bound)
         assert (field.bound, field.unit, field.tol) == (bound, unit, 1e-9 * unit)
+
+    @pytest.mark.parametrize("bound", [2.0**-1074, 1e-318, 2.0**-1040, 2.0**-1039])
+    def test_a_field_too_small_to_certify_is_refused(self, bound):
+        # Below unit 2**-1038, tol = 1e-9 * unit is under 64 subnormal steps
+        # (0.0 at 2**-1074), too few to hold the rounding of a solve.
+        tree = chain_tree(1)
+        with pytest.raises(sg.GameSpecError, match="too small to certify"):
+            field_from_function(tree, lambda i, s, t, n: -bound if s else bound)
 
     def test_measurability_layout(self):
         tree = chain_tree(2)

@@ -381,6 +381,27 @@ class TestBuildTreeFields:
         assert str(info.value) == message
 
 
+def _stop_layout_trees():
+    """Irregular ``random_tree``s and the trees of ``gen`` shapes."""
+    rng = random.Random(34)
+    for _ in range(40):
+        yield random_tree(rng)
+    for horizon, branching in ((0, 1), (1, 3), (3, 2), (5, 1), (4, 3), (12, 1)):
+        yield gamefile.generate_random_game(horizon, branching, seed=horizon).tree
+
+
+class TestStopLayout:
+    def test_stop_sizes_are_the_sizes_of_the_stop_levels(self):
+        for tree in _stop_layout_trees():
+            assert tree.stop_sizes == tuple(
+                len(tree.levels[max(s, t)]) for s, t in tree.stop_pairs
+            )
+            # Level u is max(s, t) of 2u + 1 pairs (s, t).
+            assert sum(tree.stop_sizes) == sum(
+                (2 * u + 1) * len(level) for u, level in enumerate(tree.levels)
+            )
+
+
 class TestConditionalExpectation:
     def test_two_leaf_average(self):
         tree = three_node_tree()
