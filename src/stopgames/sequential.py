@@ -45,10 +45,10 @@ class SeqProcessBundle(NamedTuple):
     reply.  g1_uncapped keeps the strictly-later optimum before the f cap,
     which is what a lone-stopping opponent actually concedes.
 
-    The optimizer families realize the replies: reply_min1 punishes player 1
-    at her own stop, reply_max2 is player 2's own reply (both type B);
-    later_max1 is player 1's best strictly-later stop, later_min2 the one
-    punishing player 2 (both type A).
+    The optimizer families realize the replies the equilibrium plays:
+    reply_max2 is player 2's own reply (type B), later_max1 player 1's best
+    strictly-later stop (type A).  The punishing replies behind f1 and g2
+    are read only as values, so their families are not built.
     """
 
     f1: tuple[float, ...]
@@ -60,19 +60,17 @@ class SeqProcessBundle(NamedTuple):
     v1: tuple[float, ...]
     v2: tuple[float, ...]
     g1_uncapped: tuple[float, ...]
-    reply_min1: AdjustmentFamily
     later_max1: AdjustmentFamily
     reply_max2: AdjustmentFamily
-    later_min2: AdjustmentFamily
 
 
 def seq_processes(field: PayoffField) -> SeqProcessBundle:
     """Build both players' boundary/value/settle processes."""
     tree = field.tree
-    f1_side = reaction_value(field, 1, "second", "inclusive", "min")
+    f1_side = reaction_value(field, 1, "second", "inclusive", "min", family=False)
     g1_side = reaction_value(field, 1, "first", "strict", "max")
     f2_side = reaction_value(field, 2, "second", "inclusive", "max")
-    g2_side = reaction_value(field, 2, "first", "strict", "min")
+    g2_side = reaction_value(field, 2, "first", "strict", "min", family=False)
 
     f1 = f1_side.process
     f2 = f2_side.process
@@ -88,10 +86,8 @@ def seq_processes(field: PayoffField) -> SeqProcessBundle:
         v1=dynkin_value(tree, f1, g1),
         v2=dynkin_value(tree, f2, g2),
         g1_uncapped=g1_side.process,
-        reply_min1=f1_side.family,
         later_max1=g1_side.family,
         reply_max2=f2_side.family,
-        later_min2=g2_side.family,
     )
 
 

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from functools import partial
 from itertools import chain, repeat
 from math import isnan
-from operator import getitem, gt, le, lt, sub
+from operator import eq, getitem, gt, le, lt, neg, sub
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import GameSpecError
@@ -50,7 +50,8 @@ def _sweep(
     strict: bool,
     use_max: bool,
     tol: float,
-) -> tuple[list[list[float]], list[StoppingTime]]:
+    family: bool = True,
+) -> tuple[list[list[float]], list[StoppingTime] | None]:
     """Solve the stopping problems rooted at the levels `roots` (increasing)
     in one backward sweep; ``rewards(u, count)`` gives the level-u reward
     rows of the first `count` problems.
@@ -65,8 +66,9 @@ def _sweep(
 
     Returns, per problem, its value at its root level (the envelope there,
     or for a strict window below the horizon the one-step expectation of
-    the envelope) and its earliest optimizer.  The rewards are not checked:
-    a payoff field holds only finite values.
+    the envelope) and its earliest optimizer, or None for the optimizers
+    when `family` is false: the sweep then keeps no marks.  The rewards are
+    not checked: a payoff field holds only finite values.
     """
     T = tree.horizon
     n = len(roots)
@@ -80,7 +82,7 @@ def _sweep(
         values[-1] = env[-size:]
     # Per level from the horizon down, each problem's marks there: False
     # where its window has not reached the level.
-    chunks = [repeat((True,) * size, n)]
+    chunks = [repeat((True,) * size, n)] if family else None
     for u in range(T - 1, roots[0] - 1, -1):
         size = len(tree.levels[u])
         rooted = bisect_right(roots, u)
@@ -89,14 +91,17 @@ def _sweep(
         w = list(chain.from_iterable(rewards(u, active)))
         cont = tree.expect_batch(env, u, rooted)
         env = list(map(getitem, zip(w, cont), map(beats, cont, w)))
-        marks = chain(
-            map(le, map(abs, map(sub, w, env)), repeat(tol)),
-            repeat(False, (n - active) * size),
-        )
-        chunks.append(zip(*[marks] * size))
+        if family:
+            marks = chain(
+                map(le, map(abs, map(sub, w, env)), repeat(tol)),
+                repeat(False, (n - active) * size),
+            )
+            chunks.append(zip(*[marks] * size))
         k = rooted - 1
         if roots[k] == u:
             values[k] = (cont if strict else env)[k * size : (k + 1) * size]
+    if not family:
+        return values, None
     # One transposition gives each problem's marks over every node.
     below = repeat((False,) * tree.level_start[roots[0]], n)
     marks_of = map(tuple, map(chain.from_iterable, zip(below, *reversed(chunks))))
@@ -147,11 +152,12 @@ class ReactionValue(NamedTuple):
 
     ``process`` collects, per node, the value of the stopping problem rooted
     at that node's own level; ``family`` packages the earliest optimizers as
-    an adjustment family, strict (type A) exactly when the window is.
+    an adjustment family, strict (type A) exactly when the window is, and is
+    None in a table computed without it.
     """
 
     process: tuple[float, ...]
-    family: AdjustmentFamily
+    family: AdjustmentFamily | None
 
 
 def reaction_value(
@@ -160,13 +166,23 @@ def reaction_value(
     side: Literal["first", "second"],
     window: Window,
     direction: Direction,
+    *,
+    family: bool = True,
 ) -> ReactionValue:
     """Solve, for every t, the stopping problem in one payoff argument.
 
     ``side="first"`` optimizes the first argument of the player's payoff
     (rewards U(u, t) over stop times u); ``side="second"`` optimizes the
     second argument (rewards U(t, u)).  All T+1 problems are solved by one
-    backward sweep.  The table is memoized on the field.
+    backward sweep.  With ``family=False`` the caller reads only
+    ``process``: the sweep builds no optimizers, and ``family`` is None
+    unless the field already holds the table with its family.
+
+    The table is memoized on the field.  A memoized table serves every
+    later call, except that one computed without its family is computed
+    again when a family is asked for.  On a field built by
+    :meth:`PayoffField.zero_sum`, a table not yet memoized is taken from its
+    mirror when that is (see :func:`_mirror`).
     """
     if player not in (1, 2):
         raise GameSpecError(f"unknown player {player}")
@@ -174,20 +190,57 @@ def reaction_value(
         raise GameSpecError(f"unknown side {side!r}")
     key = (player, side, window, direction)
     cached = field._tables.get(key)
-    if cached is not None:
+    if cached is not None and (cached.family is not None or not family):
         return cached
     _check_problem(window, direction)
-    strict = window == "strict"
-    values, optimizers = _sweep(
-        field.tree,
-        partial(field.rows_at, player, side),
-        tuple(range(field.tree.horizon + 1)),
-        strict,
-        direction == "max",
-        field.tol,
-    )
-    table = field._tables[key] = ReactionValue(
-        process=tuple(chain.from_iterable(values)),
-        family=AdjustmentFamily(tuple(optimizers), strict=strict),
-    )
+    table = _mirror(field, key, family) if field._zero_sum else None
+    if table is None:
+        strict = window == "strict"
+        values, optimizers = _sweep(
+            field.tree,
+            partial(field.rows_at, player, side),
+            tuple(range(field.tree.horizon + 1)),
+            strict,
+            direction == "max",
+            field.tol,
+            family,
+        )
+        table = ReactionValue(
+            process=tuple(chain.from_iterable(values)),
+            family=AdjustmentFamily(tuple(optimizers), strict=strict) if family else None,
+        )
+    field._tables[key] = table
     return table
+
+
+def _mirror(field: PayoffField, key: tuple, family: bool) -> ReactionValue | None:
+    """The table `key` on a zero-sum field, from the memoized table of the
+    other player with the opposite direction, the same side and window, or
+    None when that is not memoized (with its family, if `family`).
+
+    Player 2's rewards are player 1's negated, so the two sweeps make the
+    same choices and marks: the mirror's family serves as it is.  Its
+    values are negated, but the zero signs follow the sweep that computes
+    them: a continuation sum starts from 0.0 and so is never -0.0, and its
+    negation is written 0.0 - p, while a value that is the root reward
+    U(t, t) is negated as -p.  An inclusive value p is that reward exactly
+    when p == U(t, t) of the mirror's player (a continuation is taken only
+    where it beats the reward); a strict value is a continuation below the
+    horizon and the reward at it.
+    """
+    player, side, window, direction = key
+    other = 3 - player
+    mirror = field._tables.get((other, side, window, "min" if direction == "max" else "max"))
+    if mirror is None or (family and mirror.family is None):
+        return None
+    p = mirror.process
+    if window == "strict":
+        cut = field.tree.level_start[field.tree.horizon]
+        process = (*map(sub, repeat(0.0, cut), p), *map(neg, p[cut:]))
+    else:
+        levels = range(field.tree.horizon + 1)
+        rewards = chain.from_iterable(field.row(other, t, t) for t in levels)
+        # (0.0 - p, -p)[p == U(t, t)]
+        negated = zip(map(sub, repeat(0.0), p), map(neg, p))
+        process = tuple(map(getitem, negated, map(eq, p, rewards)))
+    return ReactionValue(process, mirror.family)

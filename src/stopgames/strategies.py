@@ -182,7 +182,10 @@ class PayoffField:
     family of a lone-stopper table keyed by the object, and the mixed payoffs
     of :func:`payoff_mixed_sim`, keyed by the strategy objects, so the
     solvers and the certificate share each result for as long as the field
-    lives, and records each strategy that passed :func:`validate_once`.
+    lives, and records each strategy that passed :func:`validate_once`.  A
+    reaction table is kept without its adjustment family when no caller has
+    asked for one yet, and on a field built by :meth:`zero_sum` one player's
+    table is derived from the other's mirrored one instead of swept.
 
     ``unit`` is the least power of two >= ``bound``, the largest payoff
     magnitude (1.0 for an all-zero field; 2**1023, the largest finite power
@@ -208,6 +211,7 @@ class PayoffField:
                 f"their tolerance {self.tol:g} is below {_MIN_TOL:g}"
             )
         self._tables: dict[tuple, object] = {}
+        self._zero_sum = False
         self._payoffs: dict[tuple, tuple] = {}
         self._valid: dict[int, object] = {}
 
@@ -218,11 +222,14 @@ class PayoffField:
 
         Only player 1's rows are checked: negation keeps each row's size,
         finiteness and magnitudes, so player 2's could add no fault and
-        would not change ``bound``.
+        would not change ``bound``.  The field knows its rows are mirrored,
+        so a reaction table of one player is taken from the other's.
         """
         data = _checked_rows(tree, rows1, (1,))
         rows = CheckedRows([*data, *map(tuple, map(map, repeat(neg), data))], data.bound)
-        return cls(tree, rows)
+        field = cls(tree, rows)
+        field._zero_sum = True
+        return field
 
     def value(self, player: int, s: int, t: int, node: int) -> float:
         """U^player(s, t, node) for a node of level max(s, t); see row()."""

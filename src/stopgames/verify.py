@@ -27,16 +27,21 @@ that could turn a -0.0 value into +0.0.  Against a fixed behavioral opponent
 the payoff is multilinear in the player's own per-node stop probabilities,
 so a pure best response always exists and the DP over pure strategies is
 exact for mixed deviations as well.
+
+:func:`best_response` returns a maximizing strategy.  The certificate,
+:func:`check_equilibrium`, runs the same DP for its value alone, so it reads
+only the values of the reaction tables and builds no adjustment family.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import gt
 from typing import NamedTuple
 
 from .errors import DEFAULT_EPS, EnumerationCapError, GameSpecError, SolverDefectError
-from .snell import reaction_value
+from .snell import ReactionValue, reaction_value
 from .strategies import (
     AdjustmentFamily,
     PayoffField,
@@ -81,19 +86,42 @@ def best_response(
             check_class(opponent, False, True, "player 2's sequential opponent must be type A")
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
-    tree = field.tree
-    validate_once(field, *filter(None, (opponent, not_before)))
+    validate_once(field, opponent)
+    allowed = _allowed(field, not_before)
+    value, marks, own = _best_response(field, mode, player, opponent, allowed, family=True)
+    return value, Strategy(StoppingTime(tuple(marks)), own.family)
 
+
+def _allowed(field: PayoffField, not_before: StoppingTime | None) -> list[bool] | None:
+    """Per node, whether `not_before`, once validated, has stopped there or
+    above; None when there is no restriction."""
+    if not_before is None:
+        return None
+    validate_once(field, not_before)
+    return [idx >= 0 for idx in field.tree.first_stops(not_before.marks)]
+
+
+def _best_response(
+    field: PayoffField,
+    mode: str,
+    player: int,
+    opponent,
+    allowed: list[bool] | None,
+    family: bool,
+) -> tuple[float, list[bool], ReactionValue]:
+    """The DP of :func:`best_response` against an opponent already checked
+    and validated, with its restriction given per node (None for none).
+    Returns the optimal value, the initial rule's marks and the player's
+    reaction table, which holds the maximizing adjustment family only if
+    `family` is true: the value alone reads only the table's values."""
+    tree = field.tree
     T = tree.horizon
     side = "first" if player == 1 else "second"
     window = "inclusive" if mode == "seq" and player == 2 else "strict"
-    own = reaction_value(field, player, side, window, "max")
+    own = reaction_value(field, player, side, window, "max", family=family)
     alone = stop_alone_values(field, player, player, opponent.adjust)
-    allowed = (
-        [idx >= 0 for idx in tree.first_stops(not_before.marks)]
-        if not_before is not None
-        else (True,) * tree.n_nodes
-    )
+    if allowed is None:
+        allowed = (True,) * tree.n_nodes
     if mode == "sim":
         q = opponent.initial.probs
 
@@ -126,7 +154,7 @@ def best_response(
                 marks[idx] = True
             else:
                 values[idx] = cont_v
-    return values[0], Strategy(StoppingTime(tuple(marks)), own.family)
+    return values[0], marks, own
 
 
 class EquilibriumReport(NamedTuple):
@@ -155,8 +183,10 @@ def check_equilibrium(
     The profile passes when neither player can improve by more than
     ``eps * field.unit``; the report keeps ``eps`` as given.  A best response
     may fall short of the candidate's own value only by ``field.tol``.
-    Mode ``"zs"`` checks a zero-sum sequential profile, restricting initial
-    rules by ``not_before``.
+    Mode ``"zs"`` checks a zero-sum sequential profile.  ``not_before``
+    restricts the initial rules of the best responses, and a profile whose
+    own initial rule may stop before it lies outside that class and is
+    refused, naming the player and the first such node.
     """
     rho, tau = profile
     if mode == "sim":
@@ -167,8 +197,21 @@ def check_equilibrium(
         br_mode = "seq"
     else:
         raise GameSpecError(f"unknown mode {mode!r}")
-    br1, _ = best_response(field, br_mode, 1, tau, not_before)
-    br2, _ = best_response(field, br_mode, 2, rho, not_before)
+    allowed = _allowed(field, not_before)
+    if allowed is not None:
+        for player, strategy in enumerate(profile, start=1):
+            # A mark or a positive stop probability s where the node is not
+            # allowed (a is False) is s > a.  The first such node in canonical
+            # order can be reached: an ancestor that stops surely comes first.
+            stops = strategy.initial.probs if strategy.mixed else strategy.initial.marks
+            early = next(itertools.compress(itertools.count(), map(gt, stops, allowed)), None)
+            if early is not None:
+                raise GameSpecError(
+                    f"player {player}'s initial rule stops at node "
+                    f"{field.tree.nodes[early].id}, before the earliest allowed stop"
+                )
+    br1 = _best_response(field, br_mode, 1, tau, allowed, family=False)[0]
+    br2 = _best_response(field, br_mode, 2, rho, allowed, family=False)[0]
     gaps = (br1 - values[0], br2 - values[1])
     for player, gap in enumerate(gaps, start=1):
         if gap < -field.tol:

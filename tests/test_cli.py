@@ -241,6 +241,25 @@ class TestVerifyCommand:
             assert _run(argv) == (1, "")
             assert capsys.readouterr().err == "error: --sigma applies only to --mode zs\n"
 
+    def test_a_profile_that_stops_before_sigma_is_an_input_fault(self, tmp_path, capsys):
+        # Solved at sigma 0, player 1's initial rule stops at t = 1 on the
+        # path through 1:0: outside the class that --sigma 2 restricts the
+        # best responses to, where its own value would read as a solver defect.
+        game = str(tmp_path / "zs.json")
+        profile = str(tmp_path / "profile.json")
+        gen = ["gen", "--horizon", "2", "--branching", "2", "--seed", "1", "--zero-sum"]
+        assert _run(gen + ["-o", game])[0] == 0
+        assert _run(["solve-zs", game, "--profile-out", profile])[0] == 0
+        argv = ["verify", game, "--profile", profile, "--mode", "zs", "--sigma"]
+        capsys.readouterr()
+        assert _run(argv + ["2"]) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: player 1's initial rule stops at node 1:0, "
+            "before the earliest allowed stop\n"
+        )
+        code, text = _run(argv + ["1"])
+        assert code == 0 and "certified: PASS" in text
+
     def test_verify_rejects_bad_profile(self, matching_file, tmp_path):
         profile = tmp_path / "bad.json"
         doc = gamefile.load_bundled("matching_times")

@@ -1,9 +1,12 @@
 """The payoff field's memos: each reaction and lone-stopper table, and each
 profile's payoff, pure or mixed, is computed once per field, and a cached
-result is the one a fresh field computes."""
+result is the one a fresh field computes.  A reaction table is built with
+its adjustment family only where a caller reads the family, and on a
+zero-sum field one player's table is the other's mirrored."""
 
 from __future__ import annotations
 
+import importlib
 import io
 import sys
 from collections import Counter
@@ -16,15 +19,19 @@ from stopgames.cli import run
 from stopgames.strategies import stop_alone_values
 
 HORIZON = 4
+#: The module, which the package's ``snell`` function would shadow.
+snell = importlib.import_module("stopgames.snell")
 
-#: Tables computed per command: reaction tables, then lone-stopper tables.
+#: Tables computed per command: reaction tables swept with their family,
+#: swept for their values only and mirrored from the other player's, then
+#: lone-stopper tables.
 EXPECTED = {
-    ("solve-sim",): (2, 4),
-    ("solve-seq",): (4, 2),
-    ("solve-zs",): (3, 2),
-    ("verify", "sim"): (2, 4),
-    ("verify", "seq"): (2, 2),
-    ("verify", "zs"): (2, 2),
+    ("solve-sim",): (2, 0, 0, 4),
+    ("solve-seq",): (2, 2, 0, 2),
+    ("solve-zs",): (2, 0, 1, 2),
+    ("verify", "sim"): (0, 2, 0, 4),
+    ("verify", "seq"): (0, 2, 0, 2),
+    ("verify", "zs"): (0, 2, 0, 2),
 }
 
 
@@ -54,16 +61,31 @@ class _CountingTables(dict):
 
 @pytest.fixture()
 def computed(monkeypatch):
-    """Count the tables every payoff field computes, that is its memo's misses."""
+    """Count the tables every payoff field computes, that is its memo's
+    misses, and the reaction sweeps behind them by whether they build the
+    adjustment family."""
     counts: Counter = Counter()
     original = sg.PayoffField.__init__
+    sweep = snell._sweep
 
     def init(self, *args, **kwargs):
         original(self, *args, **kwargs)
         self._tables = _CountingTables(counts)
 
+    def counted_sweep(tree, rewards, roots, strict, use_max, tol, family=True):
+        counts["family" if family else "values"] += 1
+        return sweep(tree, rewards, roots, strict, use_max, tol, family)
+
     monkeypatch.setattr(sg.PayoffField, "__init__", init)
+    monkeypatch.setattr(snell, "_sweep", counted_sweep)
     return counts
+
+
+def made(counts: Counter) -> tuple[int, int, int, int]:
+    """Reaction tables swept with their family, swept for their values only
+    and mirrored (stored without a sweep), then lone-stopper tables."""
+    swept = counts["family"] + counts["values"]
+    return counts["family"], counts["values"], counts["reaction"] - swept, counts["alone"]
 
 
 @pytest.mark.parametrize("command", list(EXPECTED), ids=" ".join)
@@ -79,7 +101,7 @@ def test_each_table_is_computed_once_per_field(games, computed, tmp_path, comman
         argv = [command[0], game]
     computed.clear()
     assert run(argv, io.StringIO()) == 0
-    assert (computed["reaction"], computed["alone"]) == EXPECTED[command]
+    assert made(computed) == EXPECTED[command]
 
 
 def _hex(values) -> list[str]:
@@ -98,14 +120,21 @@ def test_cached_tables_match_a_fresh_field():
     # "first" table that sim also uses.  Lone-stopper tables: 4 for sim, 2 for
     # seq, one of them player 2's against that table's family, as in sim.
     assert len(keys) == (2 + 4 - 1) + (4 + 2 - 1)
+    # Seq reads only the values of player 1's inclusive min and player 2's
+    # strict min.
+    assert {key for key in keys if getattr(field._tables[key], "family", 0) is None} == {
+        (1, "second", "inclusive", "min"),
+        (2, "first", "strict", "min"),
+    }
     for key in keys:
         fresh = doc.payoff_field()
         cached = field._tables[key]
         if isinstance(cached, sg.ReactionValue):
-            again = sg.reaction_value(fresh, *key)
+            family = cached.family is not None
+            again = sg.reaction_value(fresh, *key, family=family)
             assert _hex(cached.process) == _hex(again.process)
             assert cached.family == again.family
-            assert sg.reaction_value(field, *key) is cached
+            assert sg.reaction_value(field, *key, family=family) is cached
         else:
             # A lone-stopper entry is keyed by its family's id and holds it.
             player, stopper, _ = key
@@ -135,17 +164,64 @@ def test_fields_on_twin_trees_compute_their_own_tables(computed):
     args = (1, "first", "strict", "max")
     first = sg.reaction_value(field, *args)
     assert sg.reaction_value(field, *args) is first
-    assert computed["reaction"] == 1
+    assert made(computed) == (1, 0, 0, 0)
     second = sg.reaction_value(twin, *args)
     assert second is not first
-    assert computed["reaction"] == 2
+    assert made(computed) == (2, 0, 0, 0)
     assert _hex(second.process) == _hex(first.process)
     assert second.family == first.family
     alone = stop_alone_values(field, 2, 2, first.family)
     twin_alone = stop_alone_values(twin, 2, 2, second.family)
     assert twin_alone is not alone
-    assert computed["alone"] == 2
+    assert made(computed) == (2, 0, 0, 2)
     assert _hex(twin_alone) == _hex(alone)
+
+
+def test_a_family_table_serves_a_values_only_call(computed):
+    field = gamefile.generate_random_game(HORIZON, 2, seed=3).payoff_field()
+    args = (2, "second", "strict", "max")
+    table = sg.reaction_value(field, *args)
+    assert sg.reaction_value(field, *args, family=False) is table
+    assert made(computed) == (1, 0, 0, 0)
+
+
+def test_a_values_only_table_is_swept_again_for_its_family(computed):
+    field = gamefile.generate_random_game(HORIZON, 2, seed=3).payoff_field()
+    args = (1, "first", "inclusive", "min")
+    values = sg.reaction_value(field, *args, family=False)
+    assert values.family is None
+    assert sg.reaction_value(field, *args, family=False) is values
+    assert made(computed) == (0, 1, 0, 0)
+    table = sg.reaction_value(field, *args)
+    assert table.family is not None
+    assert sg.reaction_value(field, *args, family=False) is table
+    assert made(computed) == (1, 1, 0, 0)
+    assert _hex(table.process) == _hex(values.process)
+
+
+def test_a_zero_sum_field_mirrors_the_other_players_table(computed):
+    doc = gamefile.generate_random_game(HORIZON, 2, seed=3, zero_sum=True)
+    field = doc.zero_sum_field()
+    solved = sg.reaction_value(field, 1, "second", "inclusive", "min")
+    mirrored = sg.reaction_value(field, 2, "second", "inclusive", "max")
+    assert mirrored.family is solved.family
+    assert made(computed) == (1, 0, 1, 0)
+    # A values-only table is mirrored for a values-only call, and swept
+    # again for a call that needs the family; that one is then mirrored.
+    values = sg.reaction_value(field, 2, "first", "strict", "max", family=False)
+    assert sg.reaction_value(field, 1, "first", "strict", "min", family=False).family is None
+    assert made(computed) == (1, 1, 2, 0)
+    sg.reaction_value(field, 1, "first", "strict", "min")
+    assert made(computed) == (2, 1, 2, 0)
+    again = sg.reaction_value(field, 2, "first", "strict", "max")
+    assert _hex(again.process) == _hex(values.process)
+    assert made(computed) == (2, 1, 3, 0)
+    # The same rows in a field not built as zero-sum are swept.
+    rows = [field.row(p, s, t) for p in (1, 2) for s, t in field.tree.stop_pairs]
+    plain = sg.PayoffField(field.tree, rows)
+    sg.reaction_value(plain, 1, "second", "inclusive", "min")
+    sg.reaction_value(plain, 2, "second", "inclusive", "max")
+    assert made(computed) == (4, 1, 3, 0)
 
 
 @pytest.fixture()

@@ -180,7 +180,9 @@ class TestPayoffMixed:
             field = doc.payoff_field()
             sol = sg.seq_equilibrium(field)
             rho = sg.Strategy(sol.p1_settle, sol.bundle.later_max1)
-            tau = sg.Strategy(sol.p2_settle, sol.bundle.later_min2)
+            tau = sg.Strategy(
+                sol.p2_settle, sg.reaction_value(field, 2, "first", "strict", "min").family
+            )
             pure = sg.payoff_pure(field, "sim", rho, tau)
             mixed = sg.payoff_mixed_sim(field, as_mixed(rho), as_mixed(tau))
             assert mixed[0] == approx(pure[0], abs=1e-12)

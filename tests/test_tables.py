@@ -11,6 +11,7 @@ from math import isinf
 import pytest
 
 import stopgames as sg
+from stopgames import gamefile
 from stopgames.strategies import adjustment_floor, expected_at_stop, stop_alone_values
 
 from conftest import (
@@ -65,13 +66,17 @@ def random_tree(rng: random.Random, nudge: float = 1.0) -> sg.EventTree:
     return sg.build_tree(random_spec(rng, nudge))
 
 
-def random_field(tree: sg.EventTree, rng: random.Random, draw) -> sg.PayoffField:
-    rows = [
+def random_rows(tree: sg.EventTree, rng: random.Random, draw, players: int = 2) -> list:
+    """Payoff rows in field order for `players` players, each value drawn."""
+    return [
         [draw(rng) for _ in tree.levels[max(s, t)]]
-        for _player in (1, 2)
+        for _player in range(players)
         for s, t in tree.stop_pairs
     ]
-    return sg.PayoffField(tree, rows)
+
+
+def random_field(tree: sg.EventTree, rng: random.Random, draw) -> sg.PayoffField:
+    return sg.PayoffField(tree, random_rows(tree, rng, draw))
 
 
 def _hex(values) -> list[str]:
@@ -143,6 +148,85 @@ def test_tables_match_where_sums_overflow():
                 if len(counts) > 1 and any(isinf(env[c]) for c in tree.levels[u + 1]):
                     mixed_with_inf += 1
     assert mixed_with_inf > 0
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_values_only_tables_match_family_sweeps(draw):
+    rng = random.Random(f"values-only-{draw}")
+    for _ in range(60):
+        tree = random_tree(rng)
+        rows = random_rows(tree, rng, DRAWS[draw])
+        swept = sg.PayoffField(tree, rows)
+        values_only = sg.PayoffField(tree, rows)
+        for variant in VARIANTS:
+            got = sg.reaction_value(values_only, *variant, family=False)
+            assert got.family is None
+            assert _hex(got.process) == _hex(sg.reaction_value(swept, *variant).process)
+
+
+def _mirror_key(player: int, side: str, window: str, direction: str) -> tuple:
+    return (3 - player, side, window, "min" if direction == "max" else "max")
+
+
+def check_mirrors(tree: sg.EventTree, rows1: list) -> int:
+    """Check each reaction table of the zero-sum field of `rows1`, taken
+    from its mirror, against a direct sweep on a fresh field: the same
+    values by ``float.hex`` and an equal family, with or without families.
+    Returns how many tables plain negation of the mirror's values would get
+    wrong."""
+    negation_misses = 0
+    for variant in VARIANTS:
+        field = sg.PayoffField.zero_sum(tree, rows1)
+        source = sg.reaction_value(field, *_mirror_key(*variant))
+        got = sg.reaction_value(field, *variant)
+        assert got.family is source.family, variant
+        direct = sg.reaction_value(sg.PayoffField.zero_sum(tree, rows1), *variant)
+        assert _hex(got.process) == _hex(direct.process), variant
+        assert got.family == direct.family, variant
+        field = sg.PayoffField.zero_sum(tree, rows1)
+        sg.reaction_value(field, *_mirror_key(*variant), family=False)
+        values = sg.reaction_value(field, *variant, family=False)
+        assert values.family is None
+        assert _hex(values.process) == _hex(direct.process), variant
+        negation_misses += _hex([-p for p in source.process]) != _hex(direct.process)
+    return negation_misses
+
+
+#: Zero-sum payoffs with many exact ties and both zeros, so that whether a
+#: table value is a reward or a continuation sum shows in its zero's sign.
+TIE_HEAVY = lambda rng: rng.choice((-1.0, -0.0, 0.0, 0.25, 1.0))
+
+
+def test_mirrored_tables_match_direct_sweeps_on_irregular_trees():
+    rng = random.Random("mirror-irregular")
+    negation_misses = 0
+    for _ in range(150):
+        tree = random_tree(rng)
+        negation_misses += check_mirrors(tree, random_rows(tree, rng, TIE_HEAVY, players=1))
+    for _ in range(40):
+        tree = random_tree(rng)
+        check_mirrors(tree, random_rows(tree, rng, DRAWS["uniform"], players=1))
+    # Sums that overflow to +-inf, and inf - inf = NaN.
+    for _ in range(20):
+        tree = random_tree(rng, nudge=1.0 + 4e-13)
+        draw = lambda rng: rng.choice((HUGE, -HUGE, HUGE / 2, -0.0))
+        check_mirrors(tree, random_rows(tree, rng, draw, players=1))
+    # The corpus tells the zero-sign rule from plain negation.
+    assert negation_misses > 0
+
+
+def test_mirrored_tables_match_direct_sweeps_on_gen_shapes():
+    rng = random.Random("mirror-gen")
+    negation_misses = 0
+    for horizon, branching in product(range(5), (1, 2, 3)):
+        if branching ** horizon > 30:
+            continue
+        doc = gamefile.generate_random_game(horizon, branching, seed=horizon, zero_sum=True)
+        check_mirrors(doc.tree, list(doc.rows[1]))
+        for _ in range(4):
+            rows1 = random_rows(doc.tree, rng, TIE_HEAVY, players=1)
+            negation_misses += check_mirrors(doc.tree, rows1)
+    assert negation_misses > 0
 
 
 def test_first_stops_match_a_path_walk():

@@ -14,6 +14,7 @@ from conftest import (
     chain_tree,
     field_from_function,
     matching_field,
+    reference_first_stops,
 )
 
 
@@ -181,6 +182,48 @@ class TestCheckEquilibrium:
         profile = (saddle.rho_star, saddle.tau_star)
         with pytest.raises(sg.GameSpecError, match=message):
             sg.check_equilibrium(field, "zs", profile, not_before=sg.StoppingTime(marks))
+
+    def test_a_profile_that_stops_before_not_before_is_refused(self):
+        # Each player's initial rule solved at sigma 0 against the other's
+        # solved at the horizon, certified from the horizon on: the first
+        # node in canonical order where the early rule stops is named.
+        refused = set()
+        for seed in range(6):
+            doc = gamefile.generate_random_game(2, 2, seed=seed, zero_sum=True)
+            field = doc.zero_sum_field()
+            tree = doc.tree
+            late = sg.constant_stopping_time(tree, 2)
+            solved = sg.zero_sum_saddle(field, late)
+            early = sg.zero_sum_saddle(field)
+            profile = (solved.rho_star, solved.tau_star)
+            assert sg.check_equilibrium(field, "zs", profile, not_before=late).passed
+            for player in (1, 2):
+                swapped = list(profile)
+                swapped[player - 1] = (early.rho_star, early.tau_star)[player - 1]
+                first = reference_first_stops(tree, swapped[player - 1].initial.marks)
+                stops = [n for n in tree.nodes if first[n.index] == n.index and n.time < 2]
+                if not stops:
+                    sg.check_equilibrium(field, "zs", tuple(swapped), not_before=late)
+                    continue
+                message = f"player {player}'s initial rule stops at node {stops[0].id}, before"
+                with pytest.raises(sg.GameSpecError, match=message):
+                    sg.check_equilibrium(field, "zs", tuple(swapped), not_before=late)
+                refused.add(player)
+        assert refused == {1, 2}
+
+    def test_a_mixed_profile_that_may_stop_before_not_before_is_refused(
+        self, matching_tree, matching_payoffs
+    ):
+        half = sg.Strategy(
+            sg.RandomizedStoppingTime((0.5, 1.0)), _forced_family_a(matching_tree)
+        )
+        never = sg.Strategy(
+            sg.RandomizedStoppingTime((-0.0, 1.0)), _forced_family_a(matching_tree)
+        )
+        late = sg.constant_stopping_time(matching_tree, 1)
+        sg.check_equilibrium(matching_payoffs, "sim", (never, never), not_before=late)
+        with pytest.raises(sg.GameSpecError, match="player 2's initial rule stops at node 0:0"):
+            sg.check_equilibrium(matching_payoffs, "sim", (never, half), not_before=late)
 
     def test_constant_game_any_profile_passes(self):
         tree = chain_tree(1)
