@@ -1,24 +1,23 @@
 """Optimal stopping on event trees via backward induction.
 
 Computes the value envelope of a one-player stopping problem together with
-its earliest optimal stopping rule.  The search window either includes the
-query time ("inclusive") or starts strictly after it ("strict"); at the
-horizon the strict window degenerates to the horizon itself, so a forced
-stop is always available.
+its earliest optimal stopping rule, and tables of such problems, all by the
+backward sweep of :mod:`stopgames.strategies` that also runs lone-stopper
+tables.  The search window either includes the query time ("inclusive") or
+starts strictly after it ("strict"); at the horizon the strict window
+degenerates to the horizon itself, so a forced stop is always available.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Callable
 from functools import partial
 from itertools import chain, repeat
 from math import isnan
-from operator import eq, getitem, gt, le, lt, neg, sub
+from operator import eq, getitem, neg, sub
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import GameSpecError
-from .strategies import AdjustmentFamily, PayoffField, adjustment_floor
+from .strategies import AdjustmentFamily, PayoffField, _sweep, read_levels
 from .tree import EventTree, StoppingTime
 
 Window = Literal["inclusive", "strict"]
@@ -43,71 +42,6 @@ def _check_problem(window: str, direction: str) -> None:
         raise GameSpecError(f"unknown direction {direction!r}")
 
 
-def _sweep(
-    tree: EventTree,
-    rewards: Callable[[int, int], Sequence[Sequence[float]]],
-    roots: Sequence[int],
-    strict: bool,
-    use_max: bool,
-    tol: float,
-    family: bool = True,
-) -> tuple[list[list[float]], list[StoppingTime] | None]:
-    """Solve the stopping problems rooted at the levels `roots` (increasing)
-    in one backward sweep; ``rewards(u, count)`` gives the level-u reward
-    rows of the first `count` problems.
-
-    At level u the sweep holds, as one flat list, the envelope of every
-    problem whose window has reached u, problem k's level-u nodes at
-    k * size + i: the window of a problem rooted at t starts at t, or at
-    t+1 for a strict one, and every window holds the horizon.  Each problem
-    keeps the operations of a one-problem induction, in the same order:
-    S_T = W_T, then S_u = opt(W_u, E_u[S_{u+1}]) with the reward first, and
-    the optimizer stops where abs(W_u - S_u) <= tol.
-
-    Returns, per problem, its value at its root level (the envelope there,
-    or for a strict window below the horizon the one-step expectation of
-    the envelope) and its earliest optimizer, or None for the optimizers
-    when `family` is false: the sweep then keeps no marks.  The rewards are
-    not checked: a payoff field holds only finite values.
-    """
-    T = tree.horizon
-    n = len(roots)
-    # (w, cont)[cont > w] is max(w, cont), and with < min(w, cont): the
-    # comparison max and min make, the reward kept unless beaten.
-    beats = gt if use_max else lt
-    size = len(tree.leaves)
-    env = list(chain.from_iterable(rewards(T, n)))
-    values: list[list[float]] = [[]] * n
-    if roots[-1] == T:
-        values[-1] = env[-size:]
-    # Per level from the horizon down, each problem's marks there: False
-    # where its window has not reached the level.
-    chunks = [repeat((True,) * size, n)] if family else None
-    for u in range(T - 1, roots[0] - 1, -1):
-        size = len(tree.levels[u])
-        rooted = bisect_right(roots, u)
-        # A window starts at its root, or one level later if strict.
-        active = bisect_right(roots, u - strict)
-        w = list(chain.from_iterable(rewards(u, active)))
-        cont = tree.expect_batch(env, u, rooted)
-        env = list(map(getitem, zip(w, cont), map(beats, cont, w)))
-        if family:
-            marks = chain(
-                map(le, map(abs, map(sub, w, env)), repeat(tol)),
-                repeat(False, (n - active) * size),
-            )
-            chunks.append(zip(*[marks] * size))
-        k = rooted - 1
-        if roots[k] == u:
-            values[k] = (cont if strict else env)[k * size : (k + 1) * size]
-    if not family:
-        return values, None
-    # One transposition gives each problem's marks over every node.
-    below = repeat((False,) * tree.level_start[roots[0]], n)
-    marks_of = map(tuple, map(chain.from_iterable, zip(below, *reversed(chunks))))
-    return values, list(map(StoppingTime, marks_of))
-
-
 def snell(
     tree: EventTree,
     rows: Sequence[Sequence[float]],
@@ -119,7 +53,8 @@ def snell(
     """Solve one optimal stopping problem rooted at level t.
 
     ``rows[u]`` holds the payoff of stopping at each level-u node, in level
-    order; only levels from the window start to the horizon are read.  The
+    order; only levels from the window start to the horizon are read, and a
+    level t outside 0..T or a row not the size of its level is refused.  The
     envelope satisfies S_T = W_T and S_u = opt(W_u, E_u[S_{u+1}]) down to the
     window start; the value at a level-t node is S_t (inclusive window) or
     the one-step expectation of the envelope (strict window).  The optimizer
@@ -131,10 +66,7 @@ def snell(
     """
     _check_problem(window, direction)
     T = tree.horizon
-    if not 0 <= t <= T:
-        raise GameSpecError(f"level {t} outside 0..{T}")
-    start = adjustment_floor(T, t, window == "strict")
-    read = {u: rows[u] for u in range(T, start - 1, -1)}
+    start, read = read_levels(tree, rows, t, window == "strict")
     for u, row in read.items():
         for idx, x in zip(tree.levels[u], row):
             if isnan(x):
@@ -196,14 +128,10 @@ def reaction_value(
     table = _mirror(field, key, family) if field._zero_sum else None
     if table is None:
         strict = window == "strict"
+        rewards = partial(field.rows_at, player, side)
+        roots = tuple(range(field.tree.horizon + 1))
         values, optimizers = _sweep(
-            field.tree,
-            partial(field.rows_at, player, side),
-            tuple(range(field.tree.horizon + 1)),
-            strict,
-            direction == "max",
-            field.tol,
-            family,
+            field.tree, rewards, roots, strict, direction == "max", field.tol, family
         )
         table = ReactionValue(
             process=tuple(chain.from_iterable(values)),

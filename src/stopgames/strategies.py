@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from itertools import chain, product, repeat
 from math import frexp, isfinite, ldexp
-from operator import ge, getitem, le, neg
+from operator import ge, getitem, gt, le, lt, neg, sub
 from typing import NamedTuple
 
 from .errors import GameSpecError
@@ -343,42 +343,108 @@ def payoff_pure(
     return cached[2]
 
 
-def _alone_sweep(
+def _sweep(
     tree: EventTree,
     rewards: Callable[[int, int], Sequence[Sequence[float]]],
     roots: Sequence[int],
-    rules: Sequence[StoppingTime],
-) -> list[list[float]]:
-    """For each rule and its root level (`roots` increasing), the expected
-    reward at the rule's first stop at or after the root, per root-level node.
+    strict: bool = False,
+    use_max: bool = True,
+    tol: float = 0.0,
+    family: bool = True,
+    *,
+    rules: Sequence[StoppingTime] | None = None,
+) -> tuple[list[list[float]], list[StoppingTime] | None]:
+    """Solve the stopping problems rooted at the levels `roots` (increasing)
+    in one backward sweep; ``rewards(u, count)`` gives the level-u reward
+    rows of the first `count` problems.
 
-    ``rewards(u, count)`` gives the level-u reward rows of the first `count`
-    problems.  One backward sweep carries every problem whose root is at or
-    above the current level, as one flat list with problem k's level-u nodes
-    at k * size + i.  Each keeps the operations of a one-problem induction:
-    at the horizon the reward where the rule stops and 0.0 elsewhere, then
-    the reward where the rule stops and E_u of the level below elsewhere.
-    A rule's marks are bools, used as the index of that choice.
+    At level u the sweep holds, as one flat list, the envelope of every
+    problem whose window has reached u, problem k's level-u nodes at
+    k * size + i: the window of a problem rooted at t starts at t, or at
+    t+1 for a strict one, and every window holds the horizon.  Each problem
+    keeps the operations of a one-problem induction, in the same order:
+    S_T = W_T, then S_u = opt(W_u, E_u[S_{u+1}]) with the reward first, and
+    the optimizer stops where abs(W_u - S_u) <= tol.  With `rules`, problem
+    k follows ``rules[k]`` instead: S_T is W_T where the rule stops and 0.0
+    elsewhere, S_u is W_u where it stops and E_u[S_{u+1}] elsewhere, and
+    `use_max`, `tol` and `family` are not read.
+
+    Returns, per problem, its value at its root level (the envelope there,
+    or for a strict window below the horizon the one-step expectation of
+    the envelope) and its earliest optimizer, or None for the optimizers
+    when `family` is false or `rules` is given: the sweep then keeps no
+    marks.  The rewards are not checked: a payoff field holds only finite
+    values.
     """
     T = tree.horizon
-    starts = tree.level_start
-    values: list[list[float]] = [[]] * len(roots)
-    # At the horizon a rule that does not stop collects 0.0.
-    cont: Iterable[float] = repeat(0.0)
-    out: list[float] = []
-    for u in range(T, roots[0] - 1, -1):
-        active = bisect_right(roots, u)
-        if u < T:
-            cont = tree.expect_batch(out, u, active)
-        here = slice(starts[u], starts[u + 1])
-        marks = chain.from_iterable([rule.marks[here] for rule in rules[:active]])
-        w = chain.from_iterable(rewards(u, active))
+    n = len(roots)
+    # (w, cont)[cont > w] is max(w, cont), and with < min(w, cont): the
+    # comparison max and min make, the reward kept unless beaten.
+    beats = gt if use_max else lt
+
+    def follow(cont: Iterable[float], w: list[float], u: int, count: int) -> list[float]:
         # (cont, w)[mark] is w where the rule stops and cont elsewhere.
-        out = list(map(getitem, zip(cont, w), marks))
-        k = active - 1
+        here = slice(tree.level_start[u], tree.level_start[u + 1])
+        marks = chain.from_iterable([rule.marks[here] for rule in rules[:count]])
+        return list(map(getitem, zip(cont, w), marks))
+
+    size = len(tree.leaves)
+    env = list(chain.from_iterable(rewards(T, n)))
+    if rules is not None:
+        env = follow(repeat(0.0), env, T, n)
+        family = False
+    values: list[list[float]] = [[]] * n
+    if roots[-1] == T:
+        values[-1] = env[-size:]
+    # Per level from the horizon down, each problem's marks there: False
+    # where its window has not reached the level.
+    chunks = [repeat((True,) * size, n)] if family else None
+    for u in range(T - 1, roots[0] - 1, -1):
+        size = len(tree.levels[u])
+        rooted = bisect_right(roots, u)
+        # A window starts at its root, or one level later if strict.
+        active = bisect_right(roots, u - strict)
+        w = list(chain.from_iterable(rewards(u, active)))
+        cont = tree.expect_batch(env, u, rooted)
+        if rules is None:
+            env = list(map(getitem, zip(w, cont), map(beats, cont, w)))
+        else:
+            env = follow(cont, w, u, active)
+        if family:
+            marks = chain(
+                map(le, map(abs, map(sub, w, env)), repeat(tol)),
+                repeat(False, (n - active) * size),
+            )
+            chunks.append(zip(*[marks] * size))
+        k = rooted - 1
         if roots[k] == u:
-            values[k] = out[k * (starts[u + 1] - starts[u]) :]
-    return values
+            values[k] = (cont if strict else env)[k * size : (k + 1) * size]
+    if not family:
+        return values, None
+    # One transposition gives each problem's marks over every node.
+    below = repeat((False,) * tree.level_start[roots[0]], n)
+    marks_of = map(tuple, map(chain.from_iterable, zip(below, *reversed(chunks))))
+    return values, list(map(StoppingTime, marks_of))
+
+
+def read_levels(
+    tree: EventTree, rows: Sequence[Sequence[float]], t: int, strict: bool
+) -> tuple[int, dict[int, Sequence[float]]]:
+    """The window start of the problem rooted at level t and the rows it
+    reads, ``rows[u]`` for u from the horizon down to that start, each read
+    once; a level t outside the tree or a row whose size is not its level's
+    is a GameSpecError."""
+    T = tree.horizon
+    if not 0 <= t <= T:
+        raise GameSpecError(f"level {t} outside 0..{T}")
+    start = adjustment_floor(T, t, strict)
+    read = {u: rows[u] for u in range(T, start - 1, -1)}
+    for u, row in read.items():
+        if len(row) != len(tree.levels[u]):
+            raise GameSpecError(
+                f"reward row {u} needs {len(tree.levels[u])} values, got {len(row)}"
+            )
+    return start, read
 
 
 def expected_at_stop(
@@ -390,11 +456,16 @@ def expected_at_stop(
     ``rows[u]`` holds the reward of stopping at each level-u node, in level
     order; only levels t..T are read.  Entry n is the expectation, over
     paths through node n, of the reward at the node where the rule first
-    stops.  The induction runs backward from the horizon to level t and no
+    stops; a path on which the rule does not stop collects 0.0 at its
+    horizon node.  The rule is not validated, but its marks must cover the
+    tree.  The induction runs backward from the horizon to level t and no
     further; it is the one-problem run of the sweep behind
     :func:`stop_alone_values`.
     """
-    return _alone_sweep(tree, lambda u, k: (rows[u],), (t,), (rule,))[0]
+    _, read = read_levels(tree, rows, t, False)
+    if len(rule.marks) != tree.n_nodes:
+        raise GameSpecError("stopping time marks do not cover the tree")
+    return _sweep(tree, lambda u, k: (read[u],), (t,), rules=(rule,))[0][0]
 
 
 def stop_alone_values(
@@ -406,7 +477,9 @@ def stop_alone_values(
 
     The stopper's time goes in her own payoff argument, the follower's
     realized time in the other.  All T+1 problems are solved by one
-    backward sweep.  The table is memoized on the field.
+    backward sweep, the one behind every reaction table, following the
+    rules instead of optimizing; a rule that does not stop at a horizon
+    node collects 0.0 there.  The table is memoized on the field.
     """
     # Keyed on the family object, so a lookup hashes none of its marks.  The
     # entry holds the family, so its id stays unique while the entry lives.
@@ -416,12 +489,8 @@ def stop_alone_values(
         return cached[1]
     # Stopper 1 stops at t and the follower at u: rows U(t, u).
     side = "second" if stopper == 1 else "first"
-    values = _alone_sweep(
-        field.tree,
-        partial(field.rows_at, player, side),
-        tuple(range(field.tree.horizon + 1)),
-        family.rules,
-    )
+    roots = tuple(range(field.tree.horizon + 1))
+    values, _ = _sweep(field.tree, partial(field.rows_at, player, side), roots, rules=family.rules)
     table = tuple(chain.from_iterable(values))
     field._tables[key] = (family, table)
     return table

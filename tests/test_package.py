@@ -94,6 +94,19 @@ def test_child_sums_live_only_in_the_tree_module():
     assert readers == ["tree.py"]
 
 
+def test_one_module_runs_the_batched_sweep():
+    # Reaction and lone-stopper tables, and the one-problem primitives, all
+    # run one backward sweep in strategies.py; no other module batches
+    # stopping problems through the tree's gather.
+    package = Path(stopgames.__file__).parent
+    callers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if "expect_batch(" in path.read_text(encoding="utf-8")
+    )
+    assert callers == ["strategies.py", "tree.py"]
+
+
 def test_processes_are_node_indexed_tuples():
     doc = gamefile.generate_random_game(3, 2, seed=5)
     tree, field = doc.tree, doc.payoff_field()

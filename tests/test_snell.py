@@ -115,6 +115,32 @@ class TestWorkedExamples:
 
 
 class TestRewardRows:
+    @pytest.mark.parametrize("window", ["inclusive", "strict"])
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_a_short_row_is_refused(self, t, window):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[float(i) for i in tree.levels[u]] for u in range(3)]
+        rows[2].pop()
+        with pytest.raises(sg.GameSpecError, match=r"^reward row 2 needs 4 values, got 3$"):
+            sg.snell(tree, rows, t, window, "max", TOL)
+
+    @pytest.mark.parametrize("t, window", [(0, "strict"), (1, "inclusive"), (1, "strict")])
+    def test_a_row_below_the_window_start_is_not_checked(self, t, window):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[float(i) for i in tree.levels[u]] for u in range(3)]
+        want = sg.snell(tree, rows, t, window, "max", TOL)
+        rows[0] = []
+        if t == 1 and window == "strict":
+            rows[1] = [float("nan")]
+        assert sg.snell(tree, rows, t, window, "max", TOL) == want
+
+    @pytest.mark.parametrize("t", [-1, 3])
+    def test_a_level_outside_the_tree_is_refused(self, t):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[float(i) for i in tree.levels[u]] for u in range(3)]
+        with pytest.raises(sg.GameSpecError, match=rf"^level {t} outside 0\.\.2$"):
+            sg.snell(tree, rows, t, "inclusive", "max", TOL)
+
     @pytest.mark.parametrize(
         "t, window, first_read",
         [

@@ -236,6 +236,45 @@ class TestStopAloneValues:
         assert reward.read == {1, 2}
         assert expected_at_stop(tree, rule, reward, 0) == [1.0]
 
+    def test_expected_at_stop_refuses_a_short_reward_row(self):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[float(i) for i in tree.levels[u]] for u in range(3)]
+        rows[2].pop()
+        rule = sg.StoppingTime((True,) * tree.n_nodes)
+        for t in (0, 1, 2):
+            with pytest.raises(sg.GameSpecError, match=r"^reward row 2 needs 4 values, got 3$"):
+                expected_at_stop(tree, rule, rows, t)
+
+    def test_expected_at_stop_reads_no_row_below_level_t(self):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[], [], [float(i) for i in tree.levels[2]]]
+        rule = sg.StoppingTime((True,) * tree.n_nodes)
+        assert expected_at_stop(tree, rule, rows, 2) == rows[2]
+
+    @pytest.mark.parametrize("t", [-1, 3, 4])
+    def test_expected_at_stop_refuses_a_level_outside_the_tree(self, t):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[float(i) for i in tree.levels[u]] for u in range(3)]
+        rule = sg.StoppingTime((True,) * tree.n_nodes)
+        with pytest.raises(sg.GameSpecError, match=rf"^level {t} outside 0\.\.2$"):
+            expected_at_stop(tree, rule, rows, t)
+
+    @pytest.mark.parametrize("size", [0, 5, 6, 8])
+    def test_expected_at_stop_refuses_marks_that_do_not_cover_the_tree(self, size):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[float(i) for i in tree.levels[u]] for u in range(3)]
+        rule = sg.StoppingTime((True,) * size)
+        for t in (0, 1, 2):
+            with pytest.raises(sg.GameSpecError, match="^stopping time marks do not cover"):
+                expected_at_stop(tree, rule, rows, t)
+
+    def test_expected_at_stop_collects_zero_where_a_rule_never_stops(self):
+        tree = gamefile.generate_random_game(2, 2, seed=1).tree
+        rows = [[1.0] * len(level) for level in tree.levels]
+        rule = sg.StoppingTime((False,) * tree.n_nodes)
+        for t in (0, 1, 2):
+            assert expected_at_stop(tree, rule, rows, t) == [0.0] * len(tree.levels[t])
+
     def test_matches_path_sum_oracle(self):
         for seed in range(30):
             horizon, branching = 1 + seed % 5, 1 + (seed // 5) % 3

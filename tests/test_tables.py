@@ -96,6 +96,13 @@ def check_tables(tree: sg.EventTree, field: sg.PayoffField, rng: random.Random) 
         for _ in range(tree.horizon + 1)
     )
     families.append(sg.AdjustmentFamily(arbitrary, strict=False))
+    # One problem at a time, each arbitrary rule from every level, where an
+    # unmarked leaf collects 0.0.
+    T = tree.horizon
+    for rule, t in product(arbitrary, range(T + 1)):
+        rows = [None] * t + [field.row(1, t, u) for u in range(t, T + 1)]
+        got = expected_at_stop(tree, rule, rows, t)
+        assert _hex(got) == _hex(reference_expected_at_stop(tree, rule.marks, rows, t)), t
     for family in (families[0], families[5], families[-1]):
         marks = [rule.marks for rule in family.rules]
         for player, stopper in product((1, 2), (1, 2)):
